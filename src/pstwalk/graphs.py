@@ -7,7 +7,6 @@ symmetry is exact (bitwise equal entries), never merely approximate.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "scale",
     "regular_degree",
     "distance_matrix",
+    "distances_from",
     "is_connected",
     "parse_graph",
     "serialize_graph",
@@ -239,39 +239,32 @@ def regular_degree(g: Graph) -> Optional[float]:
     return None
 
 
+def distances_from(g: Graph, source: int) -> np.ndarray:
+    """Hop-count distances from one vertex along nonzero edges, by
+    breadth-first search; loops ignored. Unreachable vertices get +inf."""
+    g.check_vertex(source)
+    linked = g.adj != 0.0
+    dist = np.full(g.n, np.inf)
+    dist[source] = 0.0
+    frontier = dist == 0.0
+    hops = 0.0
+    while frontier.any():
+        hops += 1.0
+        frontier = linked[frontier].any(axis=0) & np.isinf(dist)
+        dist[frontier] = hops
+    return dist
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """Hop-count distances along nonzero edges; loops ignored.
 
     Unreachable pairs get +inf.
     """
-    n = g.n
-    nbrs = [np.nonzero(g.adj[u])[0] for u in range(n)]
-    out = np.full((n, n), np.inf)
-    for s in range(n):
-        out[s, s] = 0.0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in nbrs[u]:
-                if v != u and out[s, v] == np.inf:
-                    out[s, v] = out[s, u] + 1.0
-                    q.append(v)
-    return out
+    return np.array([distances_from(g, s) for s in range(g.n)])
+
 
 def is_connected(g: Graph) -> bool:
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    q = deque([0])
-    count = 1
-    while q:
-        u = q.popleft()
-        for v in np.nonzero(g.adj[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                q.append(int(v))
-    return count == n
+    return bool(np.all(np.isfinite(distances_from(g, 0))))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
-from .graphs import Graph, distance_matrix
+from .graphs import Graph, distances_from
 from .spectral import eigendecompose, fidelity
 
 __all__ = [
@@ -109,7 +109,7 @@ def distance_partition(
     Raises NotConnectedError when some vertex is unreachable from a.
     """
     g.check_vertex(a)
-    dist = distance_matrix(g)[a]
+    dist = distances_from(g, a)
     if np.any(np.isinf(dist)):
         raise NotConnectedError("distance partition needs a connected graph")
     radius = int(np.max(dist))

@@ -8,7 +8,7 @@ generic matrix exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,12 +23,14 @@ from .graphs import Graph, is_connected
 
 __all__ = [
     "EigenDecomposition",
+    "PairSpectrum",
     "SpectralProjectors",
     "eigendecompose",
     "evolve",
     "propagator",
     "fidelity",
     "spectral_projectors",
+    "pair_spectrum",
     "spectrum",
     "is_integral",
     "perron_vector",
@@ -70,7 +72,7 @@ def eigendecompose(g: Graph) -> EigenDecomposition:
     v = v[:, ::-1].copy()
     n = g.n
     amax = max(1.0, float(np.max(np.abs(g.adj))))
-    recon = v @ np.diag(w) @ v.T
+    recon = (v * w) @ v.T
     if np.max(np.abs(recon - g.adj)) > RECON_TOL * n * amax:
         raise NumericFailureError("eigendecomposition residual out of tolerance")
     if np.max(np.abs(v.T @ v - np.eye(n))) > ORTHO_TOL * max(1, n):
@@ -108,8 +110,9 @@ def default_group_tol(decomp: EigenDecomposition) -> float:
     return 1e-8 * max(1.0, float(np.max(np.abs(decomp.values))))
 
 
-def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] = None) -> SpectralProjectors:
-    """Cluster eigenvalues by single linkage and form one projector per cluster.
+def _clusters(decomp: EigenDecomposition, group_tol: Optional[float]):
+    """Single-linkage clusters of eigenvalue indices, each cluster's mean
+    eigenvalue, and the grouping tolerance used.
 
     A cluster whose diameter exceeds 10x the grouping tolerance is rejected:
     that means the tolerance sits inside a continuum of eigenvalues and any
@@ -119,15 +122,9 @@ def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] =
         group_tol = default_group_tol(decomp)
     if group_tol <= 0:
         raise InvalidArgumentError("group_tol must be positive")
-    w, v = decomp.values, decomp.vectors
-    groups: List[List[int]] = [[0]]
-    for k in range(1, len(w)):
-        if w[k - 1] - w[k] <= group_tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    reps = []
-    projs = []
+    w = decomp.values
+    breaks = np.nonzero(w[:-1] - w[1:] > group_tol)[0] + 1
+    groups = np.split(np.arange(len(w)), breaks)
     for idx in groups:
         diam = float(w[idx[0]] - w[idx[-1]])
         if diam > 10.0 * group_tol:
@@ -135,12 +132,59 @@ def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] =
                 f"eigenvalue cluster around {w[idx[0]]:.6g} has diameter {diam:.3g} "
                 f"> 10*group_tol ({10 * group_tol:.3g})"
             )
-        block = v[:, idx]
-        reps.append(float(np.mean(w[idx])))
+    return groups, [float(np.mean(w[idx])) for idx in groups], group_tol
+
+
+def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] = None) -> SpectralProjectors:
+    """Cluster eigenvalues by single linkage and form one projector per cluster."""
+    groups, reps, group_tol = _clusters(decomp, group_tol)
+    projs = []
+    for idx in groups:
+        block = decomp.vectors[:, idx]
         p = block @ block.T
         p.setflags(write=False)
         projs.append(p)
     return SpectralProjectors(tuple(reps), tuple(projs), group_tol)
+
+
+@dataclass(frozen=True)
+class PairSpectrum:
+    """Eigenvalue support of a vertex pair (a, b): the eigenvalue clusters r
+    (as in spectral_projectors) with E_r e_a or E_r e_b nonzero.
+
+    support holds their cluster indices, theta their eigenvalues and weight
+    their (E_r)_{ab}, so <b| exp(-itA) |a> = sum weight * exp(-i theta t)
+    up to the cluster diameters. Where every E_r e_a = +-E_r e_b (strong
+    cospectrality), signs gives 0 for + and 1 for -; otherwise signs is None
+    and broken_at is the eigenvalue of the first cluster that breaks it.
+    """
+
+    support: Tuple[int, ...]
+    theta: Tuple[float, ...]
+    weight: np.ndarray
+    signs: Optional[Tuple[int, ...]]
+    broken_at: Optional[float]
+
+
+def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8) -> PairSpectrum:
+    """The PairSpectrum of (a, b) in O(n^2) time and memory: each E_r e_a is
+    a sum of scaled eigenvector columns, never a dense projector. A vector
+    with all entries within tol of zero counts as zero."""
+    groups, reps, _ = _clusters(decomp, None)
+    starts = [int(idx[0]) for idx in groups]
+    v = decomp.vectors
+    ea = np.add.reduceat(v * v[a, :], starts, axis=1)
+    eb = np.add.reduceat(v * v[b, :], starts, axis=1)
+    sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
+    ea, eb = ea[:, sup], eb[:, sup]
+    plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
+    minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
+    theta = tuple(reps[j] for j in sup)
+    broken = np.nonzero(~plus & ~minus)[0]
+    signs = None if broken.size else tuple(0 if p else 1 for p in plus)
+    weight = np.add.reduceat(v[a, :] * v[b, :], starts)[sup]
+    broken_at = theta[broken[0]] if broken.size else None
+    return PairSpectrum(tuple(int(j) for j in sup), theta, weight, signs, broken_at)
 
 
 def spectrum(g: Graph) -> np.ndarray:

@@ -31,12 +31,7 @@ from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import (
-    SpectralProjectors,
-    eigendecompose,
-    fidelity,
-    spectral_projectors,
-)
+from .spectral import default_group_tol, eigendecompose, fidelity, pair_spectrum
 
 __all__ = [
     "FidelitySeries",
@@ -50,7 +45,9 @@ __all__ = [
     "pst_table",
 ]
 
-SCAN_CHUNK = 20000
+# Cluster x time-step terms per grid chunk. At 1 << 17 the 2 MB temporaries
+# went back to the OS and were page-faulted in again on every chunk.
+SCAN_TERMS = 1 << 15
 NUMERIC_PST = 1.0 - 1e-8
 PRETTY_GOOD = 1.0 - 1e-3
 
@@ -121,11 +118,27 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) 
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _grid_abs(weight: np.ndarray, theta: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|sum_k weight[k] exp(-i theta[k] t)| at each t, in chunks of about
+    SCAN_TERMS terms so that temporaries stay small."""
+    chunk = max(1, SCAN_TERMS // len(theta))
+    return np.concatenate([
+        np.abs(weight @ np.exp(-1j * np.outer(theta, times[s : s + chunk])))
+        for s in range(0, len(times), chunk)
+    ])
+
+
 def max_fidelity_scan(
     g: Graph, a: int, b: int, t_max: float, steps: int, refine_iters: int = 60
 ) -> Tuple[float, float]:
     """Grid maximum of |F| over [0, t_max] followed by golden-section
-    refinement around the best grid point. Returns (t_star, fmax)."""
+    refinement around the best grid point. Returns (t_star, fmax).
+
+    The grid runs over the distinct eigenvalues that support the pair (see
+    pair_spectrum), so its cost follows their number, not n. Grid points
+    within the clustering error of its top, and the refinement, are then
+    evaluated over every eigenvalue. Raises AmbiguousDegeneracyError where
+    the eigenvalues cannot be clustered."""
     g.check_vertex(a)
     g.check_vertex(b)
     if steps < 2:
@@ -133,16 +146,16 @@ def max_fidelity_scan(
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
     dec = eigendecompose(g)
-    w_ab = dec.vectors[b, :] * dec.vectors[a, :]
+    ps = pair_spectrum(dec, a, b)
     times = np.linspace(0.0, t_max, steps)
-    best_t, best_f = 0.0, -1.0
-    for start in range(0, steps, SCAN_CHUNK):
-        sub = times[start : start + SCAN_CHUNK]
-        vals = np.abs(w_ab @ np.exp(-1j * np.outer(dec.values, sub)))
-        k = int(np.argmax(vals))
-        if vals[k] > best_f:
-            best_f = float(vals[k])
-            best_t = float(sub[k])
+    coarse = _grid_abs(ps.weight, np.asarray(ps.theta), times)
+    # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
+    # the further 10 group_tol covers rounding and the clusters off the support.
+    slack = 10.0 * default_group_tol(dec) * (t_max + 1.0)
+    near = times[coarse >= np.max(coarse) - slack]
+    exact = _grid_abs(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near)
+    k = int(np.argmax(exact))
+    best_t, best_f = float(near[k]), float(exact[k])
     if refine_iters > 0:
         h = times[1] - times[0]
         lo = max(0.0, best_t - h)
@@ -175,30 +188,6 @@ def fidelity_band(fmax: float) -> str:
 # strong cospectrality and certificates
 # ---------------------------------------------------------------------------
 
-def _cospectral_signs(
-    projs: SpectralProjectors, a: int, b: int, tol: float
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Optional[int]]:
-    """Per-cluster projections of |a> and |b>: returns (supported cluster
-    indices, sign per supported cluster, index of a failing cluster or None).
-    Sign 0 means E|a> = E|b>, sign 1 means E|a> = -E|b>."""
-    supported: List[int] = []
-    signs: List[int] = []
-    for j, p in enumerate(projs.projectors):
-        va = p[:, a]
-        vb = p[:, b]
-        if np.linalg.norm(va) <= tol and np.linalg.norm(vb) <= tol:
-            continue
-        if np.max(np.abs(va - vb)) <= tol:
-            sig = 0
-        elif np.max(np.abs(va + vb)) <= tol:
-            sig = 1
-        else:
-            return tuple(supported), tuple(signs), j
-        supported.append(j)
-        signs.append(sig)
-    return tuple(supported), tuple(signs), None
-
-
 def strong_cospectrality(
     g: Graph, a: int, b: int, tol: float = 1e-8
 ) -> Optional[Tuple[int, ...]]:
@@ -207,9 +196,7 @@ def strong_cospectrality(
     condition for perfect transfer between a and b."""
     g.check_vertex(a)
     g.check_vertex(b)
-    projs = spectral_projectors(eigendecompose(g))
-    _, signs, bad = _cospectral_signs(projs, a, b, tol)
-    return None if bad is not None else signs
+    return pair_spectrum(eigendecompose(g), a, b, tol).signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -236,9 +223,8 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     g.check_vertex(b)
     tol = 1e-8
     dec = eigendecompose(g)
-    projs = spectral_projectors(dec)
-    support, signs, bad = _cospectral_signs(projs, a, b, tol)
-    if bad is not None:
+    ps = pair_spectrum(dec, a, b, tol)
+    if ps.signs is None:
         return PstCertificate(
             "no",
             None,
@@ -246,10 +232,10 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
             (),
             (),
             f"not strongly cospectral: eigenvalue cluster at "
-            f"{projs.values[bad]:.6g} projects the endpoints onto "
+            f"{ps.broken_at:.6g} projects the endpoints onto "
             f"non-proportional vectors",
         )
-    vals = [projs.values[j] for j in support]
+    support, signs, vals = ps.support, ps.signs, ps.theta
     if len(vals) < 2:
         return PstCertificate(
             "no",
