@@ -11,7 +11,6 @@ state-transfer analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,22 +80,37 @@ def _equitable_tol(g: Graph) -> float:
     return 1e-10 * (1.0 + float(np.max(np.abs(g.adj))))
 
 
+SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals
+
+
+def _labels(cells: Cells) -> np.ndarray:
+    """label[v]: index of the cell holding vertex v."""
+    sizes = [len(c) for c in cells]
+    return np.repeat(np.arange(len(cells)), sizes)[np.argsort(np.concatenate(cells))]
+
+
+def _cell_sums(g: Graph, label: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices listed cell by cell (each cell ascending), where each cell
+    starts in that list, and sums[u, k]: total weight from vertex u into cell k."""
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    return order, starts, np.add.reduceat(g.adj[:, order], starts, axis=1)
+
+
 def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[EquitablePartition]:
     """Degree matrix of the partition if it is equitable, else None.
 
+    Every vertex's cell sums must match those of the smallest vertex of its
+    cell to within _equitable_tol; that vertex's sums form the degree matrix.
     Malformed cell lists (overlap, gaps, out-of-range vertices) raise; a
     well-formed but non-equitable partition just returns None.
     """
     cs = _normalize_cells(g, cells)
-    tol = _equitable_tol(g)
-    m = len(cs)
-    d = np.zeros((m, m))
-    for j, cell in enumerate(cs):
-        for k, other in enumerate(cs):
-            sums = g.adj[np.ix_(cell, other)].sum(axis=1)
-            d[j, k] = sums[0]
-            if np.max(np.abs(sums - sums[0])) > tol:
-                return None
+    label = _labels(cs)
+    order, starts, sums = _cell_sums(g, label)
+    d = sums[order[starts]]
+    if np.max(np.abs(sums - d[label])) > _equitable_tol(g):
+        return None
     return EquitablePartition(cs, d)
 
 
@@ -125,26 +139,19 @@ def distance_partition(
 def coarsest_equitable_refinement(
     g: Graph, initial_cells: Sequence[Sequence[int]]
 ) -> EquitablePartition:
-    """Iteratively split cells by weighted neighbor-count signatures until the
-    partition is equitable; the result refines the input and is the coarsest
-    such refinement. Cells come out ordered by smallest contained vertex."""
-    cells = [list(c) for c in _normalize_cells(g, initial_cells)]
+    """Coarsest equitable refinement of the input, cells ordered by smallest
+    contained vertex. Each round splits all cells at once by their vertices'
+    cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing; the
+    fixpoint must then pass is_equitable under _equitable_tol."""
+    label = _labels(_normalize_cells(g, initial_cells))
     while True:
-        changed = False
-        new_cells: List[List[int]] = []
-        for cell in cells:
-            sigs = {}
-            for u in cell:
-                sig = tuple(
-                    round(float(g.adj[u, other].sum()), 9) for other in cells
-                )
-                sigs.setdefault(sig, []).append(u)
-            if len(sigs) > 1:
-                changed = True
-            new_cells.extend(sorted(sigs.values(), key=min))
-        cells = sorted(new_cells, key=min)
-        if not changed:
+        order, starts, sums = _cell_sums(g, label)
+        np.round(sums, SIGNATURE_DECIMALS, out=sums)
+        sums += 0.0  # -0.0 -> 0.0, so equal sums make equal keys
+        label = np.unique(np.column_stack([label, sums]), axis=0, return_inverse=True)[1].ravel()
+        if label.max() + 1 == len(starts):  # no cell split
             break
+    cells = sorted(np.split(order, starts[1:]), key=lambda c: c[0])  # c[0] is its smallest vertex
     part = is_equitable(g, cells)
     if part is None:  # pragma: no cover - refinement fixpoint is equitable
         raise NotEquitableError("refinement failed to reach an equitable partition")
@@ -157,17 +164,9 @@ def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGra
     if check is None:
         raise NotEquitableError("partition is not equitable on this graph")
     d = check.degrees
-    m = len(partition.cells)
-    b = np.zeros((m, m))
-    for j in range(m):
-        b[j, j] = d[j, j]
-        for k in range(j + 1, m):
-            b[j, k] = b[k, j] = sqrt(d[j, k] * d[k, j])
-    cell_map = [0] * g.n
-    for j, cell in enumerate(check.cells):
-        for v in cell:
-            cell_map[v] = j
-    return QuotientGraph(Graph(b), tuple(cell_map))
+    b = np.sqrt(d * d.T)
+    np.fill_diagonal(b, np.diag(d))
+    return QuotientGraph(Graph(b), tuple(_labels(check.cells).tolist()))
 
 
 def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, NotConnectedError, NotEquitableError
+from pstwalk.partitions import _equitable_tol
 
 
 def _characteristic_matrix(partition, n):
@@ -96,6 +97,103 @@ def test_refinement_on_vertex_transitive_graph_is_trivial():
     g = pw.cycle(6)
     part = pw.coarsest_equitable_refinement(g, [list(range(6))])
     assert part.cells == (tuple(range(6)),)
+
+
+def test_refinement_sorts_cells_of_equitable_input():
+    # already equitable, so no round splits; the output order still holds
+    g = pw.hypercube(3)
+    part = pw.coarsest_equitable_refinement(g, [[7], [3, 5, 6], [1, 2, 4], [0]])
+    assert part.cells == ((0,), (1, 2, 4), (3, 5, 6), (7,))
+    assert part.degrees[0, 1] == 3 and part.degrees[1, 0] == 1
+
+
+def _is_equitable_reference(g, cells):
+    """Per-cell-pair sub-sums: (sorted cells, degree matrix) or None."""
+    cs = tuple(tuple(sorted(int(v) for v in c)) for c in cells)
+    tol = _equitable_tol(g)
+    d = np.zeros((len(cs), len(cs)))
+    for j, cell in enumerate(cs):
+        for k, other in enumerate(cs):
+            sums = g.adj[np.ix_(cell, other)].sum(axis=1)
+            d[j, k] = sums[0]
+            if np.max(np.abs(sums - sums[0])) > tol:
+                return None
+    return cs, d
+
+
+def _refinement_reference(g, initial_cells):
+    """Per-vertex signature loop, all cells split at once in each round."""
+    cells = [sorted(int(v) for v in c) for c in initial_cells]
+    while True:
+        changed = False
+        new_cells = []
+        for cell in cells:
+            sigs = {}
+            for u in cell:
+                sig = tuple(round(float(g.adj[u, other].sum()), 9) for other in cells)
+                sigs.setdefault(sig, []).append(u)
+            changed = changed or len(sigs) > 1
+            new_cells.extend(sigs.values())
+        cells = sorted(new_cells, key=min)
+        if not changed:
+            return _is_equitable_reference(g, cells)
+
+
+def _same_answer(part, ref):
+    if part is None or ref is None:
+        return part is None and ref is None
+    return part.cells == ref[0] and part.degrees.tobytes() == ref[1].tobytes()
+
+
+def _random_cells(rng, n):
+    label = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    cells = [list(np.flatnonzero(label == j)) for j in np.unique(label)]
+    rng.shuffle(cells)
+    return cells
+
+
+def test_cell_sums_match_loop_references(corpus):
+    rng = np.random.default_rng(4)
+    for g in corpus:
+        starts = [_random_cells(rng, g.n) for _ in range(2)]
+        if g.n >= 3:
+            for _ in range(3):
+                a, b = (int(v) for v in rng.choice(g.n, size=2, replace=False))
+                starts.append([[a], [b], [v for v in range(g.n) if v not in (a, b)]])
+        for cells in starts:
+            assert _same_answer(pw.is_equitable(g, cells), _is_equitable_reference(g, cells))
+            assert _same_answer(pw.coarsest_equitable_refinement(g, cells),
+                                _refinement_reference(g, cells))
+        dist = pw.distance_partition(g, 0) if pw.is_connected(g) else None
+        if dist is not None:
+            assert _same_answer(dist, _is_equitable_reference(g, dist.cells))
+
+
+def test_refinement_matches_loop_reference_on_large_random_graph():
+    # shaped like the benchmark's random ladder: n = 256, edge density 0.2,
+    # uniform(0.2, 3) weights, loops on about 30% of vertices
+    rng = np.random.default_rng(256)
+    n = 256
+    upper = np.triu(rng.random((n, n)) < 0.2, 1)
+    adj = np.where(upper, rng.uniform(0.2, 3.0, size=(n, n)), 0.0)
+    adj = adj + adj.T + np.diag(np.where(rng.random(n) < 0.3, rng.uniform(0.5, 2.0, size=n), 0.0))
+    g = pw.Graph(adj)
+    cells = [[3], [200], [v for v in range(n) if v not in (3, 200)]]
+    part = pw.coarsest_equitable_refinement(g, cells)
+    assert _same_answer(part, _refinement_reference(g, cells))
+    assert part.m > 3
+
+
+def test_is_equitable_threshold_is_equitable_tol():
+    g = pw.scale(pw.hypercube(3), 1.7)
+    cells = [[0], [1, 2, 4], [3, 5, 6], [7]]
+    assert pw.is_equitable(g, cells) is not None
+    tol = _equitable_tol(g)
+    for factor, equitable in ((0.5, True), (3.0, False)):
+        adj = g.adj.copy()
+        adj[0, 1] += factor * tol
+        adj[1, 0] = adj[0, 1]
+        assert (pw.is_equitable(pw.Graph(adj), cells) is not None) == equitable
 
 
 def test_quotient_matches_known_cube_collapse():
