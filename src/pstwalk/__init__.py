@@ -6,212 +6,22 @@ transfer exactly through strong cospectrality and eigenvalue phase
 alignment.
 """
 
-from .cones import (
-    NoTransferTrace,
-    cylindrical_apexes,
-    cylindrical_cone,
-    cylindrical_no_pst_check,
-    double_cone,
-    double_cone_fidelity,
-    double_cone_pst_condition,
-    glued_cone_apex_eigendata,
-    glued_cone_apex_fidelity,
-    glued_cone_apexes,
-    glued_cone_family,
-    glued_cone_pst_condition,
-    glued_double_cone,
-    p4_pst_condition,
-    weighted_p4,
-)
-from .errors import (
-    AmbiguousDegeneracyError,
-    DegenerateEigenvalueError,
-    ExprError,
-    GraphFormatError,
-    InvalidArgumentError,
-    InvalidSizeError,
-    NonCommutingError,
-    NotConnectedError,
-    NotEquitableError,
-    NumericFailureError,
-    PstwalkError,
-    SelfLoopError,
-    UnsupportedGraphError,
-)
-from .expr import GraphExpr, eval_expr, format_expr, parse_expr
-from .graphs import (
-    Graph,
-    circulant,
-    complement,
-    complete,
-    cycle,
-    distance_matrix,
-    distances_from,
-    empty_graph,
-    hypercube,
-    is_connected,
-    join,
-    parse_graph,
-    path_graph,
-    regular_degree,
-    scale,
-    serialize_graph,
-)
-from .partitions import (
-    EquitablePartition,
-    QuotientGraph,
-    coarsest_equitable_refinement,
-    collapse_fidelity_check,
-    distance_partition,
-    format_cells,
-    is_equitable,
-    quotient_symmetrized,
-)
-from .products import (
-    ConditionReport,
-    cartesian_product,
-    check_lexico_clique_condition,
-    check_std_lexico_condition,
-    check_weak_pst_condition,
-    generalized_lexicographic_product,
-    generalized_lexicographic_spectrum,
-    is_circulant_adjacency,
-    lexicographic_product,
-    weak_product,
-)
-from .rationals import (
-    CLASS_EVEN_OVER_ODD,
-    CLASS_ODD_OVER_EVEN,
-    CLASS_ODD_OVER_ODD,
-    classify_rational,
-    minimal_absolute_alignment,
-    minimal_phase_alignment,
-    rational_reconstruct,
-    sqrt_rational,
-)
-from .spectral import (
-    EigenDecomposition,
-    PairSpectrum,
-    SpectralProjectors,
-    default_group_tol,
-    eigendecompose,
-    evolve,
-    fidelity,
-    is_integral,
-    pair_spectrum,
-    perron_vector,
-    propagator,
-    spectral_projectors,
-    spectrum,
-)
-from .transfer import (
-    FidelitySeries,
-    PstCertificate,
-    TableRow,
-    fidelity_band,
-    fidelity_series,
-    max_fidelity_scan,
-    pst_certificate,
-    pst_table,
-    strong_cospectrality,
-)
+from . import cones, errors, expr, graphs, partitions, products, rationals, spectral, transfer
+from .cones import *
+from .errors import *
+from .expr import *
+from .graphs import *
+from .partitions import *
+from .products import *
+from .rationals import *
+from .spectral import *
+from .transfer import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousDegeneracyError",
-    "CLASS_EVEN_OVER_ODD",
-    "CLASS_ODD_OVER_EVEN",
-    "CLASS_ODD_OVER_ODD",
-    "ConditionReport",
-    "DegenerateEigenvalueError",
-    "EigenDecomposition",
-    "EquitablePartition",
-    "ExprError",
-    "FidelitySeries",
-    "Graph",
-    "GraphExpr",
-    "GraphFormatError",
-    "InvalidArgumentError",
-    "InvalidSizeError",
-    "NoTransferTrace",
-    "NonCommutingError",
-    "NotConnectedError",
-    "NotEquitableError",
-    "NumericFailureError",
-    "PairSpectrum",
-    "PstCertificate",
-    "PstwalkError",
-    "QuotientGraph",
-    "SelfLoopError",
-    "SpectralProjectors",
-    "TableRow",
-    "UnsupportedGraphError",
-    "cartesian_product",
-    "check_lexico_clique_condition",
-    "check_std_lexico_condition",
-    "check_weak_pst_condition",
-    "circulant",
-    "classify_rational",
-    "coarsest_equitable_refinement",
-    "collapse_fidelity_check",
-    "complement",
-    "complete",
-    "cycle",
-    "cylindrical_apexes",
-    "cylindrical_cone",
-    "cylindrical_no_pst_check",
-    "default_group_tol",
-    "distance_matrix",
-    "distance_partition",
-    "distances_from",
-    "double_cone",
-    "double_cone_fidelity",
-    "double_cone_pst_condition",
-    "eigendecompose",
-    "empty_graph",
-    "eval_expr",
-    "evolve",
-    "fidelity",
-    "fidelity_band",
-    "fidelity_series",
-    "format_cells",
-    "format_expr",
-    "generalized_lexicographic_product",
-    "generalized_lexicographic_spectrum",
-    "glued_cone_apex_eigendata",
-    "glued_cone_apex_fidelity",
-    "glued_cone_apexes",
-    "glued_cone_family",
-    "glued_cone_pst_condition",
-    "glued_double_cone",
-    "hypercube",
-    "is_circulant_adjacency",
-    "is_connected",
-    "is_equitable",
-    "is_integral",
-    "join",
-    "lexicographic_product",
-    "max_fidelity_scan",
-    "minimal_absolute_alignment",
-    "minimal_phase_alignment",
-    "pair_spectrum",
-    "parse_expr",
-    "parse_graph",
-    "path_graph",
-    "perron_vector",
-    "propagator",
-    "pst_certificate",
-    "pst_table",
-    "quotient_symmetrized",
-    "rational_reconstruct",
-    "regular_degree",
-    "scale",
-    "serialize_graph",
-    "spectral_projectors",
-    "spectrum",
-    "sqrt_rational",
-    "strong_cospectrality",
-    "weak_product",
-    "weighted_p4",
-]
+# the public names are the union of the modules' __all__ lists
+__all__ = sorted(
+    name
+    for module in (cones, errors, expr, graphs, partitions, products, rationals, spectral, transfer)
+    for name in module.__all__
+)

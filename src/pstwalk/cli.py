@@ -9,6 +9,7 @@ unusable partition, ...), 2 usage or expression error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,12 +29,7 @@ from .cones import (
 from .errors import ExprError, PstwalkError
 from .expr import eval_expr, parse_expr
 from .graphs import Graph, serialize_graph
-from .partitions import (
-    collapse_fidelity_check,
-    distance_partition,
-    format_cells,
-    quotient_symmetrized,
-)
+from .partitions import _collapse, format_cells
 from .products import (
     check_lexico_clique_condition,
     check_std_lexico_condition,
@@ -97,12 +93,6 @@ def _time_factor(args: argparse.Namespace) -> float:
     return math.pi if getattr(args, "pi_units", False) else 1.0
 
 
-def _require(args: argparse.Namespace, names: dict) -> None:
-    missing = [flag for flag, value in names.items() if value is None]
-    if missing:
-        raise UsageError("missing required flag(s): " + ", ".join(missing))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -163,38 +153,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cert = pst_certificate(_graph(args.expr), args.src, args.dst)
-    time_exact = None
+    payload = dataclasses.asdict(cert)
     if cert.time_exact is not None:
-        time_exact = {
-            "a": cert.time_exact[0],
-            "b": cert.time_exact[1],
-            "scale": cert.time_exact[2],
-        }
-    _emit_json(
-        {
-            "verdict": cert.verdict,
-            "time_num": cert.time_num,
-            "time_exact": time_exact,
-            "support": list(cert.support),
-            "signs": list(cert.signs),
-            "reason": cert.reason,
-        },
-        args.out,
-    )
+        payload["time_exact"] = dict(zip(("a", "b", "scale"), cert.time_exact))
+    _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
-    g = _graph(args.expr)
-    part = distance_partition(g, args.src, require_antipode=True)
-    if part is None:
-        raise PstwalkError(
-            "distance partition from the source is not equitable with a "
-            "singleton antipode"
-        )
-    quot = quotient_symmetrized(g, part)
     t_grid = np.linspace(0.0, args.tmax * _time_factor(args), args.steps)
-    deviation = collapse_fidelity_check(g, args.src, args.dst, t_grid)
+    part, quot, deviation = _collapse(_graph(args.expr), args.src, args.dst, t_grid)
     if args.format == "json":
         _emit_json(
             {
@@ -215,67 +183,52 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     return 0
 
 
+# condition name -> (required flags, check returning a report dataclass)
+_CONDITIONS = {
+    "weak": (
+        ("g", "h", "time"),
+        lambda args: check_weak_pst_condition(
+            _graph(args.g), args.time * _time_factor(args), _graph(args.h)
+        ),
+    ),
+    "lex-clique": (
+        ("g", "h", "time"),
+        lambda args: check_lexico_clique_condition(
+            _graph(args.g), _graph(args.h), args.time * _time_factor(args), args.m
+        ),
+    ),
+    "lex-std": (
+        ("g", "h", "time"),
+        lambda args: check_std_lexico_condition(
+            _graph(args.g), _graph(args.h), args.time * _time_factor(args)
+        ),
+    ),
+    "doublecone": (
+        ("lam0", "alpha"),
+        lambda args: double_cone_pst_condition(args.lam0, args.b, args.alpha),
+    ),
+    "gluedcone": (
+        ("n", "k", "gamma"),
+        lambda args: glued_cone_pst_condition(args.n, args.k, args.gamma),
+    ),
+    "cylcone": (("n", "k", "m"), lambda args: cylindrical_no_pst_check(args.n, args.k, args.m)),
+    "p4": (("w",), lambda args: p4_pst_condition(args.w, args.loop)),
+}
+
+
 def _cmd_condition(args: argparse.Namespace) -> int:
-    factor = _time_factor(args)
-    name = args.name
-    if name == "weak":
-        _require(args, {"--g": args.g, "--h": args.h, "--time": args.time})
-        rep = check_weak_pst_condition(_graph(args.g), args.time * factor, _graph(args.h))
-    elif name == "lex-clique":
-        _require(args, {"--g": args.g, "--h": args.h, "--time": args.time})
-        rep = check_lexico_clique_condition(
-            _graph(args.g), _graph(args.h), args.time * factor, args.m
-        )
-    elif name == "lex-std":
-        _require(args, {"--g": args.g, "--h": args.h, "--time": args.time})
-        rep = check_std_lexico_condition(_graph(args.g), _graph(args.h), args.time * factor)
-    elif name == "doublecone":
-        _require(args, {"--lam0": args.lam0, "--alpha": args.alpha})
-        rep = double_cone_pst_condition(args.lam0, args.b, args.alpha)
-    elif name == "gluedcone":
-        _require(args, {"--n": args.n, "--k": args.k, "--gamma": args.gamma})
-        rep = glued_cone_pst_condition(args.n, args.k, args.gamma)
-    elif name == "p4":
-        _require(args, {"--w": args.w})
-        rep = p4_pst_condition(args.w, args.loop)
-    elif name == "cylcone":
-        _require(args, {"--n": args.n, "--k": args.k, "--m": args.m})
-        trace = cylindrical_no_pst_check(args.n, args.k, args.m)
-        _emit_json(
-            {
-                "verdict": trace.verdict,
-                "params": trace.params,
-                "requirements": list(trace.requirements),
-                "trace": list(trace.trace),
-            },
-            args.out,
-        )
-        return 0
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown condition '{name}'")
-    _emit_json(
-        {"holds": rep.holds, "witness": rep.witness, "detail": rep.detail}, args.out
-    )
+    required, check = _CONDITIONS[args.name]
+    missing = ["--" + flag for flag in required if getattr(args, flag) is None]
+    if missing:
+        raise UsageError("missing required flag(s): " + ", ".join(missing))
+    _emit_json(dataclasses.asdict(check(args)), args.out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rows = pst_table()
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "name": r.name,
-                    "expected": r.expected,
-                    "observed": r.observed,
-                    "matches": r.matches,
-                    "time_num": r.time_num,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-            args.out,
-        )
+        _emit_json([dataclasses.asdict(r) for r in rows], args.out)
     else:
         lines = []
         for r in rows:
@@ -306,6 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if fmt_default is not None:
             sp.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
+    def pair_command(name, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--expr", required=True)
+        sp.add_argument("--from", dest="src", type=int, required=True)
+        sp.add_argument("--to", dest="dst", type=int, required=True)
+        return sp
+
     sp = sub.add_parser("build", help="serialize a graph expression")
     sp.add_argument("--expr", required=True)
     common(sp)
@@ -316,20 +276,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, fmt_default="json")
     sp.set_defaults(handler=_cmd_spectrum)
 
-    sp = sub.add_parser("fidelity", help="sampled transfer amplitudes")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--from", dest="src", type=int, required=True)
-    sp.add_argument("--to", dest="dst", type=int, required=True)
+    sp = pair_command("fidelity", "sampled transfer amplitudes")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--pi-units", action="store_true")
     common(sp, fmt_default="csv")
     sp.set_defaults(handler=_cmd_fidelity)
 
-    sp = sub.add_parser("scan", help="maximum |F| over [0, tmax]")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--from", dest="src", type=int, required=True)
-    sp.add_argument("--to", dest="dst", type=int, required=True)
+    sp = pair_command("scan", "maximum |F| over [0, tmax]")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--steps", type=int, default=50001)
     sp.add_argument("--refine", type=int, default=60)
@@ -337,19 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(handler=_cmd_scan)
 
-    sp = sub.add_parser("certify", help="exact perfect-transfer certificate")
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--from", dest="src", type=int, required=True)
-    sp.add_argument("--to", dest="dst", type=int, required=True)
+    sp = pair_command("certify", "exact perfect-transfer certificate")
     common(sp)
     sp.set_defaults(handler=_cmd_certify)
 
-    sp = sub.add_parser(
-        "collapse", help="distance-partition quotient and fidelity deviation"
-    )
-    sp.add_argument("--expr", required=True)
-    sp.add_argument("--from", dest="src", type=int, required=True)
-    sp.add_argument("--to", dest="dst", type=int, required=True)
+    sp = pair_command("collapse", "distance-partition quotient and fidelity deviation")
     sp.add_argument("--tmax", type=float, default=2.0 * math.pi)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--pi-units", action="store_true")
@@ -357,10 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_collapse)
 
     sp = sub.add_parser("condition", help="named transfer sufficiency checks")
-    sp.add_argument(
-        "name",
-        choices=["weak", "lex-clique", "lex-std", "doublecone", "gluedcone", "cylcone", "p4"],
-    )
+    sp.add_argument("name", choices=list(_CONDITIONS))
     sp.add_argument("--g", help="graph expression (weak / lex checks)")
     sp.add_argument("--h", help="inner graph expression (weak / lex checks)")
     sp.add_argument("--time", type=float, help="transfer time input")
@@ -389,16 +332,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ExprError as exc:
+    except (ExprError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PstwalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PstwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,22 @@ Every error raised on purpose by this package derives from PstwalkError so
 callers (and the CLI) can distinguish domain failures from genuine bugs.
 """
 
+__all__ = [
+    "PstwalkError",
+    "InvalidSizeError",
+    "InvalidArgumentError",
+    "SelfLoopError",
+    "UnsupportedGraphError",
+    "GraphFormatError",
+    "NotConnectedError",
+    "DegenerateEigenvalueError",
+    "AmbiguousDegeneracyError",
+    "NumericFailureError",
+    "NonCommutingError",
+    "NotEquitableError",
+    "ExprError",
+]
+
 
 class PstwalkError(Exception):
     """Base class for all pstwalk domain errors."""

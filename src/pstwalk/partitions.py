@@ -169,17 +169,19 @@ def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGra
     return QuotientGraph(Graph(b), tuple(_labels(check.cells).tolist()))
 
 
-def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -> float:
-    """Max over the grid of | |F_G(a->b)| - |F_quotient| |.
-
-    Requires the distance partition from a to be equitable with b as its
-    singleton antipodal cell; raises NotEquitableError otherwise.
-    """
+def _collapse(
+    g: Graph, a: int, b: int, t_grid: Sequence[float]
+) -> Tuple[EquitablePartition, QuotientGraph, float]:
+    """The distance partition from a, its symmetrized quotient, and the
+    deviation that collapse_fidelity_check returns."""
     g.check_vertex(a)
     g.check_vertex(b)
     part = distance_partition(g, a, require_antipode=True)
     if part is None:
-        raise NotEquitableError("distance partition from source is not usable")
+        raise NotEquitableError(
+            "distance partition from the source is not equitable with a "
+            "singleton antipode"
+        )
     if part.cells[-1] != (b,):
         raise NotEquitableError(
             f"vertex {b} is not the antipodal cell of the distance partition"
@@ -190,7 +192,16 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
     ts = np.asarray(list(t_grid), dtype=float)
     f_full = np.abs(fidelity(dec_g, a, b, ts))
     f_quot = np.abs(fidelity(dec_q, 0, part.m - 1, ts))
-    return float(np.max(np.abs(f_full - f_quot)))
+    return part, quot, float(np.max(np.abs(f_full - f_quot)))
+
+
+def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -> float:
+    """Max over the grid of | |F_G(a->b)| - |F_quotient| |.
+
+    Requires the distance partition from a to be equitable with b as its
+    singleton antipodal cell; raises NotEquitableError otherwise.
+    """
+    return _collapse(g, a, b, t_grid)[2]
 
 
 def format_cells(partition: EquitablePartition) -> str:

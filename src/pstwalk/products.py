@@ -133,12 +133,19 @@ def is_circulant_adjacency(g: Graph) -> bool:
     return True
 
 
-def _near_multiple(x: float, base: float) -> Tuple[bool, float]:
-    """Is x within 1e-9*(1+|x|) of an integer multiple of base? Returns the
-    verdict and the signed residual."""
-    k = round(x / base)
-    res = x - k * base
-    return abs(res) <= MEMBERSHIP_RTOL * (1.0 + abs(x)), res
+def _spectrum_near_multiples(
+    lam: np.ndarray, factor: float, base: float
+) -> Tuple[bool, List[float]]:
+    """Is every x = factor*lambda, lambda in lam, within 1e-9*(1+|x|) of an
+    integer multiple of base? Returns the verdict and the signed residuals."""
+    ok = True
+    residuals = []
+    for lk in lam:
+        x = factor * float(lk)
+        res = x - round(x / base) * base
+        residuals.append(res)
+        ok = ok and abs(res) <= MEMBERSHIP_RTOL * (1.0 + abs(x))
+    return ok, residuals
 
 
 def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
@@ -147,13 +154,7 @@ def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
     Needs (i) t_g * Spec(G) inside Z*pi and (ii) H a circulant graph whose
     eigenvalues are all odd integers. Sufficient, not necessary.
     """
-    lam = spectrum(g)
-    residuals = []
-    spec_ok = True
-    for lk in lam:
-        ok, res = _near_multiple(t_g * float(lk), pi)
-        residuals.append(res)
-        spec_ok = spec_ok and ok
+    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t_g, pi)
     circ = is_circulant_adjacency(h)
     mu = spectrum(h)
     mu_rounded = np.round(mu)
@@ -189,13 +190,7 @@ def check_lexico_clique_condition(
         m = h.n
     size_ok = h.n == m
     reg = regular_degree(h)
-    lam = spectrum(g)
-    residuals = []
-    spec_ok = True
-    for lk in lam:
-        ok, res = _near_multiple(t * m * float(lk), 2.0 * pi)
-        residuals.append(res)
-        spec_ok = spec_ok and ok
+    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t * m, 2.0 * pi)
     holds = size_ok and reg is not None and spec_ok
     problems = []
     if not size_ok:
@@ -223,12 +218,7 @@ def check_std_lexico_condition(g: Graph, h: Graph, t_h: float) -> ConditionRepor
     """
     reg = regular_degree(h)
     lam = spectrum(g)
-    residuals = []
-    spec_ok = True
-    for lk in lam:
-        ok, res = _near_multiple(t_h * h.n * float(lk), 2.0 * pi)
-        residuals.append(res)
-        spec_ok = spec_ok and ok
+    spec_ok, residuals = _spectrum_near_multiples(lam, t_h * h.n, 2.0 * pi)
     holds = reg is not None and spec_ok
     integer_form: Optional[bool] = None
     if reg is not None and is_integral(g):

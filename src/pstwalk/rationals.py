@@ -11,6 +11,9 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvalidArgumentError
 
 __all__ = [
+    "CLASS_EVEN_OVER_ODD",
+    "CLASS_ODD_OVER_EVEN",
+    "CLASS_ODD_OVER_ODD",
     "classify_rational",
     "rational_reconstruct",
     "sqrt_rational",

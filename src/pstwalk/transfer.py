@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cones import (
+    NoTransferTrace,
     cylindrical_cone,
     cylindrical_no_pst_check,
     double_cone,
@@ -29,9 +30,9 @@ from .cones import (
 )
 from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
-from .products import lexicographic_product, weak_product
+from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import default_group_tol, eigendecompose, fidelity, pair_spectrum
+from .spectral import EigenDecomposition, default_group_tol, eigendecompose, fidelity, pair_spectrum
 
 __all__ = [
     "FidelitySeries",
@@ -87,15 +88,22 @@ class PstCertificate:
     reason: str
 
 
-def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
+def _window(
+    g: Graph, a: int, b: int, t_max: float, steps: int
+) -> Tuple[EigenDecomposition, np.ndarray]:
+    """Checked arguments of a sampled time window: the eigendecomposition of
+    g and the steps times spread over [0, t_max]."""
     g.check_vertex(a)
     g.check_vertex(b)
     if steps < 2:
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
-    dec = eigendecompose(g)
-    times = np.linspace(0.0, t_max, steps)
+    return eigendecompose(g), np.linspace(0.0, t_max, steps)
+
+
+def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
+    dec, times = _window(g, a, b, t_max, steps)
     amps = fidelity(dec, a, b, times)
     return FidelitySeries(times, np.asarray(amps), a, b)
 
@@ -139,15 +147,8 @@ def max_fidelity_scan(
     within the clustering error of its top, and the refinement, are then
     evaluated over every eigenvalue. Raises AmbiguousDegeneracyError where
     the eigenvalues cannot be clustered."""
-    g.check_vertex(a)
-    g.check_vertex(b)
-    if steps < 2:
-        raise InvalidArgumentError("steps must be at least 2")
-    if not t_max > 0:
-        raise InvalidArgumentError("t_max must be positive")
-    dec = eigendecompose(g)
+    dec, times = _window(g, a, b, t_max, steps)
     ps = pair_spectrum(dec, a, b)
-    times = np.linspace(0.0, t_max, steps)
     coarse = _grid_abs(ps.weight, np.asarray(ps.theta), times)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
@@ -324,7 +325,10 @@ class TableRow:
     note: str
 
 
-def _scan_verdict(g: Graph, a: int, b: int) -> Tuple[str, Optional[float], str]:
+_Verdict = Tuple[str, Optional[float], str]  # (observed, time_num, note) of a table row
+
+
+def _scan_verdict(g: Graph, a: int, b: int) -> _Verdict:
     t_s, fmax = max_fidelity_scan(g, a, b, 200.0, 200001, 60)
     band = fidelity_band(fmax)
     if fmax >= NUMERIC_PST:
@@ -332,7 +336,7 @@ def _scan_verdict(g: Graph, a: int, b: int) -> Tuple[str, Optional[float], str]:
     return "no", None, f"scan max |F| = {fmax:.6f} ({band}); PST not detected"
 
 
-def _cert_verdict(g: Graph, a: int, b: int) -> Tuple[str, Optional[float], str]:
+def _cert_verdict(g: Graph, a: int, b: int) -> _Verdict:
     cert = pst_certificate(g, a, b)
     if cert.verdict == "yes":
         return "yes", cert.time_num, f"certificate yes at t = {cert.time_num:.9g}"
@@ -342,93 +346,67 @@ def _cert_verdict(g: Graph, a: int, b: int) -> Tuple[str, Optional[float], str]:
     return verdict, t, f"certificate unknown; {note}"
 
 
+def _condition_verdict(cond: ConditionReport, g: Graph, a: int, b: int) -> _Verdict:
+    """A family condition, confirmed by |F| at the time it names."""
+    t = cond.witness["time"]
+    f = abs(fidelity(eigendecompose(g), a, b, t)) if t is not None else 0.0
+    ok = cond.holds and f >= NUMERIC_PST
+    note = f"condition {'holds' if cond.holds else 'fails'}, |F(t*)| = {f:.10f}"
+    return ("yes" if ok else "no"), t, note
+
+
+def _cylindrical_verdict(check: NoTransferTrace, g: Graph, a: int, b: int) -> _Verdict:
+    """The parity argument against transfer, corroborated by a scan."""
+    verdict, _, note = _scan_verdict(g, a, b)
+    observed = "no" if (check.verdict == "no" and verdict == "no") else "yes"
+    return observed, None, f"parity contradiction recorded; {note}"
+
+
+# (name, expected verdict, graph builder, source, target, decide), one per family
+_TABLE = (
+    (
+        "double cone over sqrt2*K3 (alpha = sqrt3)", "yes",
+        lambda: double_cone(scale(complete(3), sqrt(2.0)), 0, sqrt(3.0)), 0, 1,
+        lambda g, a, b: _condition_verdict(
+            double_cone_pst_condition(2.0 * sqrt(2.0), 0, sqrt(3.0)), g, a, b
+        ),
+    ),
+    ("path P5", "no", lambda: path_graph((1.0, 1.0, 1.0, 1.0)), 0, 4, _cert_verdict),
+    (
+        "glued circulant cones (n,k,gamma) = (15,6,8)", "yes",
+        lambda: glued_double_cone(
+            circulant(15, (1, 2, 4)), circulant(15, (1, 2, 4)), circulant(15, (1, 2, 4, 7))
+        ),
+        0, 31,
+        lambda g, a, b: _condition_verdict(glued_cone_pst_condition(15, 6, 8), g, a, b),
+    ),
+    (
+        "half-join K1+K3+K3+K1", "no",
+        lambda: glued_double_cone(complete(3), complete(3), np.ones((3, 3))), 0, 7,
+        _scan_verdict,
+    ),
+    (
+        "cylindrical cone (n,k,m) = (3,2,2)", "no",
+        lambda: cylindrical_cone(complete(3), empty_graph(2), complete(3)), 0, 9,
+        lambda g, a, b: _cylindrical_verdict(cylindrical_no_pst_check(3, 2, 2), g, a, b),
+    ),
+    ("hypercube Q4", "yes", lambda: hypercube(4), 0, 15, _cert_verdict),
+    # (0,0) to (antipode,0)
+    ("weak product Q2 x K4", "yes", lambda: weak_product(hypercube(2), complete(4)), 0, 12,
+     _cert_verdict),
+    # within one fiber
+    ("lexicographic K2[Q2]", "yes", lambda: lexicographic_product(complete(2), hypercube(2)), 0, 3,
+     _cert_verdict),
+)
+
+
 def pst_table() -> List[TableRow]:
     """Eight bundled instances, one per family, with expected transfer
     verdicts. A row matches when the observed verdict (exact certificate or
     condition where available, numeric scan otherwise) equals the expected
     one."""
     rows: List[TableRow] = []
-
-    # 1. weighted double cone over sqrt(2)-scaled K3
-    cond = double_cone_pst_condition(2.0 * sqrt(2.0), 0, sqrt(3.0))
-    g = double_cone(scale(complete(3), sqrt(2.0)), 0, sqrt(3.0))
-    t1 = cond.witness["time"]
-    f1 = abs(fidelity(eigendecompose(g), 0, 1, t1)) if t1 is not None else 0.0
-    ok1 = cond.holds and f1 >= NUMERIC_PST
-    rows.append(
-        TableRow(
-            "double cone over sqrt2*K3 (alpha = sqrt3)",
-            "yes",
-            "yes" if ok1 else "no",
-            ok1,
-            t1,
-            f"condition {'holds' if cond.holds else 'fails'}, |F(t*)| = {f1:.10f}",
-        )
-    )
-
-    # 2. path P5
-    verdict, t2, note = _cert_verdict(path_graph((1.0, 1.0, 1.0, 1.0)), 0, 4)
-    rows.append(TableRow("path P5", "no", verdict, verdict == "no", t2, note))
-
-    # 3. glued circulant cones (15, 6, 8)
-    cond3 = glued_cone_pst_condition(15, 6, 8)
-    half = circulant(15, (1, 2, 4))
-    g3 = glued_double_cone(half, half, circulant(15, (1, 2, 4, 7)))
-    t3 = cond3.witness["time"]
-    f3 = abs(fidelity(eigendecompose(g3), 0, g3.n - 1, t3)) if t3 is not None else 0.0
-    ok3 = cond3.holds and f3 >= NUMERIC_PST
-    rows.append(
-        TableRow(
-            "glued circulant cones (n,k,gamma) = (15,6,8)",
-            "yes",
-            "yes" if ok3 else "no",
-            ok3,
-            t3,
-            f"condition {'holds' if cond3.holds else 'fails'}, |F(t*)| = {f3:.10f}",
-        )
-    )
-
-    # 4. K1 + K3 + K3 + K1 (fully joined copies)
-    g4 = glued_double_cone(complete(3), complete(3), np.ones((3, 3)))
-    verdict4, t4, note4 = _scan_verdict(g4, 0, g4.n - 1)
-    rows.append(
-        TableRow("half-join K1+K3+K3+K1", "no", verdict4, verdict4 == "no", t4, note4)
-    )
-
-    # 5. cylindrical cone (3, 2, 2)
-    check5 = cylindrical_no_pst_check(3, 2, 2)
-    g5 = cylindrical_cone(complete(3), empty_graph(2), complete(3))
-    verdict5, t5, note5 = _scan_verdict(g5, 0, g5.n - 1)
-    obs5 = "no" if (check5.verdict == "no" and verdict5 == "no") else "yes"
-    rows.append(
-        TableRow(
-            "cylindrical cone (n,k,m) = (3,2,2)",
-            "no",
-            obs5,
-            obs5 == "no",
-            None,
-            f"parity contradiction recorded; {note5}",
-        )
-    )
-
-    # 6. hypercube Q4 between antipodes
-    verdict6, t6, note6 = _cert_verdict(hypercube(4), 0, 15)
-    rows.append(TableRow("hypercube Q4", "yes", verdict6, verdict6 == "yes", t6, note6))
-
-    # 7. weak product Q2 x K4 between (0,0) and (antipode,0)
-    g7 = weak_product(hypercube(2), complete(4))
-    verdict7, t7, note7 = _cert_verdict(g7, 0, 12)
-    rows.append(
-        TableRow("weak product Q2 x K4", "yes", verdict7, verdict7 == "yes", t7, note7)
-    )
-
-    # 8. lexicographic K2[Q2] within one fiber
-    g8 = lexicographic_product(complete(2), hypercube(2))
-    verdict8, t8, note8 = _cert_verdict(g8, 0, 3)
-    rows.append(
-        TableRow(
-            "lexicographic K2[Q2]", "yes", verdict8, verdict8 == "yes", t8, note8
-        )
-    )
-
+    for name, expected, build, a, b, decide in _TABLE:
+        observed, t, note = decide(build(), a, b)
+        rows.append(TableRow(name, expected, observed, observed == expected, t, note))
     return rows
