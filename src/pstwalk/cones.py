@@ -34,7 +34,7 @@ from .rationals import (
     rational_reconstruct,
     sqrt_rational,
 )
-from .spectral import perron_vector
+from .spectral import _amplitudes, perron_vector
 
 __all__ = [
     "NoTransferTrace",
@@ -84,11 +84,16 @@ def double_cone(base: Graph, b: int, alpha: float) -> Graph:
     return Graph(adj, labels=labels)
 
 
-def _double_cone_parts(lam0: float, b: int, alpha: float) -> Tuple[float, float, float]:
+def _double_cone_parts(lam0: float, b: int, alpha: float):
+    """lam_plus, Delta, and the eigenvalues and weights of the apex-to-apex
+    amplitude: the symmetric apex state and the base's Perron state mix into
+    lam_plus -+ Delta, and the antisymmetric apex state has eigenvalue -b."""
     lam_plus = 0.5 * (lam0 + b)
     lam_minus = 0.5 * (lam0 - b)
     delta = sqrt(lam_minus * lam_minus + 2.0 * alpha * alpha)
-    return lam_plus, lam_minus, delta
+    r = lam_minus / delta
+    theta = np.array([lam_plus - delta, lam_plus + delta, -b])
+    return lam_plus, delta, theta, np.array([1 + r, 1 - r, -2]) / 4
 
 
 def double_cone_fidelity(lam0: float, b: int, alpha: float, t) -> Union[complex, np.ndarray]:
@@ -98,16 +103,8 @@ def double_cone_fidelity(lam0: float, b: int, alpha: float, t) -> Union[complex,
     """
     if not alpha > 0:
         raise InvalidArgumentError("cone scale alpha must be positive")
-    lam_plus, lam_minus, delta = _double_cone_parts(lam0, b, alpha)
-    t_arr = np.asarray(t, dtype=float)
-    val = 0.5 * (
-        np.exp(-1j * t_arr * lam_plus)
-        * (np.cos(t_arr * delta) + 1j * (lam_minus / delta) * np.sin(t_arr * delta))
-        - np.exp(1j * t_arr * b)
-    )
-    if t_arr.ndim == 0:
-        return complex(val)
-    return val
+    _, _, theta, weight = _double_cone_parts(lam0, b, alpha)
+    return _amplitudes(weight, theta, t)
 
 
 def double_cone_pst_condition(lam0: float, b: int, alpha: float) -> ConditionReport:
@@ -120,7 +117,7 @@ def double_cone_pst_condition(lam0: float, b: int, alpha: float) -> ConditionRep
     """
     if not alpha > 0:
         raise InvalidArgumentError("cone scale alpha must be positive")
-    lam_plus, _, delta = _double_cone_parts(lam0, b, alpha)
+    lam_plus, delta, _, _ = _double_cone_parts(lam0, b, alpha)
     ratio = (lam_plus + b) / delta
     rec = rational_reconstruct(ratio)
     witness: Dict[str, Any] = {
@@ -308,13 +305,8 @@ def glued_cone_apex_eigendata(
 
 def glued_cone_apex_fidelity(n: int, k: int, gamma: int, t) -> Union[complex, np.ndarray]:
     """Closed-form apex-to-apex amplitude of the glued double cone."""
-    t_arr = np.asarray(t, dtype=float)
-    total = np.zeros(t_arr.shape, dtype=complex)
-    for lam, sign, weight in glued_cone_apex_eigendata(n, k, gamma):
-        total = total + (-1) ** sign * weight * np.exp(-1j * t_arr * lam)
-    if t_arr.ndim == 0:
-        return complex(total)
-    return total
+    lam, sign, weight = np.array(glued_cone_apex_eigendata(n, k, gamma)).T
+    return _amplitudes((-1.0) ** sign * weight, lam, t)
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,15 @@ def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGra
     check = is_equitable(g, partition.cells)
     if check is None:
         raise NotEquitableError("partition is not equitable on this graph")
-    d = check.degrees
+    return _quotient(check)
+
+
+def _quotient(part: EquitablePartition) -> QuotientGraph:
+    """quotient_symmetrized of a partition whose degrees were checked on the graph."""
+    d = part.degrees
     b = np.sqrt(d * d.T)
     np.fill_diagonal(b, np.diag(d))
-    return QuotientGraph(Graph(b), tuple(_labels(check.cells).tolist()))
+    return QuotientGraph(Graph(b), tuple(_labels(part.cells).tolist()))
 
 
 def _collapse(
@@ -186,12 +191,10 @@ def _collapse(
         raise NotEquitableError(
             f"vertex {b} is not the antipodal cell of the distance partition"
         )
-    quot = quotient_symmetrized(g, part)
-    dec_g = eigendecompose(g)
-    dec_q = eigendecompose(quot.graph)
+    quot = _quotient(part)
     ts = np.asarray(list(t_grid), dtype=float)
-    f_full = np.abs(fidelity(dec_g, a, b, ts))
-    f_quot = np.abs(fidelity(dec_q, 0, part.m - 1, ts))
+    f_full = np.abs(fidelity(eigendecompose(g), a, b, ts))
+    f_quot = np.abs(fidelity(eigendecompose(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 
 

@@ -32,7 +32,9 @@ from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import EigenDecomposition, default_group_tol, eigendecompose, fidelity, pair_spectrum
+from .spectral import (
+    EigenDecomposition, _amplitudes, default_group_tol, eigendecompose, fidelity, pair_spectrum,
+)
 
 __all__ = [
     "FidelitySeries",
@@ -46,9 +48,6 @@ __all__ = [
     "pst_table",
 ]
 
-# Cluster x time-step terms per grid chunk. At 1 << 17 the 2 MB temporaries
-# went back to the OS and were page-faulted in again on every chunk.
-SCAN_TERMS = 1 << 15
 NUMERIC_PST = 1.0 - 1e-8
 PRETTY_GOOD = 1.0 - 1e-3
 
@@ -104,8 +103,7 @@ def _window(
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
     dec, times = _window(g, a, b, t_max, steps)
-    amps = fidelity(dec, a, b, times)
-    return FidelitySeries(times, np.asarray(amps), a, b)
+    return FidelitySeries(times, fidelity(dec, a, b, times), a, b)
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) -> Tuple[float, float]:
@@ -126,16 +124,6 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) 
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _grid_abs(weight: np.ndarray, theta: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|sum_k weight[k] exp(-i theta[k] t)| at each t, in chunks of about
-    SCAN_TERMS terms so that temporaries stay small."""
-    chunk = max(1, SCAN_TERMS // len(theta))
-    return np.concatenate([
-        np.abs(weight @ np.exp(-1j * np.outer(theta, times[s : s + chunk])))
-        for s in range(0, len(times), chunk)
-    ])
-
-
 def max_fidelity_scan(
     g: Graph, a: int, b: int, t_max: float, steps: int, refine_iters: int = 60
 ) -> Tuple[float, float]:
@@ -149,12 +137,12 @@ def max_fidelity_scan(
     the eigenvalues cannot be clustered."""
     dec, times = _window(g, a, b, t_max, steps)
     ps = pair_spectrum(dec, a, b)
-    coarse = _grid_abs(ps.weight, np.asarray(ps.theta), times)
+    coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
     slack = 10.0 * default_group_tol(dec) * (t_max + 1.0)
     near = times[coarse >= np.max(coarse) - slack]
-    exact = _grid_abs(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near)
+    exact = _amplitudes(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near, absolute=True)
     k = int(np.argmax(exact))
     best_t, best_f = float(near[k]), float(exact[k])
     if refine_iters > 0:

@@ -6,6 +6,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, InvalidSizeError, NonCommutingError
+from pstwalk.cones import _double_cone_parts
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,32 @@ def test_double_cone_closed_form_matches_matrix(base, alpha, b, oracle_amp):
     closed = pw.double_cone_fidelity(lam0, b, alpha, ts)
     full = np.array([oracle_amp(g, 0, 1, t) for t in ts])
     assert np.abs(closed - full).max() < 1e-9
+
+
+def _assert_same_support(theta, weight, ps):
+    """Closed-form (theta, weight) terms against pair_spectrum, whose
+    clusters run in descending order, to 1e-9."""
+    order = np.argsort(-np.asarray(theta))
+    assert len(ps.theta) == len(theta)
+    assert np.max(np.abs(np.asarray(ps.theta) - np.asarray(theta)[order])) <= 1e-9
+    assert np.max(np.abs(ps.weight - np.asarray(weight)[order])) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "base, alpha, b",
+    [
+        (pw.complete(3), math.sqrt(3.0), 0),
+        (pw.complete(3), 1.3, 1),  # -b = -1 shares a cluster with the base's -1
+        (pw.path_graph([1.0, 1.0]), 2.0, 1),
+        (pw.cycle(5), math.sqrt(2.0), 1),
+        (pw.scale(pw.complete(3), math.sqrt(2.0)), math.sqrt(3.0), 0),
+    ],
+)
+def test_double_cone_support_is_pair_spectrum(base, alpha, b):
+    lam0 = pw.perron_vector(base)[0]
+    _, _, theta, weight = _double_cone_parts(lam0, b, alpha)
+    ps = pw.pair_spectrum(pw.eigendecompose(pw.double_cone(base, b, alpha)), 0, 1)
+    _assert_same_support(theta, weight, ps)
 
 
 def test_double_cone_condition_flat_triangle():
@@ -206,6 +233,15 @@ def test_glued_cone_apex_fidelity_matches_matrix(oracle_amp):
         assert abs(closed - oracle_amp(g, 0, 31, t)) < 1e-9
     amp = pw.glued_cone_apex_fidelity(15, 6, 8, math.pi / 4)
     assert abs(abs(amp) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, k, gamma", [(15, 6, 8), pw.glued_cone_family(3)])
+def test_glued_cone_support_is_pair_spectrum(n, k, gamma):
+    half = pw.circulant(n, range(1, k // 2 + 1))
+    conn = pw.circulant(n, range(1, gamma // 2 + 1)).adj
+    g = pw.glued_double_cone(half, half, conn)
+    lam, sign, weight = np.array(pw.glued_cone_apex_eigendata(n, k, gamma)).T
+    _assert_same_support(lam, (-1.0) ** sign * weight, pw.pair_spectrum(pw.eigendecompose(g), 0, g.n - 1))
 
 
 def test_glued_cone_accepts_distinct_copies(oracle_amp):

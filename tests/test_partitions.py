@@ -253,3 +253,19 @@ def test_format_cells():
     part = pw.distance_partition(pw.hypercube(2), 0)
     text = pw.format_cells(part)
     assert text.splitlines() == ["cell 0: 0", "cell 1: 1 2", "cell 2: 3"]
+
+
+def test_collapse_command_checks_equitability_once(monkeypatch, capsys):
+    from pstwalk import cli, partitions
+
+    calls = []
+    is_equitable = partitions.is_equitable
+
+    def counting(g, cells):
+        calls.append(len(cells))
+        return is_equitable(g, cells)
+
+    monkeypatch.setattr(partitions, "is_equitable", counting)
+    assert cli.main(["collapse", "--expr", "Q:4", "--from", "0", "--to", "15"]) == 0
+    assert "max_deviation" in capsys.readouterr().out
+    assert calls == [5]  # the distance partition of Q4: 5 cells, checked once

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from pstwalk import (
     InvalidArgumentError,
     NotConnectedError,
 )
+from pstwalk.spectral import _STEP_BLOCK, _amplitudes
+from pstwalk.transfer import _golden_max
 
 
 def test_eigendecompose_reconstructs_matrix(corpus):
@@ -171,3 +174,156 @@ def test_perron_vector_rejects_degenerate_top():
     # instead assert the guard exists for the documented disconnected case.
     with pytest.raises((NotConnectedError, DegenerateEigenvalueError)):
         pw.perron_vector(pw.Graph(np.zeros((2, 2))))
+
+
+# ---------------------------------------------------------------------------
+# the amplitude kernel: rotation-stepped even grids against direct exponentials
+# ---------------------------------------------------------------------------
+
+B = _STEP_BLOCK
+EPS = np.finfo(float).eps
+ROTATION_C = 8.0  # the docstring's small constant c (about 1.1 is seen)
+
+
+def _direct(weight, theta, times):
+    """One exponential per term and time, in chunks of 1 << 15 terms."""
+    chunk = max(1, (1 << 15) // len(theta))
+    return np.concatenate([
+        weight @ np.exp(-1j * np.outer(theta, times[s : s + chunk]))
+        for s in range(0, len(times), chunk)
+    ])
+
+
+def _bound(weight, theta, times):
+    t_max = float(np.max(np.abs(times)))
+    return ROTATION_C * EPS * np.sum(np.abs(weight)) * (1.0 + np.max(np.abs(theta)) * t_max)
+
+
+def _random_terms(rng, times, phase_span):
+    """Random weights and eigenvalues with max|theta| * max|t| = phase_span."""
+    k = int(rng.integers(1, 160))
+    theta = rng.uniform(-1.0, 1.0, size=k)
+    theta *= phase_span / (np.max(np.abs(theta)) * np.max(np.abs(times)))
+    return rng.normal(size=k) * rng.uniform(0.1, 3.0), theta
+
+
+def _count_exp_terms(monkeypatch):
+    terms = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        terms.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return terms
+
+
+@pytest.mark.parametrize("steps", [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 17, 1000, 4001])
+@pytest.mark.parametrize("t0", [0.0, 13.7])
+def test_amplitudes_match_direct_exp(steps, t0):
+    rng = np.random.default_rng(steps)
+    times = np.linspace(t0, t0 + 25.0, steps)
+    for phase_span in (1.0, 1e2, 1e4):
+        weight, theta = _random_terms(rng, times, phase_span)
+        ref = _direct(weight, theta, times)
+        bound = _bound(weight, theta, times)
+        assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= bound
+        absolute = _amplitudes(weight, theta, times, absolute=True)
+        assert absolute.dtype == float
+        assert np.max(np.abs(absolute - np.abs(ref))) <= bound
+
+
+def test_amplitudes_match_direct_exp_on_table_grid():
+    rng = np.random.default_rng(200001)
+    times = np.linspace(0.0, 200.0, 200001)
+    weight, theta = _random_terms(rng, times, 1e4)
+    ref = _direct(weight, theta, times)
+    assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= _bound(weight, theta, times)
+
+
+def test_amplitudes_keep_shape_and_scalars():
+    weight, theta = np.array([0.5, -0.25, 0.25]), np.array([2.0, 0.0, -1.5])
+    grid = np.linspace(0.0, 3.0, 4 * B).reshape(4, B)
+    assert _amplitudes(weight, theta, grid).shape == (4, B)
+    scalar = _amplitudes(weight, theta, 0.7)
+    assert isinstance(scalar, complex)
+    assert scalar == pytest.approx(complex(weight @ np.exp(-0.7j * theta)), abs=1e-15)
+
+
+def test_even_grid_is_rotated_and_uneven_grid_is_direct(monkeypatch):
+    rng = np.random.default_rng(3)
+    steps, k = 4001, 30
+    times = np.linspace(0.0, 40.0, steps)
+    weight, theta = rng.normal(size=k), rng.uniform(-3.0, 3.0, size=k)
+    uneven = times.copy()
+    uneven[1234] += 1e-6  # far beyond the 4 ulp that still count as even
+    terms = _count_exp_terms(monkeypatch)
+    _amplitudes(weight, theta, times)
+    assert sum(terms) == k * (B + -(-steps // B))
+    terms.clear()
+    amp = _amplitudes(weight, theta, uneven)
+    assert sum(terms) >= k * steps
+    ref = _direct(weight, theta, uneven)
+    assert np.max(np.abs(amp - ref)) <= _bound(weight, theta, uneven)
+    terms.clear()
+    _amplitudes(weight, theta, times[: 2 * B - 1])  # too short to rotate
+    assert sum(terms) >= k * (2 * B - 1)
+
+
+def test_scalar_and_array_fidelity_agree(corpus):
+    times = np.linspace(0.0, 20.0, 3 * B + 5)
+    for g in corpus:
+        d = pw.eigendecompose(g)
+        b = g.n - 1
+        vec = pw.fidelity(d, 0, b, times)
+        ref = np.array([pw.fidelity(d, 0, b, float(t)) for t in times])
+        assert np.max(np.abs(vec - ref)) <= _bound(d.vectors[b] * d.vectors[0], d.values, times)
+
+
+def _reference_scan(g, a, b, t_max, steps, iters=60):
+    """max_fidelity_scan with its two grids summed by _direct: the pair's
+    support, then every eigenvalue near the top, then golden section."""
+    dec = pw.eigendecompose(g)
+    times = np.linspace(0.0, t_max, steps)
+    ps = pw.pair_spectrum(dec, a, b)
+    coarse = np.abs(_direct(ps.weight, np.asarray(ps.theta), times))
+    slack = 10.0 * pw.default_group_tol(dec) * (t_max + 1.0)
+    near = times[coarse >= np.max(coarse) - slack]
+    exact = np.abs(_direct(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near))
+    k = int(np.argmax(exact))
+    best_t, best_f = float(near[k]), float(exact[k])
+    h = times[1] - times[0]
+    t_ref, f_ref = _golden_max(
+        lambda t: abs(pw.fidelity(dec, a, b, t)), max(0.0, best_t - h), min(t_max, best_t + h), iters
+    )
+    return (t_ref, f_ref) if f_ref > best_f else (best_t, best_f)
+
+
+@pytest.mark.parametrize("t_max, steps", [(2 * math.pi, 4001), (50.0, 20001)])
+def test_scan_is_identical_to_direct_exp_reference(corpus, t_max, steps):
+    for g in corpus:
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2)} - {(0, 0)}):
+            try:
+                want = _reference_scan(g, a, b, t_max, steps)
+            except AmbiguousDegeneracyError:
+                with pytest.raises(AmbiguousDegeneracyError):
+                    pw.max_fidelity_scan(g, a, b, t_max, steps)
+                continue
+            assert pw.max_fidelity_scan(g, a, b, t_max, steps) == want
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["complex", "absolute"])
+def test_amplitudes_memory_is_within_twice_the_output(absolute):
+    rng = np.random.default_rng(17)
+    k = 256  # the largest random graph of the benchmark ladder
+    weight, theta = rng.normal(size=k), rng.normal(size=k)
+    times = np.linspace(0.0, 200.0, 200001)
+    _amplitudes(weight, theta, times[:1000], absolute)
+    tracemalloc.start()
+    try:
+        out = _amplitudes(weight, theta, times, absolute)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
