@@ -85,24 +85,156 @@ def test_parse_errors_carry_offsets():
         parse_expr("")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "K:4",
-        "circ:15:1,2,4",
-        "file:/tmp/g.pst",
-        "weak(Q:2,K:4)",
-        "cart(K:2, cart(K:2, K:2))",
-        "lex(K:2,Q:2)",
-        "join(Kbar:2,K:3)",
-        "glex(Q:2,K:4,Q:2)",
-        "doublecone(scale(K:3; 1.4142135623730951); b=0; alpha=1.7320508075688772)",
-        "gluedcone(circ:15:1,2,4;circ:15:1,2,4,7)",
-        "cylcone(C:3;Kbar:2;C:3)",
-        "p4(w=1.1547005;loop=0)",
-        "scale(P:4; 0.5)",
-    ],
-)
+# Every message and offset below was recorded from the parser before it was
+# driven by one table; a rewrite must reproduce each of them exactly.
+PARSE_ERRORS = [
+    ('', 'expected a name (offset 0)', 0),
+    ('   ', 'expected a name (offset 3)', 3),
+    ('(K:2)', 'expected a name (offset 0)', 0),
+    ('1', 'expected a name (offset 0)', 0),
+    ('K', "expected ':' (offset 1)", 1),
+    ('K:', 'expected an integer (offset 2)', 2),
+    ('K:x', 'expected an integer (offset 2)', 2),
+    ('K 5', "expected ':' (offset 2)", 2),
+    ('K:-3', 'expected an integer (offset 2)', 2),
+    ('Kbar', "expected ':' (offset 4)", 4),
+    ('Kbar:', 'expected an integer (offset 5)', 5),
+    ('Kbar(3)', "expected ':' (offset 4)", 4),
+    ('P:', 'expected an integer (offset 2)', 2),
+    ('P:-1', 'expected an integer (offset 2)', 2),
+    ('C', "expected ':' (offset 1)", 1),
+    ('C:;', 'expected an integer (offset 2)', 2),
+    ('Q:', 'expected an integer (offset 2)', 2),
+    ('Q:3.5', 'unexpected trailing characters (offset 3)', 3),
+    ('circ', "expected ':' (offset 4)", 4),
+    ('circ:', 'expected an integer (offset 5)', 5),
+    ('circ:5', "expected ':' (offset 6)", 6),
+    ('circ:5:', 'expected an integer (offset 7)', 7),
+    ('circ:5:1,', 'unexpected trailing characters (offset 8)', 8),
+    ('circ:5:x', 'expected an integer (offset 7)', 7),
+    ('circ:5;1', "expected ':' (offset 6)", 6),
+    ('file', "expected ':' (offset 4)", 4),
+    ('file:', 'expected a file path (offset 5)', 5),
+    ('file: ', 'expected a file path (offset 6)', 6),
+    ('file:(', 'expected a file path (offset 5)', 5),
+    ('cart', "expected '(' (offset 4)", 4),
+    ('cart(', 'expected a name (offset 5)', 5),
+    ('cart(K:2', "expected ',' (offset 8)", 8),
+    ('cart(K:2,', 'expected a name (offset 9)', 9),
+    ('cart(K:2,K:2', "expected ')' (offset 12)", 12),
+    ('cart(K:2;K:2)', "expected ',' (offset 8)", 8),
+    ('weak(', 'expected a name (offset 5)', 5),
+    ('weak(Q:2,', 'expected a name (offset 9)', 9),
+    ('weak:2', "expected '(' (offset 4)", 4),
+    ('lex(K:2,K:3', "expected ')' (offset 11)", 11),
+    ('lex[K:2,K:3]', "expected '(' (offset 3)", 3),
+    ('join(,K:3)', 'expected a name (offset 5)', 5),
+    ('join(K:2 K:3)', "expected ',' (offset 9)", 9),
+    ('glex(', 'expected a name (offset 5)', 5),
+    ('glex(Q:2', "expected ',' (offset 8)", 8),
+    ('glex(Q:2,K:4', "expected ',' (offset 12)", 12),
+    ('glex(Q:2,K:4,', 'expected a name (offset 13)', 13),
+    ('glex(Q:2,K:4,Q:2', "expected ')' (offset 16)", 16),
+    ('glex(Q:2,K:4;Q:2)', "expected ',' (offset 12)", 12),
+    ('doublecone', "expected '(' (offset 10)", 10),
+    ('doublecone(', 'expected a name (offset 11)', 11),
+    ('doublecone(K:3', "expected ';' (offset 14)", 14),
+    ('doublecone(K:3;', 'expected a name (offset 15)', 15),
+    ('doublecone(K:3;c=1;alpha=1)', "expected parameter 'b', got 'c' (offset 16)", 16),
+    ('doublecone(K:3;b1;alpha=1)', "expected parameter 'b', got 'b1' (offset 17)", 17),
+    ('doublecone(K:3;b=;alpha=1)', 'expected a number (offset 17)', 17),
+    ('doublecone(K:3;b=0', "expected ';' (offset 18)", 18),
+    ('doublecone(K:3;b=0;', 'expected a name (offset 19)', 19),
+    ('doublecone(K:3;b=0;alpha', "expected '=' (offset 24)", 24),
+    ('doublecone(K:3;b=0;alpha=', 'expected a number (offset 25)', 25),
+    ('doublecone(K:3;b=0;alpha=1', "expected ')' (offset 26)", 26),
+    ('doublecone(K:3;b=0;beta=1)', "expected parameter 'alpha', got 'beta' (offset 23)", 23),
+    ('doublecone(K:3;b=0;alpha=.e1)', 'expected a number (offset 25)', 25),
+    ('doublecone(K:3;b=0;alpha=1.5.2)', "expected ')' (offset 28)", 28),
+    ('doublecone(K:3,b=0,alpha=1)', "expected ';' (offset 14)", 14),
+    ('doublecone(K:3;alpha=1;b=0)', "expected parameter 'b', got 'alpha' (offset 20)", 20),
+    ('gluedcone', "expected '(' (offset 9)", 9),
+    ('gluedcone(', 'expected a name (offset 10)', 10),
+    ('gluedcone(K:3', "expected ';' (offset 13)", 13),
+    ('gluedcone(K:3;', 'expected a name (offset 14)', 14),
+    ('gluedcone(K:3;circ:3:1', "expected ')' (offset 22)", 22),
+    ('gluedcone(K:3,circ:3:1)', "expected ';' (offset 13)", 13),
+    ('cylcone(', 'expected a name (offset 8)', 8),
+    ('cylcone(C:3', "expected ';' (offset 11)", 11),
+    ('cylcone(C:3;', 'expected a name (offset 12)', 12),
+    ('cylcone(C:3;Kbar:2', "expected ';' (offset 18)", 18),
+    ('cylcone(C:3;Kbar:2;', 'expected a name (offset 19)', 19),
+    ('cylcone(C:3;Kbar:2;C:3', "expected ')' (offset 22)", 22),
+    ('cylcone(C:3,Kbar:2,C:3)', "expected ';' (offset 11)", 11),
+    ('p4', "expected '(' (offset 2)", 2),
+    ('p4(', 'expected a name (offset 3)', 3),
+    ('p4(w', "expected '=' (offset 4)", 4),
+    ('p4(w=', 'expected a number (offset 5)', 5),
+    ('p4(w=-)', 'expected a number (offset 5)', 5),
+    ('p4(w=abc)', 'expected a number (offset 5)', 5),
+    ('p4(x=1)', "expected parameter 'w', got 'x' (offset 4)", 4),
+    ('p4(w 1)', "expected '=' (offset 5)", 5),
+    ('p4(w=1;', 'expected a name (offset 7)', 7),
+    ('p4(w=1;loop', "expected '=' (offset 11)", 11),
+    ('p4(w=1;lop=0)', "expected parameter 'loop', got 'lop' (offset 10)", 10),
+    ('p4(w=1;loop=', 'expected a number (offset 12)', 12),
+    ('p4(w=1;loop=0', "expected ')' (offset 13)", 13),
+    ('p4(w=1,loop=0)', "expected ')' (offset 6)", 6),
+    ('p4(w=1;loop=0;)', "expected ')' (offset 13)", 13),
+    ('p4(2.5)', 'expected a name (offset 3)', 3),
+    ('scale', "expected '(' (offset 5)", 5),
+    ('scale(', 'expected a name (offset 6)', 6),
+    ('scale(K:3', "expected ';' (offset 9)", 9),
+    ('scale(K:3;', 'expected a number (offset 10)', 10),
+    ('scale(K:3;x)', 'expected a number (offset 10)', 10),
+    ('scale(K:3;1.5', "expected ')' (offset 13)", 13),
+    ('scale(K:3;+.)', 'expected a number (offset 10)', 10),
+    ('scale(K:3,2)', "expected ';' (offset 9)", 9),
+    ('weak(Q:2, Z:4)', "unknown name 'Z' (offset 10)", 10),
+    ('cylcone(C:3;foo(K:2);C:3)', "unknown name 'foo' (offset 12)", 12),
+    ('scale(k:3;2)', "unknown name 'k' (offset 6)", 6),
+    ('doublecone(glex(Q:2,X:1,Q:2);b=0;alpha=1)', "unknown name 'X' (offset 20)", 20),
+    ('gluedcone(K:3;circ:3:1;K:2)', "expected ')' (offset 22)", 22),
+    ('K:2 junk', 'unexpected trailing characters (offset 4)', 4),
+    ('weak(Q:2,K:4))', 'unexpected trailing characters (offset 13)', 13),
+    ('p4(w=1) x', 'unexpected trailing characters (offset 8)', 8),
+    ('circ:5:1,2 ,', 'unexpected trailing characters (offset 11)', 11),
+    ('file:a b', 'unexpected trailing characters (offset 7)', 7),
+    ('scale(P:4;0.5)0', 'unexpected trailing characters (offset 14)', 14),
+]
+
+
+@pytest.mark.parametrize("text,message,offset", PARSE_ERRORS)
+def test_parse_error_table(text, message, offset):
+    with pytest.raises(ExprError) as ei:
+        parse_expr(text)
+    assert str(ei.value) == message
+    assert ei.value.offset == offset
+
+
+ROUND_TRIP = [
+    "K:4",
+    "Kbar:3",
+    "P:4",
+    "C:6",
+    "Q:3",
+    "circ:15:1,2,4",
+    "file:/tmp/g.pst",
+    "weak(Q:2,K:4)",
+    "cart(K:2, cart(K:2, K:2))",
+    "lex(K:2,Q:2)",
+    "join(Kbar:2,K:3)",
+    "glex(Q:2,K:4,Q:2)",
+    "doublecone(scale(K:3; 1.4142135623730951); b=0; alpha=1.7320508075688772)",
+    "gluedcone(circ:15:1,2,4;circ:15:1,2,4,7)",
+    "cylcone(C:3;Kbar:2;C:3)",
+    "p4(w=1.1547005;loop=0)",
+    "p4(w=2.5)",
+    "scale(P:4; 0.5)",
+]
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP)
 def test_parse_format_parse_round_trip(text):
     node = parse_expr(text)
     canonical = format_expr(node)
