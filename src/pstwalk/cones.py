@@ -88,6 +88,8 @@ def _double_cone_parts(lam0: float, b: int, alpha: float):
     """lam_plus, Delta, and the eigenvalues and weights of the apex-to-apex
     amplitude: the symmetric apex state and the base's Perron state mix into
     lam_plus -+ Delta, and the antisymmetric apex state has eigenvalue -b."""
+    if not alpha > 0:
+        raise InvalidArgumentError("cone scale alpha must be positive")
     lam_plus = 0.5 * (lam0 + b)
     lam_minus = 0.5 * (lam0 - b)
     delta = sqrt(lam_minus * lam_minus + 2.0 * alpha * alpha)
@@ -101,8 +103,6 @@ def double_cone_fidelity(lam0: float, b: int, alpha: float, t) -> Union[complex,
 
     lam0 is the base's top eigenvalue. Accepts scalar or array t.
     """
-    if not alpha > 0:
-        raise InvalidArgumentError("cone scale alpha must be positive")
     _, _, theta, weight = _double_cone_parts(lam0, b, alpha)
     return _amplitudes(weight, theta, t)
 
@@ -115,8 +115,6 @@ def double_cone_pst_condition(lam0: float, b: int, alpha: float) -> ConditionRep
     |F| = 1 needs sin(t*Delta) = 0 together with an anti-phase condition
     between the two spectral branches, which is exactly that parity demand.
     """
-    if not alpha > 0:
-        raise InvalidArgumentError("cone scale alpha must be positive")
     lam_plus, delta, _, _ = _double_cone_parts(lam0, b, alpha)
     ratio = (lam_plus + b) / delta
     rec = rational_reconstruct(ratio)
@@ -364,10 +362,7 @@ def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
     the returned trace walks the parity case analysis (including the halving
     descent when everything stays even) for these particular (n, k, m).
     """
-    if n < 1:
-        raise InvalidArgumentError("n must be at least 1")
-    if not 0 <= k < n:
-        raise InvalidArgumentError("degree k must satisfy 0 <= k < n")
+    _validate_nkg(n, k, 0)  # the n and k checks; gamma = 0 always passes
     if m < 1:
         raise InvalidArgumentError("middle size m must be at least 1")
     big_d = k * k + 4 * n

@@ -2,9 +2,10 @@
 
 Atoms:      K:n  Kbar:n  P:n  C:n  Q:d  circ:n:s1,s2,...  file:PATH
 Operators:  cart(e,e)  weak(e,e)  lex(e,e)  glex(e,c,e)  join(e,e)
-            doublecone(e;b=0|1;alpha=REAL)  gluedcone(e;conn)
-            cylcone(e;e;e)  p4(w=REAL;loop=REAL)  scale(e;REAL)
+            doublecone(e;b=INT;alpha=REAL)  gluedcone(e;conn)
+            cylcone(e;e;e)  p4(w=REAL[;loop=REAL])  scale(e;REAL)
 
+b is the integer 0 or 1 (written 1 or 1.0, never 0.5); loop defaults to 0.
 Whitespace is insignificant everywhere except inside a file path. Commas
 separate homogeneous graph arguments; semicolons separate heterogeneous
 ones. Inside a circulant connection set, a comma continues the set only
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 from .cones import cylindrical_cone, double_cone, glued_double_cone, weighted_p4
-from .errors import ExprError, GraphFormatError
+from .errors import ExprError, GraphFormatError, InvalidSizeError
 from .graphs import (
     Graph,
     circulant,
@@ -43,8 +44,6 @@ __all__ = ["GraphExpr", "parse_expr", "format_expr", "eval_expr"]
 
 ParamValue = Union[int, float, str, Tuple[int, ...]]
 
-_SIZED_ATOMS = ("K", "Kbar", "P", "C", "Q")
-_PAIR_OPS = ("cart", "weak", "lex", "join")
 _PATH_DELIMS = set("(),;") | set(" \t\r\n")
 
 
@@ -59,6 +58,46 @@ class GraphExpr:
             if key == name:
                 return value
         raise KeyError(name)
+
+
+def _path(n: int) -> Graph:
+    if n < 1:
+        raise InvalidSizeError("P:n needs n >= 1")
+    return path_graph([1.0] * (n - 1))
+
+
+def _load_graph_file(path: str) -> Graph:
+    if not os.path.exists(path):
+        raise GraphFormatError(f"graph file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())
+
+
+# head: (separator, items, builder); atoms (separator ":") read head:item:item,
+# operators head(item<sep>item). An item is a nested expression _E or a parameter
+# (key, kind[, default]) whose kind names the _Parser method that reads it; a key
+# ending in "=" is written key=value. The builder takes the items in order.
+_E = ("", "expr")
+_HEADS = {
+    "K": (":", [("n", "uint")], complete),
+    "Kbar": (":", [("n", "uint")], empty_graph),
+    "P": (":", [("n", "uint")], _path),
+    "C": (":", [("n", "uint")], cycle),
+    "Q": (":", [("n", "uint")], hypercube),
+    "circ": (":", [("n", "uint"), ("jumps", "jumps")], circulant),
+    "file": (":", [("path", "path")], _load_graph_file),
+    "cart": (",", [_E, _E], cartesian_product),
+    "weak": (",", [_E, _E], weak_product),
+    "lex": (",", [_E, _E], lexicographic_product),
+    "join": (",", [_E, _E], join),
+    "glex": (",", [_E, _E, _E], generalized_lexicographic_product),
+    "doublecone": (";", [_E, ("b=", "integer"), ("alpha=", "real")], double_cone),
+    "gluedcone": (";", [_E, _E], lambda g, conn: glued_double_cone(g, g, conn)),
+    "cylcone": (";", [_E, _E, _E], cylindrical_cone),
+    "p4": (";", [("w=", "real"), ("loop=", "real", 0.0)], weighted_p4),
+    "scale": (";", [_E, ("factor", "real")], scale),
+}
+_FORMATS = {"real": lambda x: repr(float(x)), "jumps": lambda j: ",".join(map(str, j))}
 
 
 class _Parser:
@@ -135,15 +174,16 @@ class _Parser:
                     self.pos += 1
         return float(self.text[start : self.pos])
 
-    def named_real(self, key: str) -> float:
+    def integer(self) -> int:
+        """A number with an integral value, such as 1 or 1.0."""
         self.skip_ws()
-        got = self.name()
-        if got != key:
-            raise self.error(f"expected parameter '{key}', got '{got}'")
-        self.expect("=")
-        return self.real()
+        start = self.pos
+        value = self.real()
+        if not value.is_integer():
+            raise self.error("expected an integer", start)
+        return int(value)
 
-    def file_path(self) -> str:
+    def path(self) -> str:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] not in _PATH_DELIMS:
@@ -152,7 +192,7 @@ class _Parser:
             raise self.error("expected a file path")
         return self.text[start : self.pos]
 
-    def circ_jumps(self) -> Tuple[int, ...]:
+    def jumps(self) -> Tuple[int, ...]:
         jumps = [self.uint()]
         while True:
             mark = self.pos
@@ -172,78 +212,32 @@ class _Parser:
     def expr(self) -> GraphExpr:
         self.skip_ws()
         head = self.name()
-        if head in _SIZED_ATOMS:
-            self.expect(":")
-            return GraphExpr(head, params=(("n", self.uint()),))
-        if head == "circ":
-            self.expect(":")
-            n = self.uint()
-            self.expect(":")
-            return GraphExpr("circ", params=(("n", n), ("jumps", self.circ_jumps())))
-        if head == "file":
-            self.expect(":")
-            return GraphExpr("file", params=(("path", self.file_path()),))
-        if head in _PAIR_OPS:
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
+        if head not in _HEADS:
+            raise self.error(f"unknown name '{head}'", self.pos - len(head))
+        sep, items, _ = _HEADS[head]
+        self.expect(":" if sep == ":" else "(")
+        args, params = [], []
+        for i, (key, kind, *default) in enumerate(items):
+            param = key.rstrip("=")
+            if i:
+                self.skip_ws()
+                if default and self.peek() != sep:
+                    params.append((param, default[0]))
+                    continue
+                self.expect(sep)
+            if param != key:
+                got = self.name()
+                if got != param:
+                    raise self.error(f"expected parameter '{param}', got '{got}'")
+                self.expect("=")
+            value = getattr(self, kind)()
+            if kind == "expr":
+                args.append(value)
+            else:
+                params.append((param, value))
+        if sep != ":":
             self.expect(")")
-            return GraphExpr(head, args=(a, b))
-        if head == "glex":
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            c = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return GraphExpr("glex", args=(a, c, b))
-        if head == "doublecone":
-            self.expect("(")
-            base = self.expr()
-            self.expect(";")
-            b_val = int(self.named_real("b"))
-            self.expect(";")
-            alpha = self.named_real("alpha")
-            self.expect(")")
-            return GraphExpr(
-                "doublecone", args=(base,), params=(("b", b_val), ("alpha", alpha))
-            )
-        if head == "gluedcone":
-            self.expect("(")
-            g = self.expr()
-            self.expect(";")
-            conn = self.expr()
-            self.expect(")")
-            return GraphExpr("gluedcone", args=(g, conn))
-        if head == "cylcone":
-            self.expect("(")
-            g1 = self.expr()
-            self.expect(";")
-            mid = self.expr()
-            self.expect(";")
-            g2 = self.expr()
-            self.expect(")")
-            return GraphExpr("cylcone", args=(g1, mid, g2))
-        if head == "p4":
-            self.expect("(")
-            w = self.named_real("w")
-            loop = 0.0
-            self.skip_ws()
-            if self.peek() == ";":
-                self.pos += 1
-                loop = self.named_real("loop")
-            self.expect(")")
-            return GraphExpr("p4", params=(("w", w), ("loop", loop)))
-        if head == "scale":
-            self.expect("(")
-            e = self.expr()
-            self.expect(";")
-            factor = self.real()
-            self.expect(")")
-            return GraphExpr("scale", args=(e,), params=(("factor", factor),))
-        raise self.error(f"unknown name '{head}'", self.pos - len(head))
+        return GraphExpr(head, tuple(args), tuple(params))
 
 
 def parse_expr(text: str) -> GraphExpr:
@@ -255,86 +249,31 @@ def parse_expr(text: str) -> GraphExpr:
     return node
 
 
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
+def _head(node: GraphExpr, verb: str):
+    if node.op not in _HEADS:
+        raise ValueError(f"{verb} node {node.op!r}")
+    return _HEADS[node.op]
+
+
+def _values(node: GraphExpr, items, visit) -> list:
+    """Each item's value in table order, nested expressions through visit."""
+    args = iter(node.args)
+    return [visit(next(args)) if kind == "expr" else node.param(key.rstrip("="))
+            for key, kind, *_ in items]
 
 
 def format_expr(node: GraphExpr) -> str:
     """Canonical text form; parse(format_expr(e)) reproduces e."""
-    op = node.op
-    if op in _SIZED_ATOMS:
-        return f"{op}:{node.param('n')}"
-    if op == "circ":
-        jumps = ",".join(str(j) for j in node.param("jumps"))
-        return f"circ:{node.param('n')}:{jumps}"
-    if op == "file":
-        return f"file:{node.param('path')}"
-    if op in _PAIR_OPS or op == "glex":
-        return f"{op}(" + ",".join(format_expr(a) for a in node.args) + ")"
-    if op == "doublecone":
-        return (
-            f"doublecone({format_expr(node.args[0])};b={node.param('b')};"
-            f"alpha={_fmt_real(node.param('alpha'))})"
-        )
-    if op == "gluedcone":
-        return f"gluedcone({format_expr(node.args[0])};{format_expr(node.args[1])})"
-    if op == "cylcone":
-        return "cylcone(" + ";".join(format_expr(a) for a in node.args) + ")"
-    if op == "p4":
-        return f"p4(w={_fmt_real(node.param('w'))};loop={_fmt_real(node.param('loop'))})"
-    if op == "scale":
-        return f"scale({format_expr(node.args[0])};{_fmt_real(node.param('factor'))})"
-    raise ValueError(f"unprintable node {op!r}")
-
-
-def _load_graph_file(path: str) -> Graph:
-    if not os.path.exists(path):
-        raise GraphFormatError(f"graph file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    sep, items, _ = _head(node, "unprintable")
+    parts = [
+        (key if key.endswith("=") else "") + _FORMATS.get(kind, str)(value)
+        for (key, kind, *_), value in zip(items, _values(node, items, format_expr))
+    ]
+    if sep == ":":
+        return node.op + ":" + ":".join(parts)
+    return f"{node.op}(" + sep.join(parts) + ")"
 
 
 def eval_expr(node: GraphExpr) -> Graph:
-    op = node.op
-    if op == "K":
-        return complete(node.param("n"))
-    if op == "Kbar":
-        return empty_graph(node.param("n"))
-    if op == "P":
-        return path_graph([1.0] * (node.param("n") - 1))
-    if op == "C":
-        return cycle(node.param("n"))
-    if op == "Q":
-        return hypercube(node.param("n"))
-    if op == "circ":
-        return circulant(node.param("n"), node.param("jumps"))
-    if op == "file":
-        return _load_graph_file(node.param("path"))
-    if op == "cart":
-        return cartesian_product(eval_expr(node.args[0]), eval_expr(node.args[1]))
-    if op == "weak":
-        return weak_product(eval_expr(node.args[0]), eval_expr(node.args[1]))
-    if op == "lex":
-        return lexicographic_product(eval_expr(node.args[0]), eval_expr(node.args[1]))
-    if op == "join":
-        return join(eval_expr(node.args[0]), eval_expr(node.args[1]))
-    if op == "glex":
-        return generalized_lexicographic_product(
-            eval_expr(node.args[0]), eval_expr(node.args[1]), eval_expr(node.args[2])
-        )
-    if op == "doublecone":
-        return double_cone(
-            eval_expr(node.args[0]), node.param("b"), node.param("alpha")
-        )
-    if op == "gluedcone":
-        g = eval_expr(node.args[0])
-        return glued_double_cone(g, g, eval_expr(node.args[1]))
-    if op == "cylcone":
-        return cylindrical_cone(
-            eval_expr(node.args[0]), eval_expr(node.args[1]), eval_expr(node.args[2])
-        )
-    if op == "p4":
-        return weighted_p4(node.param("w"), node.param("loop"))
-    if op == "scale":
-        return scale(eval_expr(node.args[0]), node.param("factor"))
-    raise ValueError(f"unevaluable node {op!r}")
+    _, items, build = _head(node, "unevaluable")
+    return build(*_values(node, items, eval_expr))

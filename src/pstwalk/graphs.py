@@ -99,10 +99,6 @@ class Graph:
             return NotImplemented
         return self.adj.shape == other.adj.shape and np.array_equal(self.adj, other.adj)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.n, self.adj.tobytes()))
 

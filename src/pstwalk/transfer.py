@@ -128,7 +128,7 @@ def max_fidelity_scan(
     g: Graph, a: int, b: int, t_max: float, steps: int, refine_iters: int = 60
 ) -> Tuple[float, float]:
     """Grid maximum of |F| over [0, t_max] followed by golden-section
-    refinement around the best grid point. Returns (t_star, fmax).
+    refinement around the best grid point. Returns (t_star, fmax) as floats.
 
     The grid runs over the distinct eigenvalues that support the pair (see
     pair_spectrum), so its cost follows their number, not n. Grid points
@@ -153,7 +153,7 @@ def max_fidelity_scan(
             lambda t: abs(fidelity(dec, a, b, t)), lo, hi, refine_iters
         )
         if f_ref > best_f:
-            best_t, best_f = t_ref, f_ref
+            best_t, best_f = float(t_ref), float(f_ref)
     return best_t, best_f
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import ExprError, GraphFormatError
+from pstwalk import ExprError, GraphFormatError, InvalidSizeError
 from pstwalk.cli import main
 from pstwalk.expr import GraphExpr, eval_expr, format_expr, parse_expr
 
@@ -241,6 +241,52 @@ def test_parse_format_parse_round_trip(text):
     assert parse_expr(canonical) == node
     # the canonical form is a fixed point of another round
     assert format_expr(parse_expr(canonical)) == canonical
+
+
+def test_round_trip_list_covers_every_head():
+    from pstwalk.expr import _HEADS
+
+    assert {parse_expr(text).op for text in ROUND_TRIP} == set(_HEADS)
+
+
+@pytest.mark.parametrize(
+    "text,offset",
+    [
+        ("doublecone(K:3;b=0.7;alpha=1)", 17),
+        ("doublecone(K:3;b=-0.5;alpha=1)", 17),
+        ("doublecone(K:3; b = 1.9 ; alpha=1)", 20),
+        ("doublecone(K:3;b=1e400;alpha=1)", 17),
+    ],
+)
+def test_doublecone_rejects_non_integral_b(text, offset):
+    with pytest.raises(ExprError) as ei:
+        parse_expr(text)
+    assert str(ei.value) == f"expected an integer (offset {offset})"
+    assert ei.value.offset == offset
+
+
+def test_doublecone_b_accepts_integral_numbers():
+    for text in ("b=1", "b=1.0", "b=1e0", "b=+1."):
+        b = parse_expr(f"doublecone(K:3;{text};alpha=1)").param("b")
+        assert b == 1 and type(b) is int
+    with pytest.raises(ExprError) as ei:
+        parse_expr("doublecone(K:3;b=.;alpha=1)")
+    assert str(ei.value) == "expected a number (offset 17)"
+
+
+def test_cli_doublecone_b_out_of_range_exits_1(capsys):
+    assert main(["build", "--expr", "doublecone(K:3;b=2;alpha=1)"]) == 1
+    assert "b must be 0 or 1" in capsys.readouterr().err
+    assert main(["build", "--expr", "doublecone(K:3;b=0.7;alpha=1)"]) == 2
+    assert "expected an integer (offset 17)" in capsys.readouterr().err
+
+
+def test_path_atom_needs_a_vertex(capsys):
+    with pytest.raises(InvalidSizeError):
+        eval_expr(parse_expr("P:0"))
+    assert np.array_equal(eval_expr(parse_expr("P:1")).adj, pw.complete(1).adj)
+    assert main(["build", "--expr", "P:0"]) == 1
+    assert "P:n needs n >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,17 @@ def test_scan_refinement_recovers_off_grid_peak():
     assert refined >= 1.0 - 1e-10
 
 
+@pytest.mark.parametrize(
+    "t_max,steps,grid_wins", [(2.0 * math.pi, 4001, True), (6.2832, 50001, False)]
+)
+def test_scan_returns_python_floats(t_max, steps, grid_wins):
+    # one window where a grid point is the maximum, one where the refinement is
+    t_star, fmax = pw.max_fidelity_scan(pw.hypercube(3), 0, 7, t_max, steps)
+    assert type(t_star) is float and type(fmax) is float
+    assert (t_star in np.linspace(0.0, t_max, steps)) == grid_wins
+    assert t_star == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
 def test_scan_validates_arguments():
     with pytest.raises(InvalidArgumentError):
         pw.max_fidelity_scan(pw.cycle(4), 0, 2, 1.0, 1)
