@@ -485,11 +485,15 @@ def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
 # weighted 4-paths
 # ---------------------------------------------------------------------------
 
+def _check_p4_gamma(gamma: float) -> None:
+    if not gamma > 0:
+        raise InvalidArgumentError("middle weight gamma must be positive")
+
+
 def weighted_p4(gamma: float, kappa: float = 0.0) -> Graph:
     """Path 0-1-2-3 with outer weights 1, middle weight gamma, and loops of
     weight kappa on the two internal vertices."""
-    if not gamma > 0:
-        raise InvalidArgumentError("middle weight gamma must be positive")
+    _check_p4_gamma(gamma)
     adj = np.zeros((4, 4))
     adj[0, 1] = adj[1, 0] = 1.0
     adj[1, 2] = adj[2, 1] = gamma
@@ -513,8 +517,7 @@ def p4_pst_condition(gamma: float, kappa: float = 0.0) -> ConditionReport:
     holds, and the detail calls out the rare inputs where the shortcut
     disagrees.
     """
-    if not gamma > 0:
-        raise InvalidArgumentError("middle weight gamma must be positive")
+    _check_p4_gamma(gamma)
     d_plus = 0.5 * sqrt((kappa + gamma) ** 2 + 4.0)
     d_minus = 0.5 * sqrt((kappa - gamma) ** 2 + 4.0)
     witness: Dict[str, Any] = {

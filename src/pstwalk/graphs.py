@@ -43,9 +43,11 @@ class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
     Equality compares adjacency matrices exactly (labels are cosmetic).
+    The eigendecomposition, once solved, is kept in a private slot that takes
+    no part in equality, hashing, repr or serialization.
     """
 
-    __slots__ = ("adj", "labels")
+    __slots__ = ("adj", "labels", "_spectrum")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
         a = np.array(adj, dtype=float)
@@ -53,10 +55,10 @@ class Graph:
             raise InvalidArgumentError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise InvalidSizeError("graphs need at least one vertex")
-        if not np.array_equal(a, a.T):
-            raise InvalidArgumentError("adjacency must be exactly symmetric")
         if not np.all(np.isfinite(a)):
             raise InvalidArgumentError("adjacency entries must be finite")
+        if not np.array_equal(a, a.T):
+            raise InvalidArgumentError("adjacency must be exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "adj", a)
         if labels is not None:
@@ -64,6 +66,7 @@ class Graph:
             if len(labels) != a.shape[0]:
                 raise InvalidArgumentError("label count must match vertex count")
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_spectrum", None)  # see spectral._decomposition
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
@@ -218,8 +221,11 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def scale(g: Graph, c: float) -> Graph:
-    """Multiply every weight (edges and loops) by c."""
-    return Graph(g.adj * float(c), g.labels)
+    """Multiply every weight (edges and loops) by a finite c."""
+    c = float(c)
+    if not np.isfinite(c):
+        raise InvalidArgumentError("scale factor must be finite")
+    return Graph(g.adj * c, g.labels)
 
 
 # ---------------------------------------------------------------------------

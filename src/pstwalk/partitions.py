@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
 from .graphs import Graph, distances_from
-from .spectral import eigendecompose, fidelity
+from .spectral import _decomposition, fidelity
 
 __all__ = [
     "EquitablePartition",
@@ -89,11 +89,16 @@ def _labels(cells: Cells) -> np.ndarray:
     return np.repeat(np.arange(len(cells)), sizes)[np.argsort(np.concatenate(cells))]
 
 
-def _cell_sums(g: Graph, label: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertices listed cell by cell (each cell ascending), where each cell
-    starts in that list, and sums[u, k]: total weight from vertex u into cell k."""
+def _cell_order(label: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertices listed cell by cell (each cell ascending), and where each
+    cell starts in that list."""
     order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    return order, np.flatnonzero(np.diff(label[order], prepend=-1))
+
+
+def _cell_sums(g: Graph, label: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_cell_order, and sums[u, k]: total weight from vertex u into cell k."""
+    order, starts = _cell_order(label)
     return order, starts, np.add.reduceat(g.adj[:, order], starts, axis=1)
 
 
@@ -141,16 +146,18 @@ def coarsest_equitable_refinement(
 ) -> EquitablePartition:
     """Coarsest equitable refinement of the input, cells ordered by smallest
     contained vertex. Each round splits all cells at once by their vertices'
-    cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing; the
-    fixpoint must then pass is_equitable under _equitable_tol."""
+    cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing or
+    every cell is a singleton; the result must then pass is_equitable under
+    _equitable_tol."""
     label = _labels(_normalize_cells(g, initial_cells))
-    while True:
+    while label.max() + 1 < g.n:  # singletons cannot split
         order, starts, sums = _cell_sums(g, label)
         np.round(sums, SIGNATURE_DECIMALS, out=sums)
         sums += 0.0  # -0.0 -> 0.0, so equal sums make equal keys
         label = np.unique(np.column_stack([label, sums]), axis=0, return_inverse=True)[1].ravel()
         if label.max() + 1 == len(starts):  # no cell split
             break
+    order, starts = _cell_order(label)
     cells = sorted(np.split(order, starts[1:]), key=lambda c: c[0])  # c[0] is its smallest vertex
     part = is_equitable(g, cells)
     if part is None:  # pragma: no cover - refinement fixpoint is equitable
@@ -193,8 +200,8 @@ def _collapse(
         )
     quot = _quotient(part)
     ts = np.asarray(list(t_grid), dtype=float)
-    f_full = np.abs(fidelity(eigendecompose(g), a, b, ts))
-    f_quot = np.abs(fidelity(eigendecompose(quot.graph), 0, part.m - 1, ts))
+    f_full = np.abs(fidelity(_decomposition(g), a, b, ts))
+    f_quot = np.abs(fidelity(_decomposition(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 
 

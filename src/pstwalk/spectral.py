@@ -76,14 +76,27 @@ def eigendecompose(g: Graph) -> EigenDecomposition:
     v = v[:, ::-1].copy()
     n = g.n
     amax = max(1.0, float(np.max(np.abs(g.adj))))
-    recon = (v * w) @ v.T
-    if np.max(np.abs(recon - g.adj)) > RECON_TOL * n * amax:
+    check = (v * w) @ v.T  # one n x n buffer for both checks
+    check -= g.adj
+    np.abs(check, out=check)
+    if np.max(check) > RECON_TOL * n * amax:
         raise NumericFailureError("eigendecomposition residual out of tolerance")
-    if np.max(np.abs(v.T @ v - np.eye(n))) > ORTHO_TOL * max(1, n):
+    np.matmul(v.T, v, out=check)
+    check.flat[:: n + 1] -= 1.0
+    np.abs(check, out=check)
+    if np.max(check) > ORTHO_TOL * max(1, n):
         raise NumericFailureError("eigenvector orthonormality out of tolerance")
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenDecomposition(w, v)
+
+
+def _decomposition(g: Graph) -> EigenDecomposition:
+    """The checked eigendecomposition of g, solved by eigendecompose on first
+    use and kept on g for as long as g lives; a failed solve keeps nothing."""
+    if g._spectrum is None:
+        object.__setattr__(g, "_spectrum", eigendecompose(g))
+    return g._spectrum
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
@@ -226,7 +239,7 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8)
 
 def spectrum(g: Graph) -> np.ndarray:
     """Eigenvalues of the adjacency matrix, sorted descending."""
-    return eigendecompose(g).values
+    return _decomposition(g).values
 
 
 def is_integral(g: Graph, tol: float = 1e-8) -> bool:
@@ -244,7 +257,7 @@ def perron_vector(g: Graph) -> Tuple[float, np.ndarray]:
         raise InvalidArgumentError("perron_vector needs nonnegative weights")
     if not is_connected(g):
         raise NotConnectedError("perron_vector needs a connected graph")
-    decomp = eigendecompose(g)
+    decomp = _decomposition(g)
     lam0 = float(decomp.values[0])
     if g.n > 1 and decomp.values[0] - decomp.values[1] <= 1e-10:
         raise DegenerateEigenvalueError("top eigenvalue is not numerically simple")

@@ -33,7 +33,7 @@ from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_gra
 from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
 from .spectral import (
-    EigenDecomposition, _amplitudes, default_group_tol, eigendecompose, fidelity, pair_spectrum,
+    EigenDecomposition, _amplitudes, _decomposition, default_group_tol, fidelity, pair_spectrum,
 )
 
 __all__ = [
@@ -98,7 +98,7 @@ def _window(
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
-    return eigendecompose(g), np.linspace(0.0, t_max, steps)
+    return _decomposition(g), np.linspace(0.0, t_max, steps)
 
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
@@ -185,7 +185,7 @@ def strong_cospectrality(
     condition for perfect transfer between a and b."""
     g.check_vertex(a)
     g.check_vertex(b)
-    return pair_spectrum(eigendecompose(g), a, b, tol).signs
+    return pair_spectrum(_decomposition(g), a, b, tol).signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -211,7 +211,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     g.check_vertex(a)
     g.check_vertex(b)
     tol = 1e-8
-    dec = eigendecompose(g)
+    dec = _decomposition(g)
     ps = pair_spectrum(dec, a, b, tol)
     if ps.signs is None:
         return PstCertificate(
@@ -337,7 +337,7 @@ def _cert_verdict(g: Graph, a: int, b: int) -> _Verdict:
 def _condition_verdict(cond: ConditionReport, g: Graph, a: int, b: int) -> _Verdict:
     """A family condition, confirmed by |F| at the time it names."""
     t = cond.witness["time"]
-    f = abs(fidelity(eigendecompose(g), a, b, t)) if t is not None else 0.0
+    f = abs(fidelity(_decomposition(g), a, b, t)) if t is not None else 0.0
     ok = cond.holds and f >= NUMERIC_PST
     note = f"condition {'holds' if cond.holds else 'fails'}, |F(t*)| = {f:.10f}"
     return ("yes" if ok else "no"), t, note

@@ -410,3 +410,10 @@ def test_p4_condition_with_loops_positive(oracle_amp):
 def test_p4_condition_rejects_nonpositive_gamma():
     with pytest.raises(InvalidArgumentError):
         pw.p4_pst_condition(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [pw.p4_pst_condition, pw.weighted_p4])
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan])
+def test_p4_builder_and_condition_share_gamma_check(call, gamma):
+    with pytest.raises(InvalidArgumentError, match="middle weight gamma must be positive"):
+        call(gamma, 0.0)

@@ -281,6 +281,14 @@ def test_cli_doublecone_b_out_of_range_exits_1(capsys):
     assert "expected an integer (offset 17)" in capsys.readouterr().err
 
 
+def test_cli_non_finite_weights_exit_1_without_warnings(capsys, recwarn):
+    for text, message in (("scale(K:3;1e400)", "scale factor must be finite"),
+                          ("p4(w=1e400)", "adjacency entries must be finite")):
+        assert main(["spectrum", "--expr", text]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not recwarn.list
+
+
 def test_path_atom_needs_a_vertex(capsys):
     with pytest.raises(InvalidSizeError):
         eval_expr(parse_expr("P:0"))

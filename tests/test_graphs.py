@@ -103,6 +103,20 @@ def test_graph_rejects_asymmetric_matrix():
         Graph(bad)
 
 
+@pytest.mark.parametrize("bad", [[[0.0, np.inf], [np.inf, 0.0]],
+                                 [[0.0, np.nan], [np.nan, 0.0]],
+                                 [[0.0, np.inf], [1.0, 0.0]]])
+def test_graph_checks_finiteness_before_symmetry(bad):
+    with pytest.raises(InvalidArgumentError, match="adjacency entries must be finite"):
+        Graph(bad)
+
+
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, float("1e400")])
+def test_scale_rejects_non_finite_factor(factor):
+    with pytest.raises(InvalidArgumentError, match="scale factor must be finite"):
+        pw.scale(pw.complete(3), factor)
+
+
 def test_adjacency_symmetry_is_bitwise(corpus):
     for g in corpus:
         assert np.array_equal(g.adj, g.adj.T)

@@ -5,6 +5,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, NotConnectedError, NotEquitableError
+from pstwalk import partitions
 from pstwalk.partitions import _equitable_tol
 
 
@@ -182,6 +183,33 @@ def test_refinement_matches_loop_reference_on_large_random_graph():
     part = pw.coarsest_equitable_refinement(g, cells)
     assert _same_answer(part, _refinement_reference(g, cells))
     assert part.m > 3
+
+
+def test_refinement_stops_at_singletons(monkeypatch):
+    # a random graph of n = 48 refines to singletons; further rounds are skipped
+    rng = np.random.default_rng(48)
+    n = 48
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    adj = np.where(upper, rng.uniform(0.2, 3.0, size=(n, n)), 0.0)
+    g = pw.Graph(adj + adj.T)
+    rounds = []  # cell count of each _cell_sums call
+    cell_sums = partitions._cell_sums
+
+    def counting(g, label):
+        rounds.append(label.max() + 1)
+        return cell_sums(g, label)
+
+    monkeypatch.setattr(partitions, "_cell_sums", counting)
+    cases = [[[5], [17], [v for v in range(n) if v not in (5, 17)]],
+             [list(range(n))],
+             [[v] for v in reversed(range(n))]]
+    for cells in cases:
+        rounds.clear()
+        part = pw.coarsest_equitable_refinement(g, cells)
+        assert part.m == n and _same_answer(part, _refinement_reference(g, cells))
+        # refinement rounds, then the final is_equitable on the singletons
+        assert rounds[-1] == n and all(m < n for m in rounds[:-1])
+    assert rounds == [n]  # singleton input: no refinement round at all
 
 
 def test_is_equitable_threshold_is_equitable_tol():

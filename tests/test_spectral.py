@@ -10,8 +10,10 @@ from pstwalk import (
     DegenerateEigenvalueError,
     InvalidArgumentError,
     NotConnectedError,
+    NumericFailureError,
 )
-from pstwalk.spectral import _STEP_BLOCK, _amplitudes
+from pstwalk import spectral
+from pstwalk.spectral import _STEP_BLOCK, _amplitudes, _decomposition
 from pstwalk.transfer import _golden_max
 
 
@@ -23,6 +25,68 @@ def test_eigendecompose_reconstructs_matrix(corpus):
         assert np.abs(d.vectors.T @ d.vectors - np.eye(g.n)).max() <= 1e-10 * max(1, g.n)
         # descending order
         assert np.all(np.diff(d.values) <= 1e-12)
+
+
+def _count_eigh(monkeypatch):
+    """Record the order n of every np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_graph_spectrum_is_solved_once(monkeypatch):
+    g = pw.hypercube(4)
+    calls = _count_eigh(monkeypatch)
+    assert pw.pst_certificate(g, 0, 15).verdict == "yes"
+    pw.max_fidelity_scan(g, 0, 15, 4.0, 401)
+    assert pw.strong_cospectrality(g, 0, 15) is not None
+    pw.fidelity_series(g, 0, 15, 2.0, 21)
+    assert pw.collapse_fidelity_check(g, 0, 15, np.linspace(0.0, 3.0, 31)) < 1e-12
+    assert pw.is_integral(g) and pw.spectrum(g)[0] == pytest.approx(4.0)
+    pw.perron_vector(pw.complete(3))
+    assert calls == [16, 5, 3]  # Q4 once, its 5-cell quotient once, K3 once
+    # a second graph with equal adjacency solves its own spectrum
+    h = pw.hypercube(4)
+    assert h == g and hash(h) == hash(g)
+    pw.strong_cospectrality(h, 0, 15)
+    assert calls == [16, 5, 3, 16]
+    # the public eigensolve always solves afresh
+    pw.eigendecompose(g)
+    assert calls == [16, 5, 3, 16, 16]
+
+
+def test_stored_and_fresh_decompositions_are_identical(corpus):
+    for g in corpus:
+        stored, fresh = _decomposition(g), pw.eigendecompose(g)
+        assert _decomposition(g) is stored
+        assert stored.values.tobytes() == fresh.values.tobytes()
+        assert stored.vectors.tobytes() == fresh.vectors.tobytes()
+
+
+def test_stored_decomposition_leaves_graph_identity_alone():
+    g = pw.circulant(8, [1, 3])
+    before = (hash(g), repr(g), pw.serialize_graph(g))
+    _decomposition(g)
+    h = pw.Graph(g.adj, g.labels)
+    assert g == h and (hash(g), repr(g), pw.serialize_graph(g)) == before
+    assert hash(h) == before[0]
+
+
+def test_failed_solve_stores_nothing(monkeypatch):
+    g = pw.cycle(5)
+    monkeypatch.setattr(spectral, "RECON_TOL", -1.0)
+    for _ in range(2):
+        with pytest.raises(NumericFailureError):
+            pw.spectrum(g)
+        assert g._spectrum is None
+    monkeypatch.undo()
+    assert pw.spectrum(g)[0] == pytest.approx(2.0)
 
 
 def test_spectrum_known_values():
