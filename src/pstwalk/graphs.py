@@ -71,6 +71,10 @@ class Graph:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__; the kept spectrum is dropped
+        return (Graph, (self.adj, self.labels))
+
     @property
     def n(self) -> int:
         return self.adj.shape[0]
@@ -225,7 +229,9 @@ def scale(g: Graph, c: float) -> Graph:
     c = float(c)
     if not np.isfinite(c):
         raise InvalidArgumentError("scale factor must be finite")
-    return Graph(g.adj * c, g.labels)
+    with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
+        adj = g.adj * c
+    return Graph(adj, g.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidSizeError, NonCommutingError
 from .graphs import Graph, regular_degree
-from .spectral import is_integral, spectrum
+from .spectral import _clusters, _decomposition, is_integral, spectrum
 
 __all__ = [
     "ConditionReport",
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_RTOL = 1e-9
-ODD_INT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,20 @@ def _product_labels(g: Graph, h: Graph) -> Optional[Tuple[str, ...]]:
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    adj = np.kron(g.adj, np.eye(h.n)) + np.kron(np.eye(g.n), h.adj)
+    with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
+        adj = np.kron(g.adj, np.eye(h.n)) + np.kron(np.eye(g.n), h.adj)
     return Graph(adj, labels=_product_labels(g, h))
 
 
 def weak_product(g: Graph, h: Graph) -> Graph:
-    return Graph(np.kron(g.adj, h.adj), labels=_product_labels(g, h))
+    with np.errstate(over="ignore"):
+        adj = np.kron(g.adj, h.adj)
+    return Graph(adj, labels=_product_labels(g, h))
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
-    adj = np.kron(g.adj, np.ones((h.n, h.n))) + np.kron(np.eye(g.n), h.adj)
+    with np.errstate(over="ignore"):
+        adj = np.kron(g.adj, np.ones((h.n, h.n))) + np.kron(np.eye(g.n), h.adj)
     return Graph(adj, labels=_product_labels(g, h))
 
 
@@ -77,35 +80,34 @@ def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
         raise InvalidSizeError(
             f"connection graph has {c.n} vertices but inner graph has {h.n}"
         )
-    adj = np.kron(g.adj, c.adj) + np.kron(np.eye(g.n), h.adj)
+    with np.errstate(over="ignore"):
+        adj = np.kron(g.adj, c.adj) + np.kron(np.eye(g.n), h.adj)
     return Graph(adj, labels=_product_labels(g, h))
 
 
 def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:
-    """Joint eigenvalues (mu_l, gamma_l) of commuting symmetric A_H, A_C."""
+    """Joint eigenvalues (mu_l, gamma_l) of commuting symmetric A_H, A_C, from
+    the shared checked eigendecomposition of H clustered as everywhere else."""
     comm = h.adj @ c.adj - c.adj @ h.adj
     scale = 1.0 + float(np.max(np.abs(h.adj))) * float(np.max(np.abs(c.adj)))
     if np.max(np.abs(comm)) > 1e-10 * h.n * scale:
         raise NonCommutingError("inner and connection adjacencies do not commute")
-    w, v = np.linalg.eigh(h.adj)
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+    dec = _decomposition(h)
+    groups, reps, _ = _clusters(dec, None)
     pairs: List[Tuple[float, float]] = []
-    start = 0
-    for k in range(1, h.n + 1):
-        if k == h.n or w[k] - w[k - 1] > tol:
-            block = v[:, start:k]
-            sub = block.T @ c.adj @ block
-            gam = np.linalg.eigvalsh(sub)
-            mu = float(np.mean(w[start:k]))
-            pairs.extend((mu, float(x)) for x in gam)
-            start = k
+    for idx, mu in zip(groups, reps):
+        block = dec.vectors[:, idx]
+        gam = np.linalg.eigvalsh(block.T @ c.adj @ block)
+        pairs.extend((mu, float(x)) for x in gam)
     return pairs
 
 
 def generalized_lexicographic_spectrum(g: Graph, c: Graph, h: Graph) -> np.ndarray:
     """Spectrum {lambda_k * gamma_l + mu_l} via a common eigenbasis of H and C.
 
-    Requires [A_H, A_C] = 0; raises NonCommutingError otherwise.
+    Requires [A_H, A_C] = 0; raises NonCommutingError otherwise, and
+    AmbiguousDegeneracyError when an eigenvalue cluster of H is too wide to
+    group (see spectral_projectors).
     """
     if c.n != h.n:
         raise InvalidSizeError(
@@ -157,11 +159,7 @@ def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
     spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t_g, pi)
     circ = is_circulant_adjacency(h)
     mu = spectrum(h)
-    mu_rounded = np.round(mu)
-    odd_ok = bool(
-        np.all(np.abs(mu - mu_rounded) <= ODD_INT_TOL)
-        and np.all(mu_rounded.astype(int) % 2 == 1)
-    )
+    odd_ok = is_integral(h) and bool(np.all(np.round(mu) % 2 == 1))
     holds = spec_ok and circ and odd_ok
     problems = []
     if not spec_ok:

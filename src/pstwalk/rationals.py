@@ -1,12 +1,12 @@
 """Exact rational helpers: parity classes, recovery from floats, and the
-parity-alignment searches that sit underneath the transfer certificates.
+closed-form phase alignment that sits underneath the transfer certificates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import InvalidArgumentError
 
@@ -99,23 +99,6 @@ def sqrt_rational(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _divisors_descending(n: int) -> List[int]:
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return large + small[::-1]
-
-
-def _parity_pattern(deltas: Sequence[int], v: int) -> Tuple[int, ...]:
-    return tuple((d // v) % 2 for d in deltas)
-
-
 def minimal_phase_alignment(
     deltas: Sequence[int], parities: Sequence[int]
 ) -> Optional[Fraction]:
@@ -127,24 +110,25 @@ def minimal_phase_alignment(
     can realize the required parity pattern.
 
     For tau = u/v in lowest terms, v must divide g = gcd(deltas). With u odd,
-    u * (delta_j / v) is odd exactly when delta_j / v is, so the reachable
-    pattern depends only on v; with u even every product is even. Minimal tau
-    is therefore 1/v for the largest feasible divisor v, or 2/g when only the
-    all-even pattern works.
+    u * (delta_j / v) is odd exactly when delta_j / v is; with u even every
+    product is even. Since delta_j / v = (delta_j / g) * (g / v), a divisor v
+    reaches the pattern of the delta_j / g when g / v is odd and the all-even
+    pattern when g / v is even. The pattern at g has an odd entry, as the
+    delta_j / g are coprime, so the minimum is 1/g when that pattern is the
+    target, 2/g when the target is all even, and nothing otherwise.
     """
     if len(deltas) != len(parities):
         raise InvalidArgumentError("deltas and parities must have equal length")
     if any(d == 0 for d in deltas):
         raise InvalidArgumentError("deltas must be nonzero")
-    target = tuple(int(p) % 2 for p in parities)
+    target = [int(p) % 2 for p in parities]
     if not deltas:
         # Only the reference cluster exists; any tau works, so pick 1.
         return Fraction(1)
-    g = gcd(*[abs(d) for d in deltas]) if len(deltas) > 1 else abs(deltas[0])
-    for v in _divisors_descending(g):
-        if _parity_pattern(deltas, v) == target:
-            return Fraction(1, v)
-    if all(p == 0 for p in target):
+    g = gcd(*deltas)
+    if [(d // g) % 2 for d in deltas] == target:
+        return Fraction(1, g)
+    if not any(target):
         return Fraction(2, g)
     return None
 
@@ -155,24 +139,14 @@ def minimal_absolute_alignment(
     """Smallest positive rational tau with tau * m_j = p_j (mod 2) for all j.
 
     Unlike the relative solver, the congruences here are absolute: a zero
-    multiplier forces its parity to be zero outright. Used when some exact
-    integer eigenvalue (typically 0) pins the global phase.
+    multiplier forces its parity to be zero outright, and the nonzero ones
+    are the relative problem. Used when some exact integer eigenvalue
+    (typically 0) pins the global phase.
     """
     if len(multipliers) != len(parities):
         raise InvalidArgumentError("multipliers and parities must have equal length")
     target = [int(p) % 2 for p in parities]
+    if any(m == 0 and p for m, p in zip(multipliers, target)):
+        return None
     nonzero = [(m, p) for m, p in zip(multipliers, target) if m != 0]
-    for m, p in zip(multipliers, target):
-        if m == 0 and p != 0:
-            return None
-    if not nonzero:
-        return Fraction(1) if all(p == 0 for p in target) else None
-    ms = [abs(m) for m, _ in nonzero]
-    ps = [p for _, p in nonzero]
-    g = gcd(*ms) if len(ms) > 1 else ms[0]
-    for v in _divisors_descending(g):
-        if _parity_pattern(ms, v) == tuple(ps):
-            return Fraction(1, v)
-    if all(p == 0 for p in ps):
-        return Fraction(2, g)
-    return None
+    return minimal_phase_alignment([m for m, _ in nonzero], [p for _, p in nonzero])

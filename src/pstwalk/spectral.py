@@ -72,6 +72,8 @@ class SpectralProjectors:
 def eigendecompose(g: Graph) -> EigenDecomposition:
     """Dense symmetric eigensolve, validated against the residual contract."""
     w, v = np.linalg.eigh(g.adj)
+    if not np.all(np.isfinite(w)):
+        raise NumericFailureError("eigenvalues overflowed to non-finite values")
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     n = g.n
@@ -79,12 +81,12 @@ def eigendecompose(g: Graph) -> EigenDecomposition:
     check = (v * w) @ v.T  # one n x n buffer for both checks
     check -= g.adj
     np.abs(check, out=check)
-    if np.max(check) > RECON_TOL * n * amax:
+    if not np.max(check) <= RECON_TOL * n * amax:
         raise NumericFailureError("eigendecomposition residual out of tolerance")
     np.matmul(v.T, v, out=check)
     check.flat[:: n + 1] -= 1.0
     np.abs(check, out=check)
-    if np.max(check) > ORTHO_TOL * max(1, n):
+    if not np.max(check) <= ORTHO_TOL * max(1, n):
         raise NumericFailureError("eigenvector orthonormality out of tolerance")
     w.setflags(write=False)
     v.setflags(write=False)

@@ -214,6 +214,13 @@ def test_glued_cone_family():
         assert abs(rep.witness["time"] - math.pi / 2**a) < 1e-12
 
 
+def test_glued_cone_family_time_is_exact_far_out():
+    # the eigenvalue differences have gcd 2**60, so the time is pi / 2**60
+    rep = pw.glued_cone_pst_condition(*pw.glued_cone_family(60))
+    assert rep.holds
+    assert rep.witness["time_exact"] == Fraction(1, 2**60)
+
+
 def test_glued_cone_apex_eigendata():
     data = pw.glued_cone_apex_eigendata(15, 6, 8)
     by_value = {round(lam): (sigma, w) for lam, sigma, w in data}

@@ -282,10 +282,16 @@ def test_cli_doublecone_b_out_of_range_exits_1(capsys):
 
 
 def test_cli_non_finite_weights_exit_1_without_warnings(capsys, recwarn):
-    for text, message in (("scale(K:3;1e400)", "scale factor must be finite"),
-                          ("p4(w=1e400)", "adjacency entries must be finite")):
+    for text, message in (
+        ("scale(K:3;1e400)", "scale factor must be finite"),
+        ("p4(w=1e400)", "adjacency entries must be finite"),
+        ("scale(scale(K:3;1e300);1e300)", "adjacency entries must be finite"),
+        ("weak(scale(K:3;1e300),scale(K:3;1e300))", "adjacency entries must be finite"),
+        ("glex(scale(K:3;1e300),scale(K:3;1e300),K:3)", "adjacency entries must be finite"),
+        ("cart(scale(K:3;1e308),scale(K:3;1e308))", "eigenvalues overflowed to non-finite values"),
+    ):
         assert main(["spectrum", "--expr", text]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not recwarn.list
 
 

@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,22 @@ def test_scale_rejects_non_finite_factor(factor):
         pw.scale(pw.complete(3), factor)
 
 
+@pytest.mark.filterwarnings("error")
+def test_scale_reports_overflow_once():
+    with pytest.raises(InvalidArgumentError, match="adjacency entries must be finite"):
+        pw.scale(pw.scale(pw.complete(3), 1e300), 1e300)
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy])
+def test_graph_pickles_and_copies(clone):
+    g = pw.hypercube(3)
+    pw.spectrum(g)
+    back = clone(g)
+    assert back == g and back.labels == g.labels
+    assert not back.adj.flags.writeable
+    assert back._spectrum is None  # the kept eigendecomposition is not carried
+
+
 def test_adjacency_symmetry_is_bitwise(corpus):
     for g in corpus:
         assert np.array_equal(g.adj, g.adj.T)
@@ -181,6 +201,15 @@ def test_parse_graph_accepts_loop_edge_line():
     text = "pstgraph 1\nn 2\nedge 0 0 2.0\nedge 0 1 1\n"
     g = pw.parse_graph(text)
     assert g.adj[0, 0] == 2.0 and g.adj[0, 1] == 1.0
+
+
+def test_readme_graph_file_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Graph file format", 1)[1]
+    text = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    g = pw.parse_graph(text)
+    assert g.n == 4 and g.labels == ("A", "1", "2", "3")
+    assert (g.adj[0, 1], g.adj[1, 2], g.adj[2, 2]) == (0.5, 1.0, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import InvalidSizeError, NonCommutingError
+from pstwalk import (
+    AmbiguousDegeneracyError,
+    InvalidArgumentError,
+    InvalidSizeError,
+    NonCommutingError,
+)
 
 
 def _multiset_close(xs, ys, tol=1e-8):
@@ -104,6 +109,22 @@ def test_generalized_lexicographic_spectrum_circulant_pair():
     predicted = pw.generalized_lexicographic_spectrum(g, c, h)
     built = pw.spectrum(pw.generalized_lexicographic_product(g, c, h))
     assert _multiset_close(predicted, built)
+
+
+def test_generalized_lexicographic_spectrum_rejects_wide_clusters():
+    # inner eigenvalues 0.9e-8 apart chain into one cluster 30x the tolerance
+    h = pw.Graph(np.diag(np.arange(30) * 0.9e-8))
+    with pytest.raises(AmbiguousDegeneracyError):
+        pw.generalized_lexicographic_spectrum(pw.complete(2), pw.empty_graph(30), h)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("product", [pw.cartesian_product, pw.weak_product, pw.lexicographic_product,
+                                     lambda g, h: pw.generalized_lexicographic_product(g, h, h)])
+def test_products_report_overflow_once(product):
+    loop = pw.Graph([[1.5e308]])  # every product sums or multiplies two of these
+    with pytest.raises(InvalidArgumentError, match="adjacency entries must be finite"):
+        product(loop, loop)
 
 
 def test_noncommuting_inner_pair_is_rejected():

@@ -164,9 +164,10 @@ def test_alignment_matches_brute_force(rng):
 
 
 def test_alignment_recovers_planted_solutions(rng):
-    # plant tau = u/v, read off the parities it induces, ask the solver
-    for _ in range(200):
-        v = int(rng.integers(1, 13))
+    # plant tau = u/v, read off the parities it induces, ask the solver; the
+    # last rounds plant v = 3 * 2**40, far past any divisor search
+    for i in range(220):
+        v = int(rng.integers(1, 13)) if i < 200 else 3 * 2**40
         u = 1 if rng.random() < 0.7 else 2
         tau = Fraction(u, v)
         k = int(rng.integers(1, 6))
@@ -183,6 +184,29 @@ def test_absolute_alignment_handles_zero_multiplier():
     assert pw.minimal_absolute_alignment((0, 1, 2), (0, 1, 0)) == 1
     assert pw.minimal_absolute_alignment((0, 1), (1, 0)) is None
     assert pw.minimal_absolute_alignment((0, 0), (0, 0)) == 1
+
+
+def _brute_force_absolute(multipliers, parities):
+    """Smallest tau = u/v, 1 <= v <= max|m|, 0 < u <= 2v, with
+    u * m_j / v an integer of parity p_j for every j, by trying them all."""
+    best = None
+    for v in range(1, max(1, *(abs(m) for m in multipliers)) + 1):
+        for u in range(1, 2 * v + 1):
+            if all((u * m) % v == 0 and (u * m // v) % 2 == p
+                   for m, p in zip(multipliers, parities)):
+                tau = Fraction(u, v)
+                best = tau if best is None or tau < best else best
+                break  # larger u only gives larger tau for this v
+    return best
+
+
+def test_absolute_alignment_matches_brute_force(rng):
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        mults = [int(m) for m in rng.integers(-12, 13, size=k)]
+        parities = [int(b) for b in rng.integers(0, 2, size=k)]
+        got = pw.minimal_absolute_alignment(tuple(mults), tuple(parities))
+        assert got == _brute_force_absolute(mults, parities), (mults, parities)
 
 
 def test_absolute_and_relative_agree_after_differencing(rng):

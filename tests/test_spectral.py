@@ -61,6 +61,14 @@ def test_graph_spectrum_is_solved_once(monkeypatch):
     assert calls == [16, 5, 3, 16, 16]
 
 
+def test_generalized_lexicographic_spectrum_shares_the_inner_solve(monkeypatch):
+    g, c, h = pw.complete(3), pw.circulant(6, [2, 3]), pw.circulant(6, [1])
+    calls = _count_eigh(monkeypatch)
+    pw.generalized_lexicographic_spectrum(g, c, h)
+    pw.spectrum(h)
+    assert calls == [6, 3]  # H once, shared with spectrum(h), and G once
+
+
 def test_stored_and_fresh_decompositions_are_identical(corpus):
     for g in corpus:
         stored, fresh = _decomposition(g), pw.eigendecompose(g)
@@ -87,6 +95,16 @@ def test_failed_solve_stores_nothing(monkeypatch):
         assert g._spectrum is None
     monkeypatch.undo()
     assert pw.spectrum(g)[0] == pytest.approx(2.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowed_eigenvalues_fail_the_solve():
+    big = pw.scale(pw.complete(3), 1e308)
+    g = pw.cartesian_product(big, big)  # finite entries, eigenvalue 4e308
+    with pytest.raises(NumericFailureError):
+        pw.eigendecompose(g)
+    with pytest.raises(NumericFailureError):
+        pw.pst_certificate(g, 0, 4)
 
 
 def test_spectrum_known_values():
