@@ -281,7 +281,7 @@ def is_connected(g: Graph) -> bool:
 # Text format, line oriented:
 #   pstgraph 1
 #   n <count>
-#   label <i> <string>          (optional)
+#   label <i> <string>          (optional; the string runs to the end of the line)
 #   edge <u> <v> <weight>       (u <= v; u == v is a self-loop)
 # Weights are printed with 17 significant digits so round-trips are exact.
 
@@ -289,9 +289,17 @@ FORMAT_HEADER = "pstgraph 1"
 
 
 def serialize_graph(g: Graph) -> str:
+    """The text format above. Raises InvalidArgumentError for a label that
+    would not parse back to itself: empty, with leading or trailing
+    whitespace, or holding a line break."""
     lines = [FORMAT_HEADER, f"n {g.n}"]
     if g.labels is not None:
         for i, s in enumerate(g.labels):
+            if s.strip().splitlines() != [s]:
+                raise InvalidArgumentError(
+                    f"label {i} {s!r} would not read back: labels are one non-empty "
+                    "line without leading or trailing whitespace"
+                )
             lines.append(f"label {i} {s}")
     for u in range(g.n):
         for v in range(u, g.n):

@@ -11,7 +11,7 @@ state-transfer analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,8 +76,30 @@ def _normalize_cells(g: Graph, cells: Sequence[Sequence[int]]) -> Cells:
     return tuple(out)
 
 
+class _EdgeList(NamedTuple):
+    """The nonzero entries of an adjacency matrix in row-major order: weight
+    w[i] at (u[i], v[i]), each edge listed from both ends, a loop once."""
+
+    n: int
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    @property
+    def tol(self) -> float:
+        """Equitability tolerance: 1e-10 relative to the largest |weight|."""
+        return 1e-10 * (1.0 + float(np.max(np.abs(self.w), initial=0.0)))
+
+
+def _edge_list(g: Graph) -> _EdgeList:
+    flat = np.flatnonzero(g.adj != 0.0)
+    u, v = np.divmod(flat, g.n)
+    return _EdgeList(g.n, u, v, g.adj.ravel()[flat])
+
+
 def _equitable_tol(g: Graph) -> float:
-    return 1e-10 * (1.0 + float(np.max(np.abs(g.adj))))
+    """The tolerance is_equitable applies on g."""
+    return _edge_list(g).tol
 
 
 SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals
@@ -89,17 +111,24 @@ def _labels(cells: Cells) -> np.ndarray:
     return np.repeat(np.arange(len(cells)), sizes)[np.argsort(np.concatenate(cells))]
 
 
-def _cell_order(label: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vertices listed cell by cell (each cell ascending), and where each
-    cell starts in that list."""
-    order = np.argsort(label, kind="stable")
-    return order, np.flatnonzero(np.diff(label[order], prepend=-1))
+def _cell_sums(edges: _EdgeList, label: np.ndarray) -> np.ndarray:
+    """sums[u, k]: total weight from vertex u into cell k, where label[v] in
+    0..m-1 is the cell of v; O(nnz + n*m)."""
+    n, m = edges.n, int(label.max()) + 1
+    sums = np.bincount(edges.u * m + label[edges.v], weights=edges.w, minlength=n * m)
+    # bincount over no edges returns integer zeros
+    return sums.astype(float, copy=False).reshape(n, m)
 
 
-def _cell_sums(g: Graph, label: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_cell_order, and sums[u, k]: total weight from vertex u into cell k."""
-    order, starts = _cell_order(label)
-    return order, starts, np.add.reduceat(g.adj[:, order], starts, axis=1)
+def _equitable(edges: _EdgeList, cells: Cells) -> Optional[EquitablePartition]:
+    """is_equitable on well-formed cells, each sorted."""
+    label = _labels(cells)
+    sums = _cell_sums(edges, label)
+    d = sums[[c[0] for c in cells]]
+    sums -= d[label]
+    if np.max(np.abs(sums, out=sums)) > edges.tol:
+        return None
+    return EquitablePartition(cells, d)
 
 
 def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[EquitablePartition]:
@@ -110,13 +139,7 @@ def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[Equitable
     Malformed cell lists (overlap, gaps, out-of-range vertices) raise; a
     well-formed but non-equitable partition just returns None.
     """
-    cs = _normalize_cells(g, cells)
-    label = _labels(cs)
-    order, starts, sums = _cell_sums(g, label)
-    d = sums[order[starts]]
-    if np.max(np.abs(sums - d[label])) > _equitable_tol(g):
-        return None
-    return EquitablePartition(cs, d)
+    return _equitable(_edge_list(g), _normalize_cells(g, cells))
 
 
 def distance_partition(
@@ -150,16 +173,19 @@ def coarsest_equitable_refinement(
     every cell is a singleton; the result must then pass is_equitable under
     _equitable_tol."""
     label = _labels(_normalize_cells(g, initial_cells))
+    edges = _edge_list(g)
     while label.max() + 1 < g.n:  # singletons cannot split
-        order, starts, sums = _cell_sums(g, label)
+        sums = _cell_sums(edges, label)
         np.round(sums, SIGNATURE_DECIMALS, out=sums)
         sums += 0.0  # -0.0 -> 0.0, so equal sums make equal keys
-        label = np.unique(np.column_stack([label, sums]), axis=0, return_inverse=True)[1].ravel()
-        if label.max() + 1 == len(starts):  # no cell split
+        split = np.unique(np.column_stack([label, sums]), axis=0, return_inverse=True)[1].ravel()
+        if split.max() == label.max():  # no cell split
             break
-    order, starts = _cell_order(label)
-    cells = sorted(np.split(order, starts[1:]), key=lambda c: c[0])  # c[0] is its smallest vertex
-    part = is_equitable(g, cells)
+        label = split
+    order = np.argsort(label, kind="stable")  # cell by cell, each cell ascending
+    cells = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    cells.sort(key=lambda c: c[0])  # c[0] is its smallest vertex
+    part = _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
     if part is None:  # pragma: no cover - refinement fixpoint is equitable
         raise NotEquitableError("refinement failed to reach an equitable partition")
     return part

@@ -197,6 +197,21 @@ def test_serialize_keeps_labels_and_loops():
     assert back == g
 
 
+def test_serialize_keeps_inline_hash_in_labels():
+    g = pw.complete(2).relabelled(["a  b", "b # c"])
+    back = pw.parse_graph(pw.serialize_graph(g))
+    assert back == g and back.labels == g.labels
+
+
+@pytest.mark.parametrize(
+    "label", ["a\nedge 0 0 7", "", " a", "a ", "a\r", "a\r\nb", "a\u2028b", "a\x0cb"]
+)
+def test_serialize_rejects_labels_that_do_not_round_trip(label):
+    g = pw.complete(2).relabelled([label, "b"])
+    with pytest.raises(InvalidArgumentError):
+        pw.serialize_graph(g)
+
+
 def test_parse_graph_accepts_loop_edge_line():
     text = "pstgraph 1\nn 2\nedge 0 0 2.0\nedge 0 1 1\n"
     g = pw.parse_graph(text)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,72 @@ def test_refinement_matches_loop_reference_on_large_random_graph():
     part = pw.coarsest_equitable_refinement(g, cells)
     assert _same_answer(part, _refinement_reference(g, cells))
     assert part.m > 3
+
+
+def _cancelling_graph():
+    # vertex 0 sends 0.3, -0.1, -0.2 to 1, 2, 3 (sum -2.8e-17, which rounds to
+    # -0.0) and vertex 4 sends -0.3, 0.1, 0.2 (sum +2.8e-17); 1, 2 and 3 each
+    # receive exactly 0, so the single cell is equitable and must not split
+    adj = np.zeros((5, 5))
+    for u, v, w in [(0, 1, 0.3), (0, 2, -0.1), (0, 3, -0.2), (4, 1, -0.3), (4, 2, 0.1), (4, 3, 0.2)]:
+        adj[u, v] = adj[v, u] = w
+    return pw.Graph(adj)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [pw.empty_graph(4), pw.complete(1), pw.Graph([[2.0]]),
+     pw.Graph(np.diag([1.0, 2.0, 1.0, 0.0])), _cancelling_graph()],
+    ids=["edgeless", "n=1", "n=1-loop", "loops-only", "cancelling-weights"],
+)
+def test_cell_sums_corner_cases_match_loop_references(g):
+    n = g.n
+    starts = [[list(range(n))], [[v] for v in reversed(range(n))]]
+    if n >= 3:
+        starts.append([[0], [n - 1], list(range(1, n - 1))])
+    for cells in starts:
+        assert _same_answer(pw.is_equitable(g, cells), _is_equitable_reference(g, cells))
+        assert _same_answer(pw.coarsest_equitable_refinement(g, cells),
+                            _refinement_reference(g, cells))
+
+
+def test_refinement_commutes_with_relabelling(corpus):
+    rng = np.random.default_rng(7)
+    for g in corpus:
+        perm = rng.permutation(g.n)  # vertex v of g is vertex perm[v] of h
+        inv = np.argsort(perm)
+        h = pw.Graph(g.adj[np.ix_(inv, inv)])
+        cells = _random_cells(rng, g.n)
+        h_cells = [[int(perm[v]) for v in c] for c in cells]
+        part = pw.coarsest_equitable_refinement(g, cells)
+        h_part = pw.coarsest_equitable_refinement(h, h_cells)
+        assert _same_answer(h_part, _refinement_reference(h, h_cells))
+        where = {frozenset(c): k for k, c in enumerate(h_part.cells)}
+        match = [where[frozenset(int(perm[v]) for v in c)] for c in part.cells]
+        assert len(match) == h_part.m
+        assert np.allclose(h_part.degrees[np.ix_(match, match)], part.degrees,
+                           rtol=0.0, atol=_equitable_tol(g))
+
+
+def test_partitions_hold_no_adjacency_sized_temporary():
+    # bound 2n^2 bytes, a quarter of one n x n float array; the adjacency != 0
+    # mask alone takes n^2
+    g = pw.hypercube(9)
+    n = g.n
+    cells = [[0], [n - 1], list(range(1, n - 1))]
+    calls = {
+        "refinement": lambda: pw.coarsest_equitable_refinement(g, cells),
+        "distance_partition": lambda: pw.distance_partition(g, 0),
+        "is_equitable": lambda: pw.is_equitable(g, cells),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n, (name, peak)
 
 
 def test_refinement_stops_at_singletons(monkeypatch):
