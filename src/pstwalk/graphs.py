@@ -43,11 +43,12 @@ class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
     Equality compares adjacency matrices exactly (labels are cosmetic).
-    The eigendecomposition, once solved, is kept in a private slot that takes
-    no part in equality, hashing, repr or serialization.
+    The eigendecomposition and the eigenvalues of a values-only solve, once
+    solved, are kept in private slots that take no part in equality,
+    hashing, repr or serialization.
     """
 
-    __slots__ = ("adj", "labels", "_spectrum")
+    __slots__ = ("adj", "labels", "_spectrum", "_values")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
         a = np.array(adj, dtype=float)
@@ -67,12 +68,13 @@ class Graph:
                 raise InvalidArgumentError("label count must match vertex count")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_spectrum", None)  # see spectral._decomposition
+        object.__setattr__(self, "_values", None)  # see spectral._eigenvalues
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__; the kept spectrum is dropped
+        # pickle and copy rebuild through __init__; kept spectra are dropped
         return (Graph, (self.adj, self.labels))
 
     @property

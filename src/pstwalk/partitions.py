@@ -2,22 +2,24 @@
 
 A partition is equitable when every vertex of cell j sends the same total
 edge weight d[j][k] into cell k. The symmetrized quotient replaces the m
-cells by a weighted graph with B[j,k] = sqrt(d[j,k]*d[k,j]) and loops
-B[j,j] = d[j,j]; transfer amplitude magnitudes between a vertex and its
-antipode survive this collapse, which is what makes quotients useful for
+cells by a weighted graph with B[j,k] = sign(d[j,k]) sqrt(d[j,k]*d[k,j])
+and loops B[j,j] = d[j,j]. B is P^T A P for the characteristic matrix P
+with columns normalized, so B's spectrum is part of A's and, where a and
+b are singleton cells, <b| exp(-itA) |a> equals the quotient's amplitude
+between their cells; that is what makes quotients useful for
 state-transfer analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
 from .graphs import Graph, distances_from
-from .spectral import _decomposition, fidelity
+from .spectral import _decomposition, _walk_from, fidelity
 
 __all__ = [
     "EquitablePartition",
@@ -58,22 +60,25 @@ class QuotientGraph:
 
 
 def _normalize_cells(g: Graph, cells: Sequence[Sequence[int]]) -> Cells:
+    """The cells as sorted tuples of ints. Malformed cells raise on their first
+    fault, read cell by cell and each cell in ascending order (an empty cell,
+    a vertex out of range, a vertex seen before), and only then on a gap."""
+    out = tuple(tuple(sorted(map(int, cell))) for cell in cells)
+    flat = [v for cell in out for v in cell]
+    if (len(flat) == g.n and all(out) and min(flat) >= 0 and max(flat) < g.n
+            and np.bincount(flat, minlength=g.n).max() == 1):
+        return out
     seen: set = set()
-    out: List[Tuple[int, ...]] = []
-    for cell in cells:
-        cl = tuple(sorted(int(v) for v in cell))
-        if not cl:
+    for cell in out:
+        if not cell:
             raise InvalidArgumentError("empty cell in partition")
-        for v in cl:
+        for v in cell:
             if v < 0 or v >= g.n:
                 raise InvalidArgumentError(f"vertex {v} out of range")
             if v in seen:
                 raise InvalidArgumentError(f"vertex {v} appears in two cells")
             seen.add(v)
-        out.append(cl)
-    if len(seen) != g.n:
-        raise InvalidArgumentError("cells do not cover every vertex")
-    return tuple(out)
+    raise InvalidArgumentError("cells do not cover every vertex")
 
 
 class _EdgeList(NamedTuple):
@@ -172,27 +177,41 @@ def coarsest_equitable_refinement(
     cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing or
     every cell is a singleton; the result must then pass is_equitable under
     _equitable_tol."""
-    label = _labels(_normalize_cells(g, initial_cells))
-    edges = _edge_list(g)
-    while label.max() + 1 < g.n:  # singletons cannot split
-        sums = _cell_sums(edges, label)
-        np.round(sums, SIGNATURE_DECIMALS, out=sums)
-        sums += 0.0  # -0.0 -> 0.0, so equal sums make equal keys
-        split = np.unique(np.column_stack([label, sums]), axis=0, return_inverse=True)[1].ravel()
-        if split.max() == label.max():  # no cell split
-            break
-        label = split
-    order = np.argsort(label, kind="stable")  # cell by cell, each cell ascending
-    cells = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    cells.sort(key=lambda c: c[0])  # c[0] is its smallest vertex
-    part = _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
+    part = _refinement(_edge_list(g), _labels(_normalize_cells(g, initial_cells)), g.n)
     if part is None:  # pragma: no cover - refinement fixpoint is equitable
         raise NotEquitableError("refinement failed to reach an equitable partition")
     return part
 
 
+def _refinement(edges: _EdgeList, label: np.ndarray, max_cells: int) -> Optional[EquitablePartition]:
+    """coarsest_equitable_refinement of the cells that label names, or None
+    once a round leaves more than max_cells cells (or the fixpoint fails
+    _equitable)."""
+    n = edges.n
+    while label.max() + 1 < n:  # singletons cannot split
+        sums = _cell_sums(edges, label)
+        np.round(sums, SIGNATURE_DECIMALS, out=sums)
+        keys = np.vstack([sums.T[::-1], label])  # np.lexsort sorts by its last row first
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        new_cell = np.any(keys[:, 1:] != keys[:, :-1], axis=0)  # vertices with equal keys share a cell
+        split = np.empty(n, dtype=np.intp)
+        split[order] = np.cumsum(np.concatenate(([False], new_cell)))
+        if split.max() == label.max():  # no cell split
+            break
+        label = split
+        if label.max() >= max_cells:
+            return None
+    order = np.argsort(label, kind="stable")  # cell by cell, each cell ascending
+    cells = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    cells.sort(key=lambda c: c[0])  # c[0] is its smallest vertex
+    return _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
+
+
 def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGraph:
-    """Weighted quotient graph with B[j,k] = sqrt(d[j,k]*d[k,j]), B[j,j]=d[j,j]."""
+    """Weighted quotient graph with B[j,k] = sign(d[j,k]) sqrt(d[j,k]*d[k,j])
+    and B[j,j] = d[j,j]: the signs keep negative weights negative, so B's
+    spectrum stays part of the graph's."""
     check = is_equitable(g, partition.cells)
     if check is None:
         raise NotEquitableError("partition is not equitable on this graph")
@@ -202,9 +221,24 @@ def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGra
 def _quotient(part: EquitablePartition) -> QuotientGraph:
     """quotient_symmetrized of a partition whose degrees were checked on the graph."""
     d = part.degrees
-    b = np.sqrt(d * d.T)
+    # |C_j| d[j,k] = |C_k| d[k,j], so d and d.T agree in sign up to the
+    # equitability tolerance; d + d.T keeps B exactly symmetric where
+    # rounding leaves a near-zero pair of opposite signs
+    b = np.sign(d + d.T) * np.sqrt(np.abs(d * d.T))
     np.fill_diagonal(b, np.diag(d))
     return QuotientGraph(Graph(b), tuple(_labels(part.cells).tolist()))
+
+
+def _pair_quotient(g: Graph, a: int, b: int, max_cells: int) -> Optional[QuotientGraph]:
+    """The symmetrized quotient of the coarsest equitable refinement of
+    {a}, {b} and the other vertices, or None once that refinement has more
+    than max_cells cells."""
+    key = np.full(g.n, 2)
+    key[b] = 1
+    key[a] = 0
+    label = np.unique(key, return_inverse=True)[1].ravel()  # 0..m-1, also where a = b
+    part = _refinement(_edge_list(g), label, max_cells)
+    return None if part is None else _quotient(part)
 
 
 def _collapse(
@@ -226,7 +260,7 @@ def _collapse(
         )
     quot = _quotient(part)
     ts = np.asarray(list(t_grid), dtype=float)
-    f_full = np.abs(fidelity(_decomposition(g), a, b, ts))
+    f_full = np.abs(fidelity(_walk_from(g, a), a, b, ts))
     f_quot = np.abs(fidelity(_decomposition(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 
@@ -235,7 +269,9 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
     """Max over the grid of | |F_G(a->b)| - |F_quotient| |.
 
     Requires the distance partition from a to be equitable with b as its
-    singleton antipodal cell; raises NotEquitableError otherwise.
+    singleton antipodal cell; raises NotEquitableError otherwise. |F_G|
+    comes from the walk on the graph itself (a Lanczos reduction from a on
+    large graphs, see spectral._walk_from), never from the quotient.
     """
     return _collapse(g, a, b, t_grid)[2]
 

@@ -93,7 +93,7 @@ def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:
     if np.max(np.abs(comm)) > 1e-10 * h.n * scale:
         raise NonCommutingError("inner and connection adjacencies do not commute")
     dec = _decomposition(h)
-    groups, reps, _ = _clusters(dec, None)
+    groups, reps, _ = _clusters(dec.values, None)
     pairs: List[Tuple[float, float]] = []
     for idx, mu in zip(groups, reps):
         block = dec.vectors[:, idx]

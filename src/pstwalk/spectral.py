@@ -8,7 +8,7 @@ generic matrix exponentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,12 @@ ORTHO_TOL = 1e-10
 # went back to the OS and were page-faulted in again on every chunk.
 SCAN_TERMS = 1 << 15
 _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
+# Pair questions on graphs of at least QUOTIENT_MIN_N vertices are answered
+# on an equitable quotient of at most QUOTIENT_MAX_CELLS cells where there
+# is one (see _pair and _walk_from); below the floor the dense solve is
+# cheaper, and the cut-off bounds the refinement rounds and Lanczos steps.
+QUOTIENT_MIN_N = 128
+QUOTIENT_MAX_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,24 @@ def _decomposition(g: Graph) -> EigenDecomposition:
     if g._spectrum is None:
         object.__setattr__(g, "_spectrum", eigendecompose(g))
     return g._spectrum
+
+
+def _eigenvalues(g: Graph) -> np.ndarray:
+    """The eigenvalues of g, descending, from a values-only solve kept on g
+    like _decomposition's. They must be finite, and their sum and sum of
+    squares must match tr A and ||A||_F^2."""
+    if g._values is None:
+        w = np.linalg.eigvalsh(g.adj)[::-1].copy()
+        if not np.all(np.isfinite(w)):
+            raise NumericFailureError("eigenvalues overflowed to non-finite values")
+        fro2 = float(np.vdot(g.adj, g.adj))
+        tol = RECON_TOL * g.n * max(1.0, fro2)
+        if not (abs(float(np.sum(w)) - float(np.trace(g.adj))) <= tol
+                and abs(float(np.dot(w, w)) - fro2) <= tol):
+            raise NumericFailureError("eigenvalue trace identities out of tolerance")
+        w.setflags(write=False)
+        object.__setattr__(g, "_values", w)
+    return g._values
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
@@ -159,22 +183,26 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
 
 
 def default_group_tol(decomp: EigenDecomposition) -> float:
-    return 1e-8 * max(1.0, float(np.max(np.abs(decomp.values))))
+    return _group_tol(decomp.values)
 
 
-def _clusters(decomp: EigenDecomposition, group_tol: Optional[float]):
-    """Single-linkage clusters of eigenvalue indices, each cluster's mean
-    eigenvalue, and the grouping tolerance used.
+def _group_tol(values: np.ndarray) -> float:
+    return 1e-8 * max(1.0, float(np.max(np.abs(values))))
+
+
+def _clusters(w: np.ndarray, group_tol: Optional[float]):
+    """Single-linkage clusters of the indices of the eigenvalues w (sorted
+    descending), each cluster's mean eigenvalue, and the grouping tolerance
+    used.
 
     A cluster whose diameter exceeds 10x the grouping tolerance is rejected:
     that means the tolerance sits inside a continuum of eigenvalues and any
     grouping would be arbitrary.
     """
     if group_tol is None:
-        group_tol = default_group_tol(decomp)
+        group_tol = _group_tol(w)
     if group_tol <= 0:
         raise InvalidArgumentError("group_tol must be positive")
-    w = decomp.values
     breaks = np.nonzero(w[:-1] - w[1:] > group_tol)[0] + 1
     groups = np.split(np.arange(len(w)), breaks)
     for idx in groups:
@@ -189,7 +217,7 @@ def _clusters(decomp: EigenDecomposition, group_tol: Optional[float]):
 
 def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] = None) -> SpectralProjectors:
     """Cluster eigenvalues by single linkage and form one projector per cluster."""
-    groups, reps, group_tol = _clusters(decomp, group_tol)
+    groups, reps, group_tol = _clusters(decomp.values, group_tol)
     projs = []
     for idx in groups:
         block = decomp.vectors[:, idx]
@@ -222,21 +250,131 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8)
     """The PairSpectrum of (a, b) in O(n^2) time and memory: each E_r e_a is
     a sum of scaled eigenvector columns, never a dense projector. A vector
     with all entries within tol of zero counts as zero."""
-    groups, reps, _ = _clusters(decomp, None)
+    groups, reps, _ = _clusters(decomp.values, None)
     starts = [int(idx[0]) for idx in groups]
-    v = decomp.vectors
+    return _pair_support(decomp.vectors, a, b, starts, range(len(groups)), reps, tol)
+
+
+def _pair_support(v, a, b, starts, clusters, reps, tol, row_scale=None) -> PairSpectrum:
+    """The PairSpectrum of rows a, b of eigenvector columns v. The columns
+    from starts[j] to starts[j + 1] belong to eigenvalue cluster clusters[j],
+    of mean reps[clusters[j]]. Entry i of E_r e_a is row i of the column sum
+    times row_scale[i] (times 1 where row_scale is None)."""
     ea = np.add.reduceat(v * v[a, :], starts, axis=1)
     eb = np.add.reduceat(v * v[b, :], starts, axis=1)
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
     ea, eb = ea[:, sup], eb[:, sup]
+    if row_scale is not None:
+        ea, eb = ea * row_scale[:, None], eb * row_scale[:, None]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    theta = tuple(reps[j] for j in sup)
+    support = tuple(int(clusters[j]) for j in sup)
+    theta = tuple(reps[r] for r in support)
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
     weight = np.add.reduceat(v[a, :] * v[b, :], starts)[sup]
     broken_at = theta[broken[0]] if broken.size else None
-    return PairSpectrum(tuple(int(j) for j in sup), theta, weight, signs, broken_at)
+    return PairSpectrum(support, theta, weight, signs, broken_at)
+
+
+class _Pair(NamedTuple):
+    """A vertex pair's question reduced: its PairSpectrum on the graph, and a
+    checked decomposition dec with rows a and b that carries the walk
+    between the pair; group_tol is the graph's clustering tolerance."""
+
+    spectrum: PairSpectrum
+    dec: EigenDecomposition
+    a: int
+    b: int
+    group_tol: float
+
+    def amplitude(self, t):
+        """<b| exp(-itA) |a> of the graph; see fidelity."""
+        return fidelity(self.dec, self.a, self.b, t)
+
+
+def _pair(g: Graph, a: int, b: int, tol: float = 1e-8) -> _Pair:
+    """The pair (a, b) of g, vertices checked. On a graph of at least
+    QUOTIENT_MIN_N vertices whose coarsest equitable refinement of {a}, {b}
+    and the rest has at most QUOTIENT_MAX_CELLS cells, on that quotient B:
+    {a} and {b} are cells, so <b| exp(-itA) |a> is B's amplitude between
+    them. B's checked eigendecomposition gives the vectors, and the graph's
+    own eigenvalues (_eigenvalues) the clusters, so support, theta and
+    group_tol are the graph's; entry tolerances apply to graph entries,
+    |x_j| / sqrt(|C_j|). Otherwise on the graph's checked decomposition."""
+    a, b = g.check_vertex(a), g.check_vertex(b)
+    quot = None
+    if g.n >= QUOTIENT_MIN_N:
+        from .partitions import _pair_quotient  # partitions imports this module
+
+        quot = _pair_quotient(g, a, b, QUOTIENT_MAX_CELLS)
+    if quot is None:
+        dec = _decomposition(g)
+        return _Pair(pair_spectrum(dec, a, b, tol), dec, a, b, default_group_tol(dec))
+    values = _eigenvalues(g)
+    groups, reps, group_tol = _clusters(values, None)
+    dec = eigendecompose(quot.graph)
+    # the nearest graph eigenvalue of each eigenvalue of B; both descend, so
+    # the clusters found run in order and each is one run of B's columns
+    asc = values[::-1]
+    i = np.clip(np.searchsorted(asc, dec.values), 1, g.n - 1)
+    i -= dec.values - asc[i - 1] < asc[i] - dec.values
+    nearest = g.n - 1 - i
+    if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
+        raise NumericFailureError("quotient eigenvalue is not an eigenvalue of the graph")
+    cluster = np.repeat(np.arange(len(groups)), [len(idx) for idx in groups])[nearest]
+    starts = np.flatnonzero(np.diff(cluster, prepend=-1))
+    ca, cb = quot.cell_map[a], quot.cell_map[b]
+    row_scale = 1.0 / np.sqrt(np.bincount(quot.cell_map))
+    ps = _pair_support(dec.vectors, ca, cb, starts, cluster[starts], reps, tol, row_scale)
+    return _Pair(ps, dec, ca, cb, group_tol)
+
+
+def _walk_from(g: Graph, a: int) -> EigenDecomposition:
+    """Eigenpairs that carry the walk from a: fidelity(dec, a, b, t) is
+    <b| exp(-itA) |a> for every vertex b. On a graph of at least
+    QUOTIENT_MIN_N vertices, the Ritz pairs of a Lanczos reduction from e_a
+    where its Krylov space has at most QUOTIENT_MAX_CELLS dimensions;
+    otherwise the graph's checked decomposition."""
+    walk = _lanczos(g, a, QUOTIENT_MAX_CELLS) if g.n >= QUOTIENT_MIN_N else None
+    return _decomposition(g) if walk is None else walk
+
+
+def _lanczos(g: Graph, a: int, max_dim: int) -> Optional[EigenDecomposition]:
+    """Ritz pairs of A on the Krylov space of e_a (vectors n x k, values
+    descending), by Lanczos with full reorthogonalisation; None where no
+    invariant space of at most max_dim dimensions is reached. The Ritz
+    residual A Q S - Q S Theta and Q^T Q - I are checked, each in O(n k^2)."""
+    n = g.n
+    amax = max(1.0, float(g.adj.max()), float(-g.adj.min()))
+    q = np.zeros((n, max_dim))
+    aq = np.zeros((n, max_dim))  # A q_j, kept for the residual check
+    q[a, 0] = 1.0
+    for k in range(1, max_dim + 1):
+        aq[:, k - 1] = g.adj @ q[:, k - 1]
+        r = aq[:, k - 1].copy()
+        for _ in range(2):  # Gram-Schmidt twice keeps q orthonormal to rounding
+            r -= q[:, :k] @ (q[:, :k].T @ r)
+        beta = float(np.linalg.norm(r))
+        if beta <= RECON_TOL * amax:
+            break
+        if k == max_dim:
+            return None
+        q[:, k] = r / beta
+    q, aq = q[:, :k], aq[:, :k]
+    t = q.T @ aq
+    theta, s = np.linalg.eigh(0.5 * (t + t.T))
+    theta, s = theta[::-1].copy(), s[:, ::-1]
+    ritz = q @ s
+    if not np.max(np.abs(aq @ s - ritz * theta)) <= RECON_TOL * n * amax:
+        raise NumericFailureError("Lanczos Ritz residual out of tolerance")
+    ortho = q.T @ q
+    ortho.flat[:: k + 1] -= 1.0
+    if not np.max(np.abs(ortho)) <= ORTHO_TOL * n:
+        raise NumericFailureError("Lanczos basis orthonormality out of tolerance")
+    theta.setflags(write=False)
+    ritz.setflags(write=False)
+    return EigenDecomposition(theta, ritz)
 
 
 def spectrum(g: Graph) -> np.ndarray:

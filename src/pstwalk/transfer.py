@@ -32,9 +32,7 @@ from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import (
-    EigenDecomposition, _amplitudes, _decomposition, default_group_tol, fidelity, pair_spectrum,
-)
+from .spectral import _amplitudes, _Pair, _pair
 
 __all__ = [
     "FidelitySeries",
@@ -89,21 +87,21 @@ class PstCertificate:
 
 def _window(
     g: Graph, a: int, b: int, t_max: float, steps: int
-) -> Tuple[EigenDecomposition, np.ndarray]:
-    """Checked arguments of a sampled time window: the eigendecomposition of
-    g and the steps times spread over [0, t_max]."""
+) -> Tuple[_Pair, np.ndarray]:
+    """Checked arguments of a sampled time window: the pair (a, b) of g and
+    the steps times spread over [0, t_max]."""
     g.check_vertex(a)
     g.check_vertex(b)
     if steps < 2:
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
-    return _decomposition(g), np.linspace(0.0, t_max, steps)
+    return _pair(g, a, b), np.linspace(0.0, t_max, steps)
 
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
-    dec, times = _window(g, a, b, t_max, steps)
-    return FidelitySeries(times, fidelity(dec, a, b, times), a, b)
+    pair, times = _window(g, a, b, t_max, steps)
+    return FidelitySeries(times, pair.amplitude(times), a, b)
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) -> Tuple[float, float]:
@@ -133,16 +131,18 @@ def max_fidelity_scan(
     The grid runs over the distinct eigenvalues that support the pair (see
     pair_spectrum), so its cost follows their number, not n. Grid points
     within the clustering error of its top, and the refinement, are then
-    evaluated over every eigenvalue. Raises AmbiguousDegeneracyError where
-    the eigenvalues cannot be clustered."""
-    dec, times = _window(g, a, b, t_max, steps)
-    ps = pair_spectrum(dec, a, b)
+    evaluated over every eigenvalue of the pair's reduced problem: the
+    equitable quotient where one answers it (see spectral._pair), else the
+    whole graph. Raises AmbiguousDegeneracyError where the eigenvalues
+    cannot be clustered."""
+    pair, times = _window(g, a, b, t_max, steps)
+    ps = pair.spectrum
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
-    slack = 10.0 * default_group_tol(dec) * (t_max + 1.0)
+    slack = 10.0 * pair.group_tol * (t_max + 1.0)
     near = times[coarse >= np.max(coarse) - slack]
-    exact = _amplitudes(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near, absolute=True)
+    exact = np.abs(pair.amplitude(near))
     k = int(np.argmax(exact))
     best_t, best_f = float(near[k]), float(exact[k])
     if refine_iters > 0:
@@ -150,7 +150,7 @@ def max_fidelity_scan(
         lo = max(0.0, best_t - h)
         hi = min(t_max, best_t + h)
         t_ref, f_ref = _golden_max(
-            lambda t: abs(fidelity(dec, a, b, t)), lo, hi, refine_iters
+            lambda t: abs(pair.amplitude(t)), lo, hi, refine_iters
         )
         if f_ref > best_f:
             best_t, best_f = float(t_ref), float(f_ref)
@@ -183,9 +183,7 @@ def strong_cospectrality(
     """Sign vector over supported eigenvalue clusters if every cluster
     projects |a> onto +-|b>'s projection; None otherwise. A necessary
     condition for perfect transfer between a and b."""
-    g.check_vertex(a)
-    g.check_vertex(b)
-    return pair_spectrum(_decomposition(g), a, b, tol).signs
+    return _pair(g, a, b, tol).spectrum.signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -208,11 +206,8 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    g.check_vertex(a)
-    g.check_vertex(b)
-    tol = 1e-8
-    dec = _decomposition(g)
-    ps = pair_spectrum(dec, a, b, tol)
+    pair = _pair(g, a, b)
+    ps = pair.spectrum
     if ps.signs is None:
         return PstCertificate(
             "no",
@@ -270,7 +265,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
             f"{list(parities)} at any time",
         )
     t_star = float(tau) * pi / scale_r
-    confirm = abs(fidelity(dec, a, b, t_star))
+    confirm = abs(pair.amplitude(t_star))
     if confirm < 1.0 - 1e-8:
         return PstCertificate(
             "unknown",
@@ -337,7 +332,7 @@ def _cert_verdict(g: Graph, a: int, b: int) -> _Verdict:
 def _condition_verdict(cond: ConditionReport, g: Graph, a: int, b: int) -> _Verdict:
     """A family condition, confirmed by |F| at the time it names."""
     t = cond.witness["time"]
-    f = abs(fidelity(_decomposition(g), a, b, t)) if t is not None else 0.0
+    f = abs(_pair(g, a, b).amplitude(t)) if t is not None else 0.0
     ok = cond.holds and f >= NUMERIC_PST
     note = f"condition {'holds' if cond.holds else 'fails'}, |F(t*)| = {f:.10f}"
     return ("yes" if ok else "no"), t, note

@@ -1,6 +1,7 @@
 """The pair spectrum and the single-source BFS against the per-eigenvalue,
-per-projector and all-pairs computations they replace, plus memory bounds
-on the certificate and scan paths."""
+per-projector and all-pairs computations they replace, memory bounds on
+the certificate and scan paths, and the equitable-quotient route of pair
+questions against the dense route."""
 
 import math
 import tracemalloc
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
+from pstwalk import NumericFailureError, partitions, spectral
+from pstwalk.partitions import QuotientGraph
+from pstwalk.spectral import QUOTIENT_MAX_CELLS, QUOTIENT_MIN_N, _lanczos, _pair
 
 TOL = 1e-8
 
@@ -166,3 +170,137 @@ def test_certificate_and_scan_memory_is_quadratic(name):
         "scan": lambda: pw.max_fidelity_scan(g, 0, n - 1, 2.0 * math.pi, 20001),
     }[name]
     assert _traced_peak(call) <= 16 * 8 * n * n
+
+
+# ---------------------------------------------------------------------------
+# pair questions on the equitable quotient
+# ---------------------------------------------------------------------------
+
+def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
+    monkeypatch.setattr(spectral, "QUOTIENT_MIN_N", 1)
+    times = np.linspace(0.0, 7.0, 9)
+    reduced = 0
+    for g in corpus:
+        dec = pw.eigendecompose(g)
+        for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
+            dense = pw.pair_spectrum(dec, a, b)
+            try:
+                pair = _pair(g, a, b)
+            except pw.AmbiguousDegeneracyError:
+                with pytest.raises(pw.AmbiguousDegeneracyError):
+                    pw.pair_spectrum(pw.eigendecompose(g), a, b)
+                continue
+            reduced += pair.dec.n < g.n
+            ps = pair.spectrum
+            assert ps.support == dense.support and ps.signs == dense.signs
+            assert (ps.broken_at is None) == (dense.broken_at is None)
+            assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
+            assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
+            assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times),
+                               rtol=0.0, atol=1e-9)
+    assert reduced > 100  # most corpus pairs have a quotient of fewer cells
+
+
+def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
+    # Q8 is above the floor and its pair quotient has 9 cells: no question
+    # solves or keeps the 256 x 256 eigendecomposition, and each answer is
+    # the one given on a graph whose decomposition was solved first
+    assert pw.hypercube(8).n >= QUOTIENT_MIN_N
+    grid = np.linspace(0.0, 2.0 * math.pi, 300)
+    questions = (
+        lambda g: pw.pst_certificate(g, 0, 255),
+        lambda g: pw.max_fidelity_scan(g, 0, 255, 2.0 * math.pi, 2001),
+        lambda g: pw.strong_cospectrality(g, 0, 255),
+        lambda g: pw.fidelity_series(g, 0, 255, 3.0, 31).amplitudes.tobytes(),
+        lambda g: pw.collapse_fidelity_check(g, 0, 255, grid),
+    )
+    g, solved = pw.hypercube(8), pw.hypercube(8)
+    pw.spectrum(solved)
+    for ask in questions:
+        assert ask(g) == ask(solved)
+        assert g._spectrum is None
+    cert = pw.pst_certificate(g, 0, 255)
+    assert cert.verdict == "yes" and cert.time_exact == (1, 2, 1.0)
+    assert cert.support == tuple(range(9)) and cert.signs == (0, 1) * 4 + (0,)
+
+
+def test_quotient_support_holds_cluster_indices_of_the_graph():
+    # two disjoint copies of the glued cones of family member 3 (n = 244):
+    # 6 quotient cells and 46 distinct eigenvalues of the graph; support
+    # indexes the graph's clusters, not the quotient's
+    n, k, gamma = pw.glued_cone_family(3)
+    half = pw.circulant(n, range(1, k // 2 + 1))
+    g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
+    g = pw.Graph(np.kron(np.eye(2), g.adj))
+    pair = _pair(g, 0, 2 * n + 1)
+    assert pair.dec.n == 6
+    dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
+    assert pair.spectrum.support == dense.support
+    assert max(pair.spectrum.support) > 3
+
+
+def test_quotient_eigenvalues_must_be_eigenvalues_of_the_graph(monkeypatch):
+    real = partitions._pair_quotient
+
+    def detuned(g, a, b, max_cells):
+        quot = real(g, a, b, max_cells)
+        return QuotientGraph(pw.scale(quot.graph, 1.001), quot.cell_map)
+
+    monkeypatch.setattr(partitions, "_pair_quotient", detuned)
+    with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
+        pw.pst_certificate(pw.hypercube(7), 0, 127)
+
+
+def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
+    g = pw.hypercube(7)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + 1e-6)
+    for _ in range(2):
+        with pytest.raises(NumericFailureError, match="trace identities"):
+            pw.strong_cospectrality(g, 0, 127)
+        assert g._values is None
+    monkeypatch.undo()
+    assert pw.strong_cospectrality(g, 0, 127) == (0, 1) * 4
+    assert g._values is not None and g._spectrum is None
+
+
+def test_lanczos_reduction_matches_dense_amplitudes():
+    times = np.linspace(0.0, 10.0, 41)
+    for g, a in ((pw.hypercube(7), 0), (pw.cartesian_product(pw.cycle(16), pw.complete(8)), 5)):
+        walk = _lanczos(g, a, QUOTIENT_MAX_CELLS)
+        assert walk is not None and walk.n < g.n
+        dec = pw.eigendecompose(g)
+        for b in (0, g.n // 3, g.n - 1):
+            assert np.allclose(pw.fidelity(walk, a, b, times), pw.fidelity(dec, a, b, times),
+                               rtol=0.0, atol=1e-12)
+    # a random graph's Krylov space reaches past the cut-off: no reduction
+    assert _lanczos(_random_weighted(QUOTIENT_MIN_N, 1), 0, QUOTIENT_MAX_CELLS) is None
+
+
+def test_lanczos_checks_its_ritz_pairs(monkeypatch):
+    grid = np.linspace(0.0, 3.0, 31)
+    g = pw.hypercube(7)
+    assert pw.collapse_fidelity_check(g, 0, 127, grid) < 1e-12
+    monkeypatch.setattr(spectral, "ORTHO_TOL", -1.0)
+    with pytest.raises(NumericFailureError, match="Lanczos basis orthonormality"):
+        pw.collapse_fidelity_check(g, 0, 127, grid)
+    monkeypatch.undo()
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
+    with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
+        pw.collapse_fidelity_check(g, 0, 127, grid)
+    assert g._spectrum is None
+
+
+def test_random_graphs_above_the_floor_stop_refining_after_one_round(monkeypatch):
+    g = _random_weighted(QUOTIENT_MIN_N, 2)
+    rounds = []
+    cell_sums = partitions._cell_sums
+
+    def counting(edges, label):
+        rounds.append(int(label.max()) + 1)
+        return cell_sums(edges, label)
+
+    monkeypatch.setattr(partitions, "_cell_sums", counting)
+    pair = _pair(g, 0, g.n - 1)
+    assert rounds == [3] and pair.dec is spectral._decomposition(g)

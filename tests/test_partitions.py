@@ -42,6 +42,42 @@ def test_is_equitable_validates_cells():
         pw.is_equitable(g, [[0, 1], [], [2, 3]])  # empty cell
 
 
+# (cells on C4, message of the first fault): faults are read cell by cell,
+# each cell in ascending order, and a gap is reported only after all else
+MALFORMED_CELLS = [
+    ([[0, 1], [], [2, 3]], "empty cell in partition"),
+    ([[0, 1], [2, 3, 4]], "vertex 4 out of range"),
+    ([[0, -1], [1, 2, 3]], "vertex -1 out of range"),
+    ([[0, 1], [1, 2, 3]], "vertex 1 appears in two cells"),
+    ([[0, 0], [1, 2, 3]], "vertex 0 appears in two cells"),
+    ([[0, 1], [2]], "cells do not cover every vertex"),
+    ([], "cells do not cover every vertex"),
+    ([[0, 1], [1], []], "vertex 1 appears in two cells"),
+    ([[0, 1], [], [1]], "empty cell in partition"),
+    ([[0, 9], [1, 1]], "vertex 9 out of range"),
+    ([[1, 1], [0, 9]], "vertex 1 appears in two cells"),
+    ([[3, 9, 1, 1]], "vertex 1 appears in two cells"),
+    ([[0], [5, 5]], "vertex 5 out of range"),
+    ([[0], [7]], "vertex 7 out of range"),
+    ([[2], [10 ** 30]], f"vertex {10 ** 30} out of range"),
+]
+
+
+@pytest.mark.parametrize("cells, message", MALFORMED_CELLS)
+def test_malformed_cells_raise_their_first_fault(cells, message):
+    g = pw.cycle(4)
+    for call in (pw.is_equitable, pw.coarsest_equitable_refinement):
+        with pytest.raises(InvalidArgumentError) as err:
+            call(g, cells)
+        assert str(err.value) == message
+
+
+def test_cells_are_read_as_sorted_python_ints():
+    part = pw.is_equitable(pw.cycle(4), [np.array([3, 1]), (2.0, np.int64(0))])
+    assert part.cells == ((1, 3), (0, 2))
+    assert all(type(v) is int for c in part.cells for v in c)
+
+
 def test_cell_of_lookup():
     part = pw.is_equitable(pw.cycle(4), [[0, 2], [1, 3]])
     assert part is not None
@@ -323,6 +359,19 @@ def test_quotient_identity_and_eigenvalue_inclusion(corpus):
         eig_g = np.sort(pw.spectrum(g))
         for mu in eig_q:
             assert np.abs(eig_g - mu).min() < 1e-8
+
+
+def test_quotient_keeps_negative_weights_negative():
+    # K3 with weight -1 has spectrum {1, 1, -2}; unsigned square roots
+    # would give the quotient {2, -1, -1}
+    for g in (pw.scale(pw.complete(3), -1.0), pw.scale(pw.hypercube(3), -0.5)):
+        part = pw.coarsest_equitable_refinement(g, [[0], list(range(1, g.n))])
+        quot = pw.quotient_symmetrized(g, part).graph
+        for mu in pw.spectrum(quot):
+            assert np.abs(pw.spectrum(g) - mu).min() < 1e-12
+    quot = pw.quotient_symmetrized(pw.scale(pw.complete(3), -1.0),
+                                   pw.is_equitable(pw.complete(3), [[0], [1], [2]]))
+    assert np.allclose(np.sort(pw.spectrum(quot.graph)), [-2.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_quotient_rejects_inequitable_partition():
