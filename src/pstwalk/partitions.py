@@ -233,6 +233,10 @@ def _pair_quotient(g: Graph, a: int, b: int, max_cells: int) -> Optional[Quotien
     """The symmetrized quotient of the coarsest equitable refinement of
     {a}, {b} and the other vertices, or None once that refinement has more
     than max_cells cells."""
+    # cells of an equitable partition share their degree, so more distinct
+    # degrees than max_cells rule it out without a refinement round
+    if np.unique(np.round(g.adj.sum(axis=1), SIGNATURE_DECIMALS)).size > max_cells:
+        return None
     key = np.full(g.n, 2)
     key[b] = 1
     key[a] = 0

@@ -292,8 +292,7 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     assert g._spectrum is None
 
 
-def test_random_graphs_above_the_floor_stop_refining_after_one_round(monkeypatch):
-    g = _random_weighted(QUOTIENT_MIN_N, 2)
+def test_refinement_stops_once_past_the_cut_off(monkeypatch):
     rounds = []
     cell_sums = partitions._cell_sums
 
@@ -302,5 +301,12 @@ def test_random_graphs_above_the_floor_stop_refining_after_one_round(monkeypatch
         return cell_sums(edges, label)
 
     monkeypatch.setattr(partitions, "_cell_sums", counting)
-    pair = _pair(g, 0, g.n - 1)
-    assert rounds == [3] and pair.dec is spectral._decomposition(g)
+    # a random weighted graph has about n distinct degrees: no round at all
+    g = _random_weighted(QUOTIENT_MIN_N, 2)
+    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert rounds == []
+    # a path between its ends gains a cell at each end a round: the rounds
+    # stop once past the cut-off
+    g = pw.path_graph([1.0] * (2 * QUOTIENT_MIN_N))
+    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert rounds == list(range(3, QUOTIENT_MAX_CELLS + 1, 2))
