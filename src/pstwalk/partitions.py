@@ -235,12 +235,12 @@ def _pair_quotient(g: Graph, a: int, b: int, max_cells: int) -> Optional[Quotien
     than max_cells cells."""
     # cells of an equitable partition share their degree, so more distinct
     # degrees than max_cells rule it out without a refinement round
-    if np.unique(np.round(g.adj.sum(axis=1), SIGNATURE_DECIMALS)).size > max_cells:
+    deg = np.sort(np.round(g.degrees(), SIGNATURE_DECIMALS))
+    if np.count_nonzero(deg[1:] != deg[:-1]) >= max_cells:
         return None
-    key = np.full(g.n, 2)
-    key[b] = 1
-    key[a] = 0
-    label = np.unique(key, return_inverse=True)[1].ravel()  # 0..m-1, also where a = b
+    label = np.full(g.n, 1 if a == b else 2)
+    label[b] = 1
+    label[a] = 0
     part = _refinement(_edge_list(g), label, max_cells)
     return None if part is None else _quotient(part)
 
