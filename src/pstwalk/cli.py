@@ -161,7 +161,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
-    t_grid = np.linspace(0.0, args.tmax * _time_factor(args), args.steps)
+    # _collapse rejects the empty grid of --steps <= 0 and the NaN grid of an infinite --tmax
+    with np.errstate(invalid="ignore"):
+        t_grid = np.linspace(0.0, args.tmax * _time_factor(args), max(args.steps, 0))
     part, quot, deviation = _collapse(_graph(args.expr), args.src, args.dst, t_grid)
     if args.format == "json":
         _emit_json(

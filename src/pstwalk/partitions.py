@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
 from .graphs import Graph, distances_from
-from .spectral import _decomposition, _walk_from, fidelity
+from .spectral import _decomposition, _walk, fidelity
 
 __all__ = [
     "EquitablePartition",
@@ -177,17 +177,8 @@ def coarsest_equitable_refinement(
     cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing or
     every cell is a singleton; the result must then pass is_equitable under
     _equitable_tol."""
-    part = _refinement(_edge_list(g), _labels(_normalize_cells(g, initial_cells)), g.n)
-    if part is None:  # pragma: no cover - refinement fixpoint is equitable
-        raise NotEquitableError("refinement failed to reach an equitable partition")
-    return part
-
-
-def _refinement(edges: _EdgeList, label: np.ndarray, max_cells: int) -> Optional[EquitablePartition]:
-    """coarsest_equitable_refinement of the cells that label names, or None
-    once a round leaves more than max_cells cells (or the fixpoint fails
-    _equitable)."""
-    n = edges.n
+    edges, label = _edge_list(g), _labels(_normalize_cells(g, initial_cells))
+    n = g.n
     while label.max() + 1 < n:  # singletons cannot split
         sums = _cell_sums(edges, label)
         np.round(sums, SIGNATURE_DECIMALS, out=sums)
@@ -200,12 +191,13 @@ def _refinement(edges: _EdgeList, label: np.ndarray, max_cells: int) -> Optional
         if split.max() == label.max():  # no cell split
             break
         label = split
-        if label.max() >= max_cells:
-            return None
     order = np.argsort(label, kind="stable")  # cell by cell, each cell ascending
     cells = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     cells.sort(key=lambda c: c[0])  # c[0] is its smallest vertex
-    return _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
+    part = _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
+    if part is None:  # pragma: no cover - refinement fixpoint is equitable
+        raise NotEquitableError("refinement failed to reach an equitable partition")
+    return part
 
 
 def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGraph:
@@ -229,22 +221,6 @@ def _quotient(part: EquitablePartition) -> QuotientGraph:
     return QuotientGraph(Graph(b), tuple(_labels(part.cells).tolist()))
 
 
-def _pair_quotient(g: Graph, a: int, b: int, max_cells: int) -> Optional[QuotientGraph]:
-    """The symmetrized quotient of the coarsest equitable refinement of
-    {a}, {b} and the other vertices, or None once that refinement has more
-    than max_cells cells."""
-    # cells of an equitable partition share their degree, so more distinct
-    # degrees than max_cells rule it out without a refinement round
-    deg = np.sort(np.round(g.degrees(), SIGNATURE_DECIMALS))
-    if np.count_nonzero(deg[1:] != deg[:-1]) >= max_cells:
-        return None
-    label = np.full(g.n, 1 if a == b else 2)
-    label[b] = 1
-    label[a] = 0
-    part = _refinement(_edge_list(g), label, max_cells)
-    return None if part is None else _quotient(part)
-
-
 def _collapse(
     g: Graph, a: int, b: int, t_grid: Sequence[float]
 ) -> Tuple[EquitablePartition, QuotientGraph, float]:
@@ -262,9 +238,11 @@ def _collapse(
         raise NotEquitableError(
             f"vertex {b} is not the antipodal cell of the distance partition"
         )
-    quot = _quotient(part)
     ts = np.asarray(list(t_grid), dtype=float)
-    f_full = np.abs(fidelity(_walk_from(g, a), a, b, ts))
+    if ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise InvalidArgumentError("t_grid must hold at least one time, all finite")
+    quot = _quotient(part)
+    f_full = np.abs(fidelity(_walk(g, a, b), a, b, ts))
     f_quot = np.abs(fidelity(_decomposition(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 
@@ -273,9 +251,11 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
     """Max over the grid of | |F_G(a->b)| - |F_quotient| |.
 
     Requires the distance partition from a to be equitable with b as its
-    singleton antipodal cell; raises NotEquitableError otherwise. |F_G|
-    comes from the walk on the graph itself (a Lanczos reduction from a on
-    large graphs, see spectral._walk_from), never from the quotient.
+    singleton antipodal cell (NotEquitableError otherwise) and a non-empty
+    grid of finite times (InvalidArgumentError otherwise). |F_G| comes from
+    the walk on the graph itself, on large graphs the Ritz pairs of a
+    Lanczos reduction from e_a and e_b (see spectral._walk), never from the
+    quotient or any other partition.
     """
     return _collapse(g, a, b, t_grid)[2]
 

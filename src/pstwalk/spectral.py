@@ -43,12 +43,12 @@ ORTHO_TOL = 1e-10
 # went back to the OS and were page-faulted in again on every chunk.
 SCAN_TERMS = 1 << 15
 _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
-# Pair questions on graphs of at least QUOTIENT_MIN_N vertices are answered
-# on an equitable quotient of at most QUOTIENT_MAX_CELLS cells where there
-# is one (see _pair and _walk_from); below the floor the dense solve is
-# cheaper, and the cut-off bounds the refinement rounds and Lanczos steps.
-QUOTIENT_MIN_N = 128
-QUOTIENT_MAX_CELLS = 32
+# Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
+# vertices are answered on the Krylov space of e_a and e_b where it closes
+# within KRYLOV_MAX_DIM dimensions (see _walk); below the floor the dense
+# solve is cheaper, and the cut-off bounds the Lanczos steps.
+KRYLOV_MIN_N = 128
+KRYLOV_MAX_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -255,17 +255,14 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8)
     return _pair_support(decomp.vectors, a, b, starts, range(len(groups)), reps, tol)
 
 
-def _pair_support(v, a, b, starts, clusters, reps, tol, row_scale=None) -> PairSpectrum:
+def _pair_support(v, a, b, starts, clusters, reps, tol) -> PairSpectrum:
     """The PairSpectrum of rows a, b of eigenvector columns v. The columns
     from starts[j] to starts[j + 1] belong to eigenvalue cluster clusters[j],
-    of mean reps[clusters[j]]. Entry i of E_r e_a is row i of the column sum
-    times row_scale[i] (times 1 where row_scale is None)."""
+    of mean reps[clusters[j]]."""
     ea = np.add.reduceat(v * v[a, :], starts, axis=1)
     eb = np.add.reduceat(v * v[b, :], starts, axis=1)
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
     ea, eb = ea[:, sup], eb[:, sup]
-    if row_scale is not None:
-        ea, eb = ea * row_scale[:, None], eb * row_scale[:, None]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
     support = tuple(int(clusters[j]) for j in sup)
@@ -278,9 +275,9 @@ def _pair_support(v, a, b, starts, clusters, reps, tol, row_scale=None) -> PairS
 
 
 class _Pair(NamedTuple):
-    """A vertex pair's question reduced: its PairSpectrum on the graph, and a
-    checked decomposition dec with rows a and b that carries the walk
-    between the pair; group_tol is the graph's clustering tolerance."""
+    """A vertex pair's question reduced: its PairSpectrum on the graph, and
+    the checked eigenpairs dec of _walk that carry the walk between the
+    pair; group_tol is the graph's clustering tolerance."""
 
     spectrum: PairSpectrum
     dec: EigenDecomposition
@@ -294,73 +291,77 @@ class _Pair(NamedTuple):
 
 
 def _pair(g: Graph, a: int, b: int, tol: float = 1e-8) -> _Pair:
-    """The pair (a, b) of g, vertices checked. On a graph of at least
-    QUOTIENT_MIN_N vertices whose coarsest equitable refinement of {a}, {b}
-    and the rest has at most QUOTIENT_MAX_CELLS cells, on that quotient B:
-    {a} and {b} are cells, so <b| exp(-itA) |a> is B's amplitude between
-    them. B's checked eigendecomposition gives the vectors, and the graph's
-    own eigenvalues (_eigenvalues) the clusters, so support, theta and
-    group_tol are the graph's; entry tolerances apply to graph entries,
-    |x_j| / sqrt(|C_j|). Otherwise on the graph's checked decomposition."""
+    """The pair (a, b) of g, vertices checked, on the eigenpairs of
+    _walk(g, a, b). Where those are Ritz pairs, the graph's own eigenvalues
+    (_eigenvalues) give the clusters: each Ritz value must lie within the
+    grouping tolerance of a graph eigenvalue and joins the cluster of the
+    nearest one, so support, theta and group_tol are the graph's. The Ritz
+    vectors have graph rows, so entry tolerances apply as on the dense
+    route."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-    quot = None
-    if g.n >= QUOTIENT_MIN_N:
-        from .partitions import _pair_quotient  # partitions imports this module
-
-        quot = _pair_quotient(g, a, b, QUOTIENT_MAX_CELLS)
-    if quot is None:
-        dec = _decomposition(g)
+    dec = _walk(g, a, b)
+    if dec is g._spectrum:  # the dense route
         return _Pair(pair_spectrum(dec, a, b, tol), dec, a, b, default_group_tol(dec))
     values = _eigenvalues(g)
     groups, reps, group_tol = _clusters(values, None)
-    dec = eigendecompose(quot.graph)
-    # the nearest graph eigenvalue of each eigenvalue of B; both descend, so
-    # the clusters found run in order and each is one run of B's columns
+    # the nearest graph eigenvalue of each Ritz value; both descend, so the
+    # clusters found run in order and each is one run of Ritz columns
     asc = values[::-1]
     i = np.clip(np.searchsorted(asc, dec.values), 1, g.n - 1)
     i -= dec.values - asc[i - 1] < asc[i] - dec.values
     nearest = g.n - 1 - i
     if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
-        raise NumericFailureError("quotient eigenvalue is not an eigenvalue of the graph")
+        raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
     cluster = np.repeat(np.arange(len(groups)), [len(idx) for idx in groups])[nearest]
     starts = np.flatnonzero(np.diff(cluster, prepend=-1))
-    ca, cb = quot.cell_map[a], quot.cell_map[b]
-    row_scale = 1.0 / np.sqrt(np.bincount(quot.cell_map))
-    ps = _pair_support(dec.vectors, ca, cb, starts, cluster[starts], reps, tol, row_scale)
-    return _Pair(ps, dec, ca, cb, group_tol)
+    ps = _pair_support(dec.vectors, a, b, starts, cluster[starts], reps, tol)
+    return _Pair(ps, dec, a, b, group_tol)
 
 
-def _walk_from(g: Graph, a: int) -> EigenDecomposition:
-    """Eigenpairs that carry the walk from a: fidelity(dec, a, b, t) is
-    <b| exp(-itA) |a> for every vertex b. On a graph of at least
-    QUOTIENT_MIN_N vertices, the Ritz pairs of a Lanczos reduction from e_a
-    where its Krylov space has at most QUOTIENT_MAX_CELLS dimensions;
-    otherwise the graph's checked decomposition."""
-    walk = _lanczos(g, a, QUOTIENT_MAX_CELLS) if g.n >= QUOTIENT_MIN_N else None
+def _walk(g: Graph, a: int, b: int) -> EigenDecomposition:
+    """Eigenpairs that carry the walk from a and from b: fidelity(dec, a, c, t)
+    is <c| exp(-itA) |a> for every vertex c, and likewise from b. On a graph
+    of at least KRYLOV_MIN_N vertices and at most KRYLOV_MAX_DIM distinct
+    degrees, the Ritz pairs of A on the Krylov space K(e_a, e_b) where it
+    closes within KRYLOV_MAX_DIM dimensions; otherwise the graph's checked
+    decomposition."""
+    walk = None
+    if g.n >= KRYLOV_MIN_N:
+        # more distinct degrees than the cut-off (a random graph has about n)
+        # leave the pair to the dense solve without a Lanczos step
+        deg = np.sort(np.round(g.degrees(), 9))
+        if np.count_nonzero(deg[1:] != deg[:-1]) < KRYLOV_MAX_DIM:
+            walk = _lanczos(g, (a, b), KRYLOV_MAX_DIM)
     return _decomposition(g) if walk is None else walk
 
 
-def _lanczos(g: Graph, a: int, max_dim: int) -> Optional[EigenDecomposition]:
-    """Ritz pairs of A on the Krylov space of e_a (vectors n x k, values
-    descending), by Lanczos with full reorthogonalisation; None where no
-    invariant space of at most max_dim dimensions is reached. The Ritz
-    residual A Q S - Q S Theta and Q^T Q - I are checked, each in O(n k^2)."""
+def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:
+    """Ritz pairs of A on the Krylov space of the unit vectors e_s, s in
+    starts (one vertex or several; vectors n x k, values descending), by
+    Lanczos with full reorthogonalisation. Where the space of one start
+    closes, the next start vector, orthogonalised against the basis, carries
+    on; one already in the span adds nothing. None where no invariant space
+    of at most max_dim dimensions is reached. The Ritz residual
+    A Q S - Q S Theta and Q^T Q - I are checked, each in O(n k^2)."""
     n = g.n
     amax = max(1.0, float(g.adj.max()), float(-g.adj.min()))
     q = np.zeros((n, max_dim))
     aq = np.zeros((n, max_dim))  # A q_j, kept for the residual check
-    q[a, 0] = 1.0
-    for k in range(1, max_dim + 1):
-        aq[:, k - 1] = g.adj @ q[:, k - 1]
-        r = aq[:, k - 1].copy()
-        for _ in range(2):  # Gram-Schmidt twice keeps q orthonormal to rounding
-            r -= q[:, :k] @ (q[:, :k].T @ r)
-        beta = float(np.linalg.norm(r))
-        if beta <= RECON_TOL * amax:
-            break
-        if k == max_dim:
-            return None
-        q[:, k] = r / beta
+    k = 0
+    for v in np.atleast_1d(starts):
+        r, scale = np.zeros(n), 1.0  # a start vector has norm 1, A q_j up to amax
+        r[v] = 1.0
+        while True:
+            for _ in range(2):  # Gram-Schmidt twice keeps q orthonormal to rounding
+                r -= q[:, :k] @ (q[:, :k].T @ r)
+            beta = float(np.linalg.norm(r))
+            if beta <= RECON_TOL * scale:
+                break
+            if k == max_dim:
+                return None
+            q[:, k] = r / beta
+            aq[:, k] = g.adj @ q[:, k]
+            r, scale, k = aq[:, k].copy(), amax, k + 1
     q, aq = q[:, :k], aq[:, :k]
     t = q.T @ aq
     theta, s = np.linalg.eigh(0.5 * (t + t.T))

@@ -96,6 +96,8 @@ def _window(
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
+    if not np.isfinite(t_max):
+        raise InvalidArgumentError("t_max must be finite")
     return _pair(g, a, b), np.linspace(0.0, t_max, steps)
 
 
@@ -131,10 +133,13 @@ def max_fidelity_scan(
     The grid runs over the distinct eigenvalues that support the pair (see
     pair_spectrum), so its cost follows their number, not n. Grid points
     within the clustering error of its top, and the refinement, are then
-    evaluated over every eigenvalue of the pair's reduced problem: the
-    equitable quotient where one answers it (see spectral._pair), else the
-    whole graph. Raises AmbiguousDegeneracyError where the eigenvalues
-    cannot be clustered."""
+    evaluated over every eigenpair of the pair's reduced problem: the Ritz
+    pairs of its Krylov space where that is small (see spectral._walk),
+    else the whole graph's. Raises AmbiguousDegeneracyError where the
+    eigenvalues cannot be clustered, and InvalidArgumentError on a negative
+    refine_iters."""
+    if refine_iters < 0:
+        raise InvalidArgumentError("refine_iters must be non-negative")
     pair, times = _window(g, a, b, t_max, steps)
     ps = pair.spectrum
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)

@@ -295,6 +295,23 @@ def test_cli_non_finite_weights_exit_1_without_warnings(capsys, recwarn):
     assert not recwarn.list
 
 
+def test_cli_bad_time_windows_exit_1_without_warnings(capsys, recwarn):
+    pair = ["--expr", "Q:3", "--from", "0", "--to", "7"]
+    grid = "t_grid must hold at least one time, all finite"
+    for argv, message in (
+        (["fidelity", *pair, "--tmax", "inf", "--steps", "3"], "t_max must be finite"),
+        (["scan", *pair, "--tmax", "inf"], "t_max must be finite"),
+        (["scan", *pair, "--tmax", "3", "--refine", "-1"], "refine_iters must be non-negative"),
+        (["collapse", *pair, "--tmax", "nan", "--steps", "3"], grid),
+        (["collapse", *pair, "--tmax", "inf", "--steps", "3"], grid),
+        (["collapse", *pair, "--steps", "0"], grid),
+        (["collapse", *pair, "--steps", "-1"], grid),
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not recwarn.list
+
+
 def test_path_atom_needs_a_vertex(capsys):
     with pytest.raises(InvalidSizeError):
         eval_expr(parse_expr("P:0"))

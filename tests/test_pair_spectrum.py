@@ -1,7 +1,7 @@
 """The pair spectrum and the single-source BFS against the per-eigenvalue,
 per-projector and all-pairs computations they replace, memory bounds on
-the certificate and scan paths, and the equitable-quotient route of pair
-questions against the dense route."""
+the certificate and scan paths, and the Krylov route of pair questions
+against the dense route."""
 
 import math
 import tracemalloc
@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import NumericFailureError, partitions, spectral
-from pstwalk.partitions import QuotientGraph
-from pstwalk.spectral import QUOTIENT_MAX_CELLS, QUOTIENT_MIN_N, _lanczos, _pair
+from pstwalk import NumericFailureError, spectral
+from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair
 
 TOL = 1e-8
 
@@ -173,11 +172,11 @@ def test_certificate_and_scan_memory_is_quadratic(name):
 
 
 # ---------------------------------------------------------------------------
-# pair questions on the equitable quotient
+# pair questions on the Krylov space of the pair
 # ---------------------------------------------------------------------------
 
 def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
-    monkeypatch.setattr(spectral, "QUOTIENT_MIN_N", 1)
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 1)
     times = np.linspace(0.0, 7.0, 9)
     reduced = 0
     for g in corpus:
@@ -192,14 +191,14 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
             assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
             assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-9)
-    assert reduced > 100  # most corpus pairs have a quotient of fewer cells
+    assert reduced > 100  # most corpus pairs have a Krylov space of fewer dimensions
 
 
 def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
-    # Q8 is above the floor and its pair quotient has 9 cells: no question
+    # Q8 is above the floor and its pair's Krylov space has 9 dimensions: no question
     # solves or keeps the 256 x 256 eigendecomposition, and each answer is
     # the one given on a graph whose decomposition was solved first
-    assert pw.hypercube(8).n >= QUOTIENT_MIN_N
+    assert pw.hypercube(8).n >= KRYLOV_MIN_N
     grid = np.linspace(0.0, 2.0 * math.pi, 300)
     questions = (
         lambda g: pw.pst_certificate(g, 0, 255),
@@ -218,31 +217,92 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
     assert cert.support == tuple(range(9)) and cert.signs == (0, 1) * 4 + (0,)
 
 
-def test_quotient_support_holds_cluster_indices_of_the_graph():
+def _matches_dense_route(g, a, b):
+    dec = pw.eigendecompose(g)
+    pair, dense = _pair(g, a, b), pw.pair_spectrum(dec, a, b)
+    ps = pair.spectrum
+    assert ps.support == dense.support and ps.signs == dense.signs
+    assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
+    assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
+    times = np.linspace(0.0, 7.0, 29)
+    assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times), rtol=0.0, atol=1e-9)
+    return pair
+
+
+def test_krylov_route_extends_past_the_first_start():
+    # e_1 is not in K(e_0) on Q7 (8 dimensions, one per distance from 0):
+    # the second start vector extends the space, which stays below n
+    g = pw.hypercube(7)
+    from_0 = _lanczos(g, 0, KRYLOV_MAX_DIM)
+    assert np.linalg.norm(from_0.vectors[1]) < 0.5
+    pair = _matches_dense_route(g, 0, 1)
+    assert from_0.n < pair.dec.n < g.n
+    assert pair.spectrum.signs is None and g._spectrum is None
+
+
+def test_krylov_route_of_a_vertex_with_itself():
+    g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
+    pair = _matches_dense_route(g, 5, 5)
+    assert pair.dec.n == _lanczos(g, 5, KRYLOV_MAX_DIM).n < g.n
+
+
+def test_krylov_support_holds_cluster_indices_of_the_graph():
     # two disjoint copies of the glued cones of family member 3 (n = 244):
-    # 6 quotient cells and 46 distinct eigenvalues of the graph; support
-    # indexes the graph's clusters, not the quotient's
+    # 4 Ritz pairs, fewer than the 6 cells of the coarsest equitable
+    # refinement of {a}, {b}, rest, and 46 distinct eigenvalues of the
+    # graph; support indexes the graph's clusters, not the Ritz values
     n, k, gamma = pw.glued_cone_family(3)
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
     pair = _pair(g, 0, 2 * n + 1)
-    assert pair.dec.n == 6
+    assert pair.dec.n == 4
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
     assert pair.spectrum.support == dense.support
     assert max(pair.spectrum.support) > 3
 
 
-def test_quotient_eigenvalues_must_be_eigenvalues_of_the_graph(monkeypatch):
-    real = partitions._pair_quotient
+def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
+    real = spectral._lanczos
 
-    def detuned(g, a, b, max_cells):
-        quot = real(g, a, b, max_cells)
-        return QuotientGraph(pw.scale(quot.graph, 1.001), quot.cell_map)
+    def detuned(g, starts, max_dim):
+        walk = real(g, starts, max_dim)
+        return pw.EigenDecomposition(walk.values * 1.001, walk.vectors)
 
-    monkeypatch.setattr(partitions, "_pair_quotient", detuned)
+    monkeypatch.setattr(spectral, "_lanczos", detuned)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(pw.hypercube(7), 0, 127)
+
+
+def _recording_lanczos(monkeypatch):
+    calls, real = [], spectral._lanczos
+
+    def recording(g, starts, max_dim):
+        walk = real(g, starts, max_dim)
+        calls.append((tuple(starts), max_dim, walk is None))
+        return walk
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    return calls
+
+
+def test_random_graph_takes_no_lanczos_step(monkeypatch):
+    # a random weighted graph has about n distinct degrees: the dense route
+    # answers without a single Lanczos step
+    calls = _recording_lanczos(monkeypatch)
+    g = _random_weighted(KRYLOV_MIN_N, 2)
+    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert calls == []
+
+
+def test_krylov_route_gives_up_past_the_cut_off(monkeypatch):
+    # a path has 2 distinct degrees, but K(e_0) already spans all n
+    # dimensions: the reduction stops at the cut-off and the dense route
+    # answers
+    calls = _recording_lanczos(monkeypatch)
+    g = pw.path_graph([1.0] * (2 * KRYLOV_MIN_N))
+    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert calls == [((0, g.n - 1), KRYLOV_MAX_DIM, True)]
 
 
 def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
@@ -261,14 +321,14 @@ def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
 def test_lanczos_reduction_matches_dense_amplitudes():
     times = np.linspace(0.0, 10.0, 41)
     for g, a in ((pw.hypercube(7), 0), (pw.cartesian_product(pw.cycle(16), pw.complete(8)), 5)):
-        walk = _lanczos(g, a, QUOTIENT_MAX_CELLS)
+        walk = _lanczos(g, a, KRYLOV_MAX_DIM)
         assert walk is not None and walk.n < g.n
         dec = pw.eigendecompose(g)
         for b in (0, g.n // 3, g.n - 1):
             assert np.allclose(pw.fidelity(walk, a, b, times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-12)
     # a random graph's Krylov space reaches past the cut-off: no reduction
-    assert _lanczos(_random_weighted(QUOTIENT_MIN_N, 1), 0, QUOTIENT_MAX_CELLS) is None
+    assert _lanczos(_random_weighted(KRYLOV_MIN_N, 1), 0, KRYLOV_MAX_DIM) is None
 
 
 def test_lanczos_checks_its_ritz_pairs(monkeypatch):
@@ -284,23 +344,3 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
     assert g._spectrum is None
-
-
-def test_refinement_stops_once_past_the_cut_off(monkeypatch):
-    rounds = []
-    cell_sums = partitions._cell_sums
-
-    def counting(edges, label):
-        rounds.append(int(label.max()) + 1)
-        return cell_sums(edges, label)
-
-    monkeypatch.setattr(partitions, "_cell_sums", counting)
-    # a random weighted graph has about n distinct degrees: no round at all
-    g = _random_weighted(QUOTIENT_MIN_N, 2)
-    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
-    assert rounds == []
-    # a path between its ends gains a cell at each end a round: the rounds
-    # stop once past the cut-off
-    g = pw.path_graph([1.0] * (2 * QUOTIENT_MIN_N))
-    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
-    assert rounds == list(range(3, QUOTIENT_MAX_CELLS + 1, 2))

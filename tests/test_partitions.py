@@ -387,6 +387,13 @@ def test_collapse_fidelity_check_cube():
     assert pw.collapse_fidelity_check(g, 0, 7, grid) < 1e-12
 
 
+def test_collapse_fidelity_check_needs_a_grid_of_finite_times():
+    g = pw.hypercube(3)
+    for grid in ([], [0.0, math.nan], np.array([1.0, math.inf])):
+        with pytest.raises(InvalidArgumentError, match="t_grid must hold at least one time, all finite"):
+            pw.collapse_fidelity_check(g, 0, 7, grid)
+
+
 def test_collapse_fidelity_check_requires_antipodal_target():
     g = pw.hypercube(3)
     with pytest.raises(NotEquitableError):

@@ -137,6 +137,15 @@ def test_scan_validates_arguments():
         pw.max_fidelity_scan(pw.cycle(4), 0, 2, -1.0, 100)
 
 
+def test_time_windows_must_be_finite_and_refinement_non_negative():
+    g = pw.hypercube(3)
+    for call in (pw.fidelity_series, pw.max_fidelity_scan):
+        with pytest.raises(InvalidArgumentError, match="t_max must be finite"):
+            call(g, 0, 7, math.inf, 3)
+    with pytest.raises(InvalidArgumentError, match="refine_iters must be non-negative"):
+        pw.max_fidelity_scan(g, 0, 7, 3.0, 30, refine_iters=-1)
+
+
 def test_fidelity_band_thresholds():
     assert pw.fidelity_band(1.0) == "numeric PST"
     assert pw.fidelity_band(1.0 - 1e-8) == "numeric PST"
