@@ -256,10 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default=None):
+    def common(sp, *formats, default=None):
         sp.add_argument("--out", help="write output atomically to this path")
-        if fmt_default is not None:
-            sp.add_argument("--format", choices=["csv", "json"], default=fmt_default)
+        if formats:
+            sp.add_argument("--format", choices=formats, default=default)
 
     def pair_command(name, help):
         sp = sub.add_parser(name, help=help)
@@ -275,14 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="adjacency eigenvalues, descending")
     sp.add_argument("--expr", required=True)
-    common(sp, fmt_default="json")
+    common(sp, "csv", "json", default="json")
     sp.set_defaults(handler=_cmd_spectrum)
 
     sp = pair_command("fidelity", "sampled transfer amplitudes")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--pi-units", action="store_true")
-    common(sp, fmt_default="csv")
+    common(sp, "csv", "json", default="csv")
     sp.set_defaults(handler=_cmd_fidelity)
 
     sp = pair_command("scan", "maximum |F| over [0, tmax]")
@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=float, default=2.0 * math.pi)
     sp.add_argument("--steps", type=int, default=1000)
     sp.add_argument("--pi-units", action="store_true")
-    common(sp, fmt_default="text")
+    common(sp, "text", "json", default="text")
     sp.set_defaults(handler=_cmd_collapse)
 
     sp = sub.add_parser("condition", help="named transfer sufficiency checks")
@@ -323,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_condition)
 
     sp = sub.add_parser("table", help="bundled transfer-instances table")
-    common(sp, fmt_default="text")
+    common(sp, "text", "json", default="text")
     sp.set_defaults(handler=_cmd_table)
 
     return parser

@@ -176,15 +176,15 @@ def circulant(n: int, jumps: Iterable[int]) -> Graph:
     if n < 1:
         raise InvalidSizeError("circulant(n, S) needs n >= 1")
     a = np.zeros((n, n))
+    j = np.arange(n)
     for s in jumps:
         s = int(s)
         if s == 0:
             raise SelfLoopError("connection set must not contain 0 (self-loop)")
         if s < 0 or s >= n:
             raise InvalidArgumentError(f"connection {s} outside 1..{n - 1}")
-        for j in range(n):
-            k = (j + s) % n
-            a[j, k] = a[k, j] = 1.0
+        k = (j + s) % n
+        a[j, k] = a[k, j] = 1.0
     return Graph(a)
 
 
@@ -194,9 +194,8 @@ def hypercube(d: int) -> Graph:
         raise InvalidSizeError("hypercube(d) needs d >= 1")
     m = 1 << d
     a = np.zeros((m, m))
-    for i in range(m):
-        for bit in range(d):
-            a[i, i ^ (1 << bit)] = 1.0
+    rows = np.arange(m)[:, None]
+    a[rows, rows ^ (1 << np.arange(d))] = 1.0
     labels = [format(i, f"0{d}b") for i in range(m)]
     return Graph(a, labels)
 

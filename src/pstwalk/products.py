@@ -93,10 +93,10 @@ def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:
     if np.max(np.abs(comm)) > 1e-10 * h.n * scale:
         raise NonCommutingError("inner and connection adjacencies do not commute")
     dec = _decomposition(h)
-    groups, reps, _ = _clusters(dec.values, None)
+    bounds, means, _ = _clusters(dec.values, None)
     pairs: List[Tuple[float, float]] = []
-    for idx, mu in zip(groups, reps):
-        block = dec.vectors[:, idx]
+    for lo, hi, mu in zip(bounds[:-1], bounds[1:], means.tolist()):
+        block = dec.vectors[:, lo:hi].copy()  # contiguous: BLAS rounds a strided view differently
         gam = np.linalg.eigvalsh(block.T @ c.adj @ block)
         pairs.extend((mu, float(x)) for x in gam)
     return pairs

@@ -138,14 +138,9 @@ def propagator(decomp: EigenDecomposition, t: float) -> np.ndarray:
 
 
 def fidelity(decomp: EigenDecomposition, a: int, b: int, t) -> complex:
-    """Transfer amplitude <b| exp(-itA) |a>.
-
-    `t` may be a scalar (returns complex) or an array (returns a complex array).
-    """
-    w_ab = decomp.vectors[b, :] * decomp.vectors[a, :]
-    if np.ndim(t) == 0:
-        return complex(np.dot(w_ab, np.exp(-1j * float(t) * decomp.values)))
-    return _amplitudes(w_ab, decomp.values, t)
+    """Transfer amplitude <b| exp(-itA) |a> by _amplitudes: a numpy complex
+    (a subclass of complex) for a scalar t, a complex array for an array t."""
+    return _amplitudes(decomp.vectors[b, :] * decomp.vectors[a, :], decomp.values, t)
 
 
 def _amplitudes(weight, theta, times, absolute: bool = False):
@@ -159,7 +154,8 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     unit roundoff. Other grids take one exponential per term and time.
     Temporaries hold about max(SCAN_TERMS, B k) terms."""
     theta = np.asarray(theta, dtype=float)
-    t = np.asarray(times, dtype=float).ravel()
+    times = np.asarray(times, dtype=float)
+    t = times.ravel()
     m, nb, even = t.size, _STEP_BLOCK, False
     out, emit = (np.empty(m), np.abs) if absolute else (np.empty(m, complex), np.positive)
     if m >= 2 * nb:
@@ -170,8 +166,8 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     if not even:
         span = max(1, SCAN_TERMS // max(theta.size, 1))
         for s in range(0, m, span):
-            emit(weight @ np.exp(-1j * np.outer(theta, t[s : s + span])), out=out[s : s + span])
-        return out.reshape(np.shape(times))[()]
+            emit(weight @ np.exp(-1j * (theta[:, None] * t[s : s + span])), out=out[s : s + span])
+        return out.reshape(times.shape)[()]
     inner = np.exp(-1j * np.outer(theta, h * np.arange(nb))) * np.reshape(weight, (-1, 1))
     span = nb * max(1, SCAN_TERMS // (theta.size + nb))  # time points per chunk
     for s in range(0, m, span):
@@ -179,7 +175,7 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
         np.exp(phase, out=phase)
         emit((phase @ inner).ravel()[: m - s], out=out[s : s + span])
         del phase  # before the next block's phases are allocated
-    return out.reshape(np.shape(times))[()]
+    return out.reshape(times.shape)[()]
 
 
 def default_group_tol(decomp: EigenDecomposition) -> float:
@@ -191,9 +187,10 @@ def _group_tol(values: np.ndarray) -> float:
 
 
 def _clusters(w: np.ndarray, group_tol: Optional[float]):
-    """Single-linkage clusters of the indices of the eigenvalues w (sorted
-    descending), each cluster's mean eigenvalue, and the grouping tolerance
-    used.
+    """Single-linkage clusters of the eigenvalues w (sorted descending) as
+    bounds, an index array whose entries j and j + 1 delimit cluster j (so
+    bounds[0] = 0 and bounds[-1] = len(w)); each cluster's mean eigenvalue;
+    and the grouping tolerance used.
 
     A cluster whose diameter exceeds 10x the grouping tolerance is rejected:
     that means the tolerance sits inside a continuum of eigenvalues and any
@@ -203,28 +200,31 @@ def _clusters(w: np.ndarray, group_tol: Optional[float]):
         group_tol = _group_tol(w)
     if group_tol <= 0:
         raise InvalidArgumentError("group_tol must be positive")
-    breaks = np.nonzero(w[:-1] - w[1:] > group_tol)[0] + 1
-    groups = np.split(np.arange(len(w)), breaks)
-    for idx in groups:
-        diam = float(w[idx[0]] - w[idx[-1]])
-        if diam > 10.0 * group_tol:
-            raise AmbiguousDegeneracyError(
-                f"eigenvalue cluster around {w[idx[0]]:.6g} has diameter {diam:.3g} "
-                f"> 10*group_tol ({10 * group_tol:.3g})"
-            )
-    return groups, [float(np.mean(w[idx])) for idx in groups], group_tol
+    bounds = np.flatnonzero(np.concatenate(([True], w[:-1] - w[1:] > group_tol, [True])))
+    diam = w[bounds[:-1]] - w[bounds[1:] - 1]
+    wide = np.flatnonzero(diam > 10.0 * group_tol)
+    if wide.size:
+        j = wide[0]
+        raise AmbiguousDegeneracyError(
+            f"eigenvalue cluster around {w[bounds[j]]:.6g} has diameter {diam[j]:.3g} "
+            f"> 10*group_tol ({10 * group_tol:.3g})"
+        )
+    means = w[bounds[:-1]]  # a singleton's mean is its eigenvalue
+    for j in np.flatnonzero(np.diff(bounds) > 1):
+        means[j] = np.mean(w[bounds[j] : bounds[j + 1]])
+    return bounds, means, group_tol
 
 
 def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] = None) -> SpectralProjectors:
     """Cluster eigenvalues by single linkage and form one projector per cluster."""
-    groups, reps, group_tol = _clusters(decomp.values, group_tol)
+    bounds, means, group_tol = _clusters(decomp.values, group_tol)
     projs = []
-    for idx in groups:
-        block = decomp.vectors[:, idx]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = decomp.vectors[:, lo:hi]
         p = block @ block.T
         p.setflags(write=False)
         projs.append(p)
-    return SpectralProjectors(tuple(reps), tuple(projs), group_tol)
+    return SpectralProjectors(tuple(means.tolist()), tuple(projs), group_tol)
 
 
 @dataclass(frozen=True)
@@ -247,31 +247,44 @@ class PairSpectrum:
 
 
 def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8) -> PairSpectrum:
-    """The PairSpectrum of (a, b) in O(n^2) time and memory: each E_r e_a is
-    a sum of scaled eigenvector columns, never a dense projector. A vector
-    with all entries within tol of zero counts as zero."""
-    groups, reps, _ = _clusters(decomp.values, None)
-    starts = [int(idx[0]) for idx in groups]
-    return _pair_support(decomp.vectors, a, b, starts, range(len(groups)), reps, tol)
+    """The PairSpectrum of (a, b) in O(n^2) time and memory, built by
+    _support like every pair's: each E_r e_a is a sum of scaled eigenvector
+    columns, never a dense projector. A vector with all entries within tol
+    of zero counts as zero."""
+    return _support(decomp, decomp.values, a, b, tol)[0]
 
 
-def _pair_support(v, a, b, starts, clusters, reps, tol) -> PairSpectrum:
-    """The PairSpectrum of rows a, b of eigenvector columns v. The columns
-    from starts[j] to starts[j + 1] belong to eigenvalue cluster clusters[j],
-    of mean reps[clusters[j]]."""
-    ea = np.add.reduceat(v * v[a, :], starts, axis=1)
-    eb = np.add.reduceat(v * v[b, :], starts, axis=1)
+def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tuple[PairSpectrum, float]:
+    """The PairSpectrum of rows a, b of the checked eigenpairs dec of a graph
+    with eigenvalues values (descending), and the graph's grouping tolerance.
+    Each eigenvalue of dec must lie within that tolerance of a graph
+    eigenvalue, and its column joins the cluster of the nearest one; where
+    values is dec.values, each column joins its own eigenvalue's cluster."""
+    bounds, means, group_tol = _clusters(values, None)
+    # both descend, so the nearest eigenvalues run in order and each cluster
+    # found is one run of columns
+    asc = values[::-1]
+    hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
+    lo = np.maximum(hi - 1, 0)
+    nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
+    if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
+        raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
+    cluster = np.searchsorted(bounds, nearest, side="right") - 1
+    runs = np.flatnonzero(np.diff(cluster, prepend=-1))
+    v = dec.vectors
+    ea = np.add.reduceat(v * v[a, :], runs, axis=1)
+    eb = np.add.reduceat(v * v[b, :], runs, axis=1)
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
     ea, eb = ea[:, sup], eb[:, sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    support = tuple(int(clusters[j]) for j in sup)
-    theta = tuple(reps[r] for r in support)
+    support = cluster[runs][sup]
+    theta = tuple(means[support].tolist())
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
-    weight = np.add.reduceat(v[a, :] * v[b, :], starts)[sup]
+    weight = np.add.reduceat(v[a, :] * v[b, :], runs)[sup]
     broken_at = theta[broken[0]] if broken.size else None
-    return PairSpectrum(support, theta, weight, signs, broken_at)
+    return PairSpectrum(tuple(support.tolist()), theta, weight, signs, broken_at), group_tol
 
 
 class _Pair(NamedTuple):
@@ -292,30 +305,16 @@ class _Pair(NamedTuple):
 
 def _pair(g: Graph, a: int, b: int, tol: float = 1e-8) -> _Pair:
     """The pair (a, b) of g, vertices checked, on the eigenpairs of
-    _walk(g, a, b). Where those are Ritz pairs, the graph's own eigenvalues
-    (_eigenvalues) give the clusters: each Ritz value must lie within the
-    grouping tolerance of a graph eigenvalue and joins the cluster of the
-    nearest one, so support, theta and group_tol are the graph's. The Ritz
-    vectors have graph rows, so entry tolerances apply as on the dense
-    route."""
+    _walk(g, a, b), clustered by _support against the graph's eigenvalues:
+    the dense decomposition's own, or for Ritz pairs a values-only solve
+    (_eigenvalues). So support, theta and group_tol are the graph's on
+    either route, and as the Ritz vectors have graph rows, entry tolerances
+    apply as on the dense route."""
     a, b = g.check_vertex(a), g.check_vertex(b)
     dec = _walk(g, a, b)
-    if dec is g._spectrum:  # the dense route
-        return _Pair(pair_spectrum(dec, a, b, tol), dec, a, b, default_group_tol(dec))
-    values = _eigenvalues(g)
-    groups, reps, group_tol = _clusters(values, None)
-    # the nearest graph eigenvalue of each Ritz value; both descend, so the
-    # clusters found run in order and each is one run of Ritz columns
-    asc = values[::-1]
-    i = np.clip(np.searchsorted(asc, dec.values), 1, g.n - 1)
-    i -= dec.values - asc[i - 1] < asc[i] - dec.values
-    nearest = g.n - 1 - i
-    if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
-        raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
-    cluster = np.repeat(np.arange(len(groups)), [len(idx) for idx in groups])[nearest]
-    starts = np.flatnonzero(np.diff(cluster, prepend=-1))
-    ps = _pair_support(dec.vectors, a, b, starts, cluster[starts], reps, tol)
-    return _Pair(ps, dec, a, b, group_tol)
+    values = dec.values if dec is g._spectrum else _eigenvalues(g)
+    spectrum, group_tol = _support(dec, values, a, b, tol)
+    return _Pair(spectrum, dec, a, b, group_tol)
 
 
 def _walk(g: Graph, a: int, b: int) -> EigenDecomposition:

@@ -271,7 +271,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
         )
     t_star = float(tau) * pi / scale_r
     confirm = abs(pair.amplitude(t_star))
-    if confirm < 1.0 - 1e-8:
+    if confirm < NUMERIC_PST:
         return PstCertificate(
             "unknown",
             None,

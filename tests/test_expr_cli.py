@@ -530,6 +530,20 @@ def test_cli_collapse_text(capsys):
     assert "max_deviation" in out
 
 
+@pytest.mark.parametrize("argv", [["table"], ["collapse", "--expr", "Q:2", "--from", "0", "--to", "3"]])
+def test_cli_text_format_is_named_and_csv_refused(capsys, argv):
+    # text is the default of collapse and table: it is a format they accept,
+    # and csv, which they never print, is a usage error
+    rc = main(argv)
+    default = capsys.readouterr().out
+    assert main(argv + ["--format", "text"]) == rc == 0
+    assert capsys.readouterr().out == default
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_cli_condition_weak(capsys):
     rc, payload = _run_json(
         capsys,

@@ -78,6 +78,46 @@ def test_hypercube_labels_and_degree():
     assert g.adj[0, 7] == 0
 
 
+def _circulant_by_loop(n, jumps):
+    a = np.zeros((n, n))
+    for s in jumps:
+        s = int(s)
+        if s == 0:
+            raise SelfLoopError("connection set must not contain 0 (self-loop)")
+        if s < 0 or s >= n:
+            raise InvalidArgumentError(f"connection {s} outside 1..{n - 1}")
+        for j in range(n):
+            k = (j + s) % n
+            a[j, k] = a[k, j] = 1.0
+    return a
+
+
+def test_circulant_matches_the_entry_loop():
+    for n in range(1, 41):
+        for jumps in ([], [1], [1, 2], [2, n - 1], [1, 3, 7, 3], [n // 2], range(1, n),
+                      [1, 0, n], [1, n, 0], [-1], [2, n + 3]):
+            try:
+                want = _circulant_by_loop(n, jumps)
+            except (SelfLoopError, InvalidArgumentError) as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    pw.circulant(n, jumps)
+                continue
+            g = pw.circulant(n, jumps)
+            assert g.adj.tobytes() == want.tobytes() and g.labels is None
+
+
+def test_hypercube_matches_the_entry_loop():
+    for d in range(1, 11):
+        m = 1 << d
+        want = np.zeros((m, m))
+        for i in range(m):
+            for bit in range(d):
+                want[i, i ^ (1 << bit)] = 1.0
+        g = pw.hypercube(d)
+        assert g.adj.tobytes() == want.tobytes()
+        assert g.labels == tuple(format(i, f"0{d}b") for i in range(m))
+
+
 def test_join_puts_left_operand_first():
     g = pw.join(pw.empty_graph(2), pw.complete(3))
     assert g.n == 5

@@ -4,6 +4,7 @@ the certificate and scan paths, and the Krylov route of pair questions
 against the dense route."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -344,3 +345,54 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
     assert g._spectrum is None
+
+
+# ---------------------------------------------------------------------------
+# the cluster contract: boundaries and means as the list of index groups gave
+# ---------------------------------------------------------------------------
+
+def _grouped_clusters(w, group_tol=None):
+    """np.split groups of the indices of w, each group's mean and diameter."""
+    if group_tol is None:
+        group_tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+    groups = np.split(np.arange(len(w)), np.nonzero(w[:-1] - w[1:] > group_tol)[0] + 1)
+    for idx in groups:
+        diam = float(w[idx[0]] - w[idx[-1]])
+        if diam > 10.0 * group_tol:
+            raise pw.AmbiguousDegeneracyError(
+                f"eigenvalue cluster around {w[idx[0]]:.6g} has diameter {diam:.3g} "
+                f"> 10*group_tol ({10 * group_tol:.3g})"
+            )
+    return groups, [float(np.mean(w[idx])) for idx in groups], group_tol
+
+
+def test_cluster_bounds_and_means_match_the_index_groups(corpus):
+    extra = [pw.hypercube(9), _random_weighted(256, 3), pw.complete(1), pw.Graph([[2.0]])]
+    for g in list(corpus) + extra:
+        w = pw.spectrum(g)
+        groups, means, group_tol = _grouped_clusters(w)
+        bounds, got, got_tol = spectral._clusters(w, None)
+        assert bounds[0] == 0 and bounds[-1] == len(w)
+        assert [x.tolist() for x in np.split(np.arange(len(w)), bounds[1:-1])] == [x.tolist() for x in groups]
+        assert got.tolist() == means and got_tol == group_tol
+    assert max(np.diff(spectral._clusters(pw.spectrum(pw.hypercube(9)), None)[0])) == 126
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_too_wide_cluster_message_names_the_first(chains):
+    # chains of loop weights spaced just under the grouping tolerance: the
+    # message names the first (highest) cluster that is too wide
+    tol = 1e-6
+    chain = np.arange(30) * 0.9 * tol
+    dec = pw.eigendecompose(pw.Graph(np.diag(np.concatenate([chain + k for k in range(chains)]))))
+    with pytest.raises(pw.AmbiguousDegeneracyError) as want:
+        _grouped_clusters(dec.values, tol)
+    with pytest.raises(pw.AmbiguousDegeneracyError, match=f"^{re.escape(str(want.value))}$"):
+        pw.spectral_projectors(dec, group_tol=tol)
+
+
+@pytest.mark.parametrize("g", [pw.complete(1), pw.Graph([[2.0]])], ids=["K1", "loop"])
+def test_one_vertex_pair_spectrum(g):
+    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0).spectrum):
+        assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
+        assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None
