@@ -43,12 +43,12 @@ class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
     Equality compares adjacency matrices exactly (labels are cosmetic).
-    The eigendecomposition and the eigenvalues of a values-only solve, once
-    solved, are kept in private slots that take no part in equality,
-    hashing, repr or serialization.
+    The eigendecomposition, the eigenvalues of a values-only solve and the
+    last vertex pair's reduced walk, once built, are kept in private slots
+    that take no part in equality, hashing, repr or serialization.
     """
 
-    __slots__ = ("adj", "labels", "_spectrum", "_values")
+    __slots__ = ("adj", "labels", "_spectrum", "_values", "_last_pair")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
         a = np.array(adj, dtype=float)
@@ -69,6 +69,7 @@ class Graph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_spectrum", None)  # see spectral._decomposition
         object.__setattr__(self, "_values", None)  # see spectral._eigenvalues
+        object.__setattr__(self, "_last_pair", None)  # see spectral._pair
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")

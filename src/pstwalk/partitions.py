@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
 from .graphs import Graph, distances_from
-from .spectral import _decomposition, _walk, fidelity
+from .spectral import _decomposition, _pair, fidelity
 
 __all__ = [
     "EquitablePartition",
@@ -242,7 +242,7 @@ def _collapse(
     if ts.size == 0 or not np.all(np.isfinite(ts)):
         raise InvalidArgumentError("t_grid must hold at least one time, all finite")
     quot = _quotient(part)
-    f_full = np.abs(fidelity(_walk(g, a, b), a, b, ts))
+    f_full = np.abs(_pair(g, a, b).amplitude(ts))
     f_quot = np.abs(fidelity(_decomposition(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 

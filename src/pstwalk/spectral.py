@@ -288,33 +288,45 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
 
 
 class _Pair(NamedTuple):
-    """A vertex pair's question reduced: its PairSpectrum on the graph, and
-    the checked eigenpairs dec of _walk that carry the walk between the
-    pair; group_tol is the graph's clustering tolerance."""
+    """A vertex pair's question reduced, as _pair keeps it on the graph: the
+    checked eigenpairs dec of _walk(g, a, b) that carry the walk between
+    the pair, the weight row dec.vectors[b] * dec.vectors[a] over them, and
+    by tol each PairSpectrum built so far with the graph's grouping
+    tolerance."""
 
-    spectrum: PairSpectrum
-    dec: EigenDecomposition
     a: int
     b: int
-    group_tol: float
+    dec: EigenDecomposition
+    weight: np.ndarray
+    spectra: dict
 
     def amplitude(self, t):
-        """<b| exp(-itA) |a> of the graph; see fidelity."""
-        return fidelity(self.dec, self.a, self.b, t)
+        """<b| exp(-itA) |a> of the graph; see fidelity. A float t takes the
+        one dot product that _amplitudes forms for a one-element time."""
+        if isinstance(t, float):
+            return self.weight @ np.exp(-1j * (self.dec.values * t))
+        return _amplitudes(self.weight, self.dec.values, t)
 
 
-def _pair(g: Graph, a: int, b: int, tol: float = 1e-8) -> _Pair:
+def _pair(g: Graph, a: int, b: int, tol: Optional[float] = None) -> _Pair:
     """The pair (a, b) of g, vertices checked, on the eigenpairs of
-    _walk(g, a, b), clustered by _support against the graph's eigenvalues:
-    the dense decomposition's own, or for Ritz pairs a values-only solve
-    (_eigenvalues). So support, theta and group_tol are the graph's on
-    either route, and as the Ritz vectors have graph rows, entry tolerances
-    apply as on the dense route."""
+    _walk(g, a, b); with tol, its PairSpectrum and the graph's grouping
+    tolerance are in spectra[tol], clustered by _support against the
+    graph's eigenvalues: the dense decomposition's own, or for Ritz pairs a
+    values-only solve (_eigenvalues). So support, theta and group_tol are
+    the graph's on either route, and as the Ritz vectors have graph rows,
+    entry tolerances apply as on the dense route. g keeps the last pair
+    asked, and only once everything asked of it was built and checked."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-    dec = _walk(g, a, b)
-    values = dec.values if dec is g._spectrum else _eigenvalues(g)
-    spectrum, group_tol = _support(dec, values, a, b, tol)
-    return _Pair(spectrum, dec, a, b, group_tol)
+    pair = g._last_pair
+    if pair is None or (pair.a, pair.b) != (a, b):
+        dec = _walk(g, a, b)
+        pair = _Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :], {})
+    if tol is not None and tol not in pair.spectra:
+        values = pair.dec.values if pair.dec is g._spectrum else _eigenvalues(g)
+        pair.spectra[tol] = _support(pair.dec, values, a, b, tol)
+    object.__setattr__(g, "_last_pair", pair)
+    return pair
 
 
 def _walk(g: Graph, a: int, b: int) -> EigenDecomposition:

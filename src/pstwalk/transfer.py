@@ -86,19 +86,18 @@ class PstCertificate:
 
 
 def _window(
-    g: Graph, a: int, b: int, t_max: float, steps: int
+    g: Graph, a: int, b: int, t_max: float, steps: int, tol: Optional[float] = None
 ) -> Tuple[_Pair, np.ndarray]:
-    """Checked arguments of a sampled time window: the pair (a, b) of g and
-    the steps times spread over [0, t_max]."""
-    g.check_vertex(a)
-    g.check_vertex(b)
+    """Checked arguments of a sampled time window: the pair (a, b) of g, as
+    _pair(g, a, b, tol) gives it, and the steps times spread over
+    [0, t_max]."""
     if steps < 2:
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
         raise InvalidArgumentError("t_max must be positive")
     if not np.isfinite(t_max):
         raise InvalidArgumentError("t_max must be finite")
-    return _pair(g, a, b), np.linspace(0.0, t_max, steps)
+    return _pair(g, a, b, tol), np.linspace(0.0, t_max, steps)
 
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
@@ -135,17 +134,19 @@ def max_fidelity_scan(
     within the clustering error of its top, and the refinement, are then
     evaluated over every eigenpair of the pair's reduced problem: the Ritz
     pairs of its Krylov space where that is small (see spectral._walk),
-    else the whole graph's. Raises AmbiguousDegeneracyError where the
-    eigenvalues cannot be clustered, and InvalidArgumentError on a negative
-    refine_iters."""
+    else the whole graph's. The scan shares the pair that g keeps with the
+    certificate, the series and the collapse check of the same pair, so
+    one reduction serves them all. Raises AmbiguousDegeneracyError where
+    the eigenvalues cannot be clustered, and InvalidArgumentError on a
+    negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
-    pair, times = _window(g, a, b, t_max, steps)
-    ps = pair.spectrum
+    pair, times = _window(g, a, b, t_max, steps, 1e-8)
+    ps, group_tol = pair.spectra[1e-8]
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
-    slack = 10.0 * pair.group_tol * (t_max + 1.0)
+    slack = 10.0 * group_tol * (t_max + 1.0)
     near = times[coarse >= np.max(coarse) - slack]
     exact = np.abs(pair.amplitude(near))
     k = int(np.argmax(exact))
@@ -188,7 +189,7 @@ def strong_cospectrality(
     """Sign vector over supported eigenvalue clusters if every cluster
     projects |a> onto +-|b>'s projection; None otherwise. A necessary
     condition for perfect transfer between a and b."""
-    return _pair(g, a, b, tol).spectrum.signs
+    return _pair(g, a, b, tol).spectra[tol][0].signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -211,8 +212,8 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    pair = _pair(g, a, b)
-    ps = pair.spectrum
+    pair = _pair(g, a, b, 1e-8)
+    ps = pair.spectra[1e-8][0]
     if ps.signs is None:
         return PstCertificate(
             "no",

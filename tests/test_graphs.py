@@ -171,10 +171,14 @@ def test_scale_reports_overflow_once():
 def test_graph_pickles_and_copies(clone):
     g = pw.hypercube(3)
     pw.spectrum(g)
+    pw.strong_cospectrality(g, 0, 7)
+    assert g._last_pair is not None
     back = clone(g)
     assert back == g and back.labels == g.labels
+    assert hash(back) == hash(g) and repr(back) == repr(g)
     assert not back.adj.flags.writeable
-    assert back._spectrum is None  # the kept eigendecomposition is not carried
+    # neither the kept eigendecomposition nor the kept pair is carried
+    assert back._spectrum is None and back._last_pair is None
 
 
 def test_adjacency_symmetry_is_bitwise(corpus):

@@ -183,9 +183,9 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
     for g in corpus:
         dec = pw.eigendecompose(g)
         for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
-            dense, pair = pw.pair_spectrum(dec, a, b), _pair(g, a, b)
+            dense, pair = pw.pair_spectrum(dec, a, b), _pair(g, a, b, 1e-8)
             reduced += pair.dec.n < g.n
-            ps = pair.spectrum
+            ps = pair.spectra[1e-8][0]
             assert ps.support == dense.support and ps.signs == dense.signs
             assert (ps.broken_at is None) == (dense.broken_at is None)
             assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
@@ -220,8 +220,8 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
 
 def _matches_dense_route(g, a, b):
     dec = pw.eigendecompose(g)
-    pair, dense = _pair(g, a, b), pw.pair_spectrum(dec, a, b)
-    ps = pair.spectrum
+    pair, dense = _pair(g, a, b, 1e-8), pw.pair_spectrum(dec, a, b)
+    ps = pair.spectra[1e-8][0]
     assert ps.support == dense.support and ps.signs == dense.signs
     assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
     assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
@@ -238,7 +238,7 @@ def test_krylov_route_extends_past_the_first_start():
     assert np.linalg.norm(from_0.vectors[1]) < 0.5
     pair = _matches_dense_route(g, 0, 1)
     assert from_0.n < pair.dec.n < g.n
-    assert pair.spectrum.signs is None and g._spectrum is None
+    assert pair.spectra[1e-8][0].signs is None and g._spectrum is None
 
 
 def test_krylov_route_of_a_vertex_with_itself():
@@ -256,14 +256,14 @@ def test_krylov_support_holds_cluster_indices_of_the_graph():
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
-    pair = _pair(g, 0, 2 * n + 1)
+    pair = _pair(g, 0, 2 * n + 1, 1e-8)
     assert pair.dec.n == 4
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
-    assert pair.spectrum.support == dense.support
-    assert max(pair.spectrum.support) > 3
+    support = pair.spectra[1e-8][0].support
+    assert support == dense.support and max(support) > 3
 
 
-def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
+def _detune_lanczos(monkeypatch):
     real = spectral._lanczos
 
     def detuned(g, starts, max_dim):
@@ -271,6 +271,10 @@ def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
         return pw.EigenDecomposition(walk.values * 1.001, walk.vectors)
 
     monkeypatch.setattr(spectral, "_lanczos", detuned)
+
+
+def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
+    _detune_lanczos(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(pw.hypercube(7), 0, 127)
 
@@ -319,6 +323,67 @@ def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
     assert g._values is not None and g._spectrum is None
 
 
+# ---------------------------------------------------------------------------
+# the pair a graph keeps: one reduction serves every question on the pair
+# ---------------------------------------------------------------------------
+
+def test_one_reduction_per_pair(monkeypatch):
+    calls = _recording_lanczos(monkeypatch)
+    g = pw.hypercube(8)
+    pw.pst_certificate(g, 0, 255)
+    pw.max_fidelity_scan(g, 0, 255, 2.0 * math.pi, 2001)
+    pw.collapse_fidelity_check(g, 0, 255, np.linspace(0.0, 2.0 * math.pi, 300))
+    pw.strong_cospectrality(g, 0, 255)
+    pw.fidelity_series(g, 0, 255, 3.0, 31)
+    assert calls == [((0, 255), KRYLOV_MAX_DIM, False)]
+    # n = 128 and 3 distinct degrees, but K(e_2, e_65) does not close within
+    # the cut-off: the failed reduction runs once, and the dense route answers
+    calls.clear()
+    g = pw.double_cone(pw.circulant(126, [1, 2, 3]), 0, 1.0)
+    pw.pst_certificate(g, 2, 65)
+    pw.max_fidelity_scan(g, 2, 65, 2.0 * math.pi, 2001)
+    pw.strong_cospectrality(g, 2, 65)
+    pw.fidelity_series(g, 2, 65, 3.0, 31)
+    assert calls == [((2, 65), KRYLOV_MAX_DIM, True)]
+    assert g._last_pair.dec is spectral._decomposition(g)
+
+
+def _answers(g, a, b, tol):
+    cert = pw.pst_certificate(g, a, b)
+    return (pw.strong_cospectrality(g, a, b, tol), cert.verdict, cert.support, cert.signs,
+            cert.time_exact, cert.reason, pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 2001),
+            pw.fidelity_series(g, a, b, 3.0, 31).amplitudes.tobytes())
+
+
+@pytest.mark.parametrize("build, a, b, c", [
+    (lambda: pw.hypercube(7), 0, 127, 1),  # the Krylov route
+    (lambda: pw.path_graph([1.0, 2.0, 2.0, 1.0]), 0, 4, 3),  # the dense route
+], ids=["Q7", "P5"])
+def test_kept_pair_is_keyed_on_the_pair_and_tol(build, a, b, c):
+    g, seen = build(), set()
+    for a_, b_, tol in ((a, b, 1e-8), (b, a, 1e-8), (a, c, 1e-8), (a, c, 0.1), (a, b, 0.1),
+                        (a, b, 1e-8)):
+        want = _answers(build(), a_, b_, tol)
+        assert _answers(g, a_, b_, tol) == want
+        kept = g._last_pair
+        assert (kept.a, kept.b) == (a_, b_) and {1e-8, tol} <= set(kept.spectra)
+        seen.add(want[0])
+    assert len(seen) > 1  # the pairs and tolerances do give different answers
+
+
+def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
+    g = pw.hypercube(7)
+    pw.strong_cospectrality(g, 0, 1)
+    kept = g._last_pair
+    _detune_lanczos(monkeypatch)
+    with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
+        pw.pst_certificate(g, 0, 127)
+    assert g._last_pair is kept and list(kept.spectra) == [1e-8]
+    monkeypatch.undo()
+    assert pw.pst_certificate(g, 0, 127) == pw.pst_certificate(pw.hypercube(7), 0, 127)
+    assert (g._last_pair.a, g._last_pair.b) == (0, 127)
+
+
 def test_lanczos_reduction_matches_dense_amplitudes():
     times = np.linspace(0.0, 10.0, 41)
     for g, a in ((pw.hypercube(7), 0), (pw.cartesian_product(pw.cycle(16), pw.complete(8)), 5)):
@@ -333,9 +398,10 @@ def test_lanczos_reduction_matches_dense_amplitudes():
 
 
 def test_lanczos_checks_its_ritz_pairs(monkeypatch):
+    # on a graph that keeps no pair yet, so that each call runs a reduction
     grid = np.linspace(0.0, 3.0, 31)
+    assert pw.collapse_fidelity_check(pw.hypercube(7), 0, 127, grid) < 1e-12
     g = pw.hypercube(7)
-    assert pw.collapse_fidelity_check(g, 0, 127, grid) < 1e-12
     monkeypatch.setattr(spectral, "ORTHO_TOL", -1.0)
     with pytest.raises(NumericFailureError, match="Lanczos basis orthonormality"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
@@ -344,7 +410,7 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
     with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
-    assert g._spectrum is None
+    assert g._spectrum is None and g._last_pair is None
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +459,6 @@ def test_too_wide_cluster_message_names_the_first(chains):
 
 @pytest.mark.parametrize("g", [pw.complete(1), pw.Graph([[2.0]])], ids=["K1", "loop"])
 def test_one_vertex_pair_spectrum(g):
-    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0).spectrum):
+    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0, 1e-8).spectra[1e-8][0]):
         assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
         assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None

@@ -19,6 +19,23 @@ def test_series_fields_and_grid():
     assert np.all(np.diff(s.times) > 0)
 
 
+def test_series_reads_only_the_walk():
+    # loops 0.9 group_tol apart chain into one cluster too wide to group:
+    # the series needs no clusters and answers as fidelity does, while
+    # the scan and the certificate, which do, still raise
+    adj = np.diag(1.0 + 0.9e-8 * np.arange(16))
+    i = np.arange(15)
+    adj[i, i + 1] = adj[i + 1, i] = 1e-12
+    g = pw.Graph(adj)
+    times = np.linspace(0.0, 3.0, 31)
+    want = pw.fidelity(pw.eigendecompose(g), 0, 1, times)
+    assert pw.fidelity_series(g, 0, 1, 3.0, 31).amplitudes.tobytes() == want.tobytes()
+    with pytest.raises(pw.AmbiguousDegeneracyError):
+        pw.max_fidelity_scan(g, 0, 1, 3.0, 31)
+    with pytest.raises(pw.AmbiguousDegeneracyError):
+        pw.pst_certificate(g, 0, 1)
+
+
 def test_series_starts_at_identity():
     s = pw.fidelity_series(pw.complete(4), 2, 2, 1.0, 5)
     assert s.amplitudes[0] == pytest.approx(1.0)
