@@ -49,6 +49,9 @@ _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
 # solve is cheaper, and the cut-off bounds the Lanczos steps.
 KRYLOV_MIN_N = 128
 KRYLOV_MAX_DIM = 32
+# Entry tolerance of the pair spectrum that certificates and scans read; a
+# graph's kept pair always keeps this one beside at most one other (_pair).
+SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -288,44 +291,51 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
 
 
 class _Pair(NamedTuple):
-    """A vertex pair's question reduced, as _pair keeps it on the graph: the
-    checked eigenpairs dec of _walk(g, a, b) that carry the walk between
-    the pair, the weight row dec.vectors[b] * dec.vectors[a] over them, and
-    by tol each PairSpectrum built so far with the graph's grouping
-    tolerance."""
+    """A vertex pair's question reduced: the checked eigenpairs dec of
+    _walk(g, a, b) that carry the walk between the pair and the weight row
+    dec.vectors[b] * dec.vectors[a] over them; where _pair was given a tol,
+    also the pair's PairSpectrum on the graph and the graph's grouping
+    tolerance group_tol."""
 
     a: int
     b: int
     dec: EigenDecomposition
     weight: np.ndarray
-    spectra: dict
+    spectrum: Optional[PairSpectrum] = None
+    group_tol: Optional[float] = None
 
     def amplitude(self, t):
-        """<b| exp(-itA) |a> of the graph; see fidelity. A float t takes the
-        one dot product that _amplitudes forms for a one-element time."""
-        if isinstance(t, float):
-            return self.weight @ np.exp(-1j * (self.dec.values * t))
+        """<b| exp(-itA) |a> of the graph; see fidelity."""
         return _amplitudes(self.weight, self.dec.values, t)
 
 
 def _pair(g: Graph, a: int, b: int, tol: Optional[float] = None) -> _Pair:
     """The pair (a, b) of g, vertices checked, on the eigenpairs of
     _walk(g, a, b); with tol, its PairSpectrum and the graph's grouping
-    tolerance are in spectra[tol], clustered by _support against the
-    graph's eigenvalues: the dense decomposition's own, or for Ritz pairs a
-    values-only solve (_eigenvalues). So support, theta and group_tol are
-    the graph's on either route, and as the Ritz vectors have graph rows,
-    entry tolerances apply as on the dense route. g keeps the last pair
-    asked, and only once everything asked of it was built and checked."""
+    tolerance too, clustered by _support against the graph's eigenvalues:
+    the dense decomposition's own, or for Ritz pairs a values-only solve
+    (_eigenvalues). So support, theta and group_tol are the graph's on
+    either route, and as the Ritz vectors have graph rows, entry tolerances
+    apply as on the dense route. Once all the call built passed its checks,
+    g keeps the pair, with a dict from float(tol) to (PairSpectrum,
+    group_tol) that holds the SUPPORT_TOL entry and at most one other."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-    pair = g._last_pair
-    if pair is None or (pair.a, pair.b) != (a, b):
+    kept = g._last_pair
+    if kept is None or (kept[0].a, kept[0].b) != (a, b):
         dec = _walk(g, a, b)
-        pair = _Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :], {})
-    if tol is not None and tol not in pair.spectra:
-        values = pair.dec.values if pair.dec is g._spectrum else _eigenvalues(g)
-        pair.spectra[tol] = _support(pair.dec, values, a, b, tol)
-    object.__setattr__(g, "_last_pair", pair)
+        kept = (_Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :]), {})
+    pair, spectra = kept
+    if tol is not None:
+        key = float(tol)
+        found = spectra.get(key)
+        if found is None:
+            values = pair.dec.values if pair.dec is g._spectrum else _eigenvalues(g)
+            found = _support(pair.dec, values, a, b, tol)
+            spectra = {k: v for k, v in spectra.items() if k == SUPPORT_TOL}
+            spectra[key] = found
+            kept = (pair, spectra)
+        pair = pair._replace(spectrum=found[0], group_tol=found[1])
+    object.__setattr__(g, "_last_pair", kept)
     return pair
 
 

@@ -32,7 +32,7 @@ from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import _amplitudes, _Pair, _pair
+from .spectral import SUPPORT_TOL, _amplitudes, _Pair, _pair
 
 __all__ = [
     "FidelitySeries",
@@ -88,9 +88,11 @@ class PstCertificate:
 def _window(
     g: Graph, a: int, b: int, t_max: float, steps: int, tol: Optional[float] = None
 ) -> Tuple[_Pair, np.ndarray]:
-    """Checked arguments of a sampled time window: the pair (a, b) of g, as
-    _pair(g, a, b, tol) gives it, and the steps times spread over
-    [0, t_max]."""
+    """Checked arguments of a sampled time window, vertices first: the pair
+    (a, b) of g, as _pair(g, a, b, tol) gives it, and the steps times
+    spread over [0, t_max]."""
+    g.check_vertex(a)
+    g.check_vertex(b)
     if steps < 2:
         raise InvalidArgumentError("steps must be at least 2")
     if not t_max > 0:
@@ -141,12 +143,12 @@ def max_fidelity_scan(
     negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
-    pair, times = _window(g, a, b, t_max, steps, 1e-8)
-    ps, group_tol = pair.spectra[1e-8]
+    pair, times = _window(g, a, b, t_max, steps, SUPPORT_TOL)
+    ps = pair.spectrum
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
-    slack = 10.0 * group_tol * (t_max + 1.0)
+    slack = 10.0 * pair.group_tol * (t_max + 1.0)
     near = times[coarse >= np.max(coarse) - slack]
     exact = np.abs(pair.amplitude(near))
     k = int(np.argmax(exact))
@@ -184,12 +186,12 @@ def fidelity_band(fmax: float) -> str:
 # ---------------------------------------------------------------------------
 
 def strong_cospectrality(
-    g: Graph, a: int, b: int, tol: float = 1e-8
+    g: Graph, a: int, b: int, tol: float = SUPPORT_TOL
 ) -> Optional[Tuple[int, ...]]:
     """Sign vector over supported eigenvalue clusters if every cluster
     projects |a> onto +-|b>'s projection; None otherwise. A necessary
     condition for perfect transfer between a and b."""
-    return _pair(g, a, b, tol).spectra[tol][0].signs
+    return _pair(g, a, b, tol).spectrum.signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -212,8 +214,8 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    pair = _pair(g, a, b, 1e-8)
-    ps = pair.spectra[1e-8][0]
+    pair = _pair(g, a, b, SUPPORT_TOL)
+    ps = pair.spectrum
     if ps.signs is None:
         return PstCertificate(
             "no",

@@ -185,7 +185,7 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
         for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
             dense, pair = pw.pair_spectrum(dec, a, b), _pair(g, a, b, 1e-8)
             reduced += pair.dec.n < g.n
-            ps = pair.spectra[1e-8][0]
+            ps = pair.spectrum
             assert ps.support == dense.support and ps.signs == dense.signs
             assert (ps.broken_at is None) == (dense.broken_at is None)
             assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
@@ -221,7 +221,7 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
 def _matches_dense_route(g, a, b):
     dec = pw.eigendecompose(g)
     pair, dense = _pair(g, a, b, 1e-8), pw.pair_spectrum(dec, a, b)
-    ps = pair.spectra[1e-8][0]
+    ps = pair.spectrum
     assert ps.support == dense.support and ps.signs == dense.signs
     assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
     assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
@@ -238,7 +238,7 @@ def test_krylov_route_extends_past_the_first_start():
     assert np.linalg.norm(from_0.vectors[1]) < 0.5
     pair = _matches_dense_route(g, 0, 1)
     assert from_0.n < pair.dec.n < g.n
-    assert pair.spectra[1e-8][0].signs is None and g._spectrum is None
+    assert pair.spectrum.signs is None and g._spectrum is None
 
 
 def test_krylov_route_of_a_vertex_with_itself():
@@ -259,7 +259,7 @@ def test_krylov_support_holds_cluster_indices_of_the_graph():
     pair = _pair(g, 0, 2 * n + 1, 1e-8)
     assert pair.dec.n == 4
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
-    support = pair.spectra[1e-8][0].support
+    support = pair.spectrum.support
     assert support == dense.support and max(support) > 3
 
 
@@ -345,7 +345,7 @@ def test_one_reduction_per_pair(monkeypatch):
     pw.strong_cospectrality(g, 2, 65)
     pw.fidelity_series(g, 2, 65, 3.0, 31)
     assert calls == [((2, 65), KRYLOV_MAX_DIM, True)]
-    assert g._last_pair.dec is spectral._decomposition(g)
+    assert g._last_pair[0].dec is spectral._decomposition(g)
 
 
 def _answers(g, a, b, tol):
@@ -365,10 +365,22 @@ def test_kept_pair_is_keyed_on_the_pair_and_tol(build, a, b, c):
                         (a, b, 1e-8)):
         want = _answers(build(), a_, b_, tol)
         assert _answers(g, a_, b_, tol) == want
-        kept = g._last_pair
-        assert (kept.a, kept.b) == (a_, b_) and {1e-8, tol} <= set(kept.spectra)
+        pair, spectra = g._last_pair
+        assert (pair.a, pair.b) == (a_, b_) and {1e-8, tol} <= set(spectra) and len(spectra) <= 2
         seen.add(want[0])
     assert len(seen) > 1  # the pairs and tolerances do give different answers
+
+
+def test_kept_pair_holds_at_most_two_spectra():
+    # a tol sweep on one pair keeps the 1e-8 spectrum and the last tol only
+    g = pw.hypercube(5)
+    pw.pst_certificate(g, 0, 31)
+    for tol in np.geomspace(1e-12, 1e-2, 25):
+        assert pw.strong_cospectrality(g, 0, 31, tol) == pw.strong_cospectrality(pw.hypercube(5), 0, 31, tol)
+        assert set(g._last_pair[1]) == {1e-8, float(tol)}
+    # an unhashable tolerance answers as its float does
+    assert pw.strong_cospectrality(g, 0, 31, np.array(1e-3)) == pw.strong_cospectrality(g, 0, 31, 1e-3)
+    assert set(g._last_pair[1]) == {1e-8, 1e-3}
 
 
 def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
@@ -378,10 +390,10 @@ def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
     _detune_lanczos(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(g, 0, 127)
-    assert g._last_pair is kept and list(kept.spectra) == [1e-8]
+    assert g._last_pair is kept and list(kept[1]) == [1e-8]
     monkeypatch.undo()
     assert pw.pst_certificate(g, 0, 127) == pw.pst_certificate(pw.hypercube(7), 0, 127)
-    assert (g._last_pair.a, g._last_pair.b) == (0, 127)
+    assert (g._last_pair[0].a, g._last_pair[0].b) == (0, 127)
 
 
 def test_lanczos_reduction_matches_dense_amplitudes():
@@ -459,6 +471,6 @@ def test_too_wide_cluster_message_names_the_first(chains):
 
 @pytest.mark.parametrize("g", [pw.complete(1), pw.Graph([[2.0]])], ids=["K1", "loop"])
 def test_one_vertex_pair_spectrum(g):
-    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0, 1e-8).spectra[1e-8][0]):
+    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0, 1e-8).spectrum):
         assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
         assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None

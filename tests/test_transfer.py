@@ -163,6 +163,14 @@ def test_time_windows_must_be_finite_and_refinement_non_negative():
         pw.max_fidelity_scan(g, 0, 7, 3.0, 30, refine_iters=-1)
 
 
+def test_time_windows_name_a_bad_vertex_first():
+    g = pw.hypercube(3)
+    for call in (pw.fidelity_series, pw.max_fidelity_scan):
+        for t_max, steps in ((3.0, 1), (-1.0, 30), (math.inf, 30)):
+            with pytest.raises(InvalidArgumentError, match="vertex 8 out of range"):
+                call(g, 0, 8, t_max, steps)
+
+
 def test_fidelity_band_thresholds():
     assert pw.fidelity_band(1.0) == "numeric PST"
     assert pw.fidelity_band(1.0 - 1e-8) == "numeric PST"
