@@ -43,12 +43,11 @@ class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
     Equality compares adjacency matrices exactly (labels are cosmetic).
-    The eigendecomposition, the eigenvalues of a values-only solve and the
-    last vertex pair's reduced walk, once built, are kept in private slots
-    that take no part in equality, hashing, repr or serialization.
+    What _keep keeps, derived from the graph, sits in one private slot
+    outside equality, hashing, repr and serialization.
     """
 
-    __slots__ = ("adj", "labels", "_spectrum", "_values", "_last_pair")
+    __slots__ = ("adj", "labels", "_kept")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
         a = np.array(adj, dtype=float)
@@ -67,16 +66,33 @@ class Graph:
             if len(labels) != a.shape[0]:
                 raise InvalidArgumentError("label count must match vertex count")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_spectrum", None)  # see spectral._decomposition
-        object.__setattr__(self, "_values", None)  # see spectral._eigenvalues
-        object.__setattr__(self, "_last_pair", None)  # see spectral._pair
+        object.__setattr__(self, "_kept", {})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__; kept spectra are dropped
+        # pickle and copy rebuild through __init__; what was kept is dropped
         return (Graph, (self.adj, self.labels))
+
+    def _keep(self, key, build):
+        """The value kept under key, else build()'s, kept under key once
+        build returns. A key is a tuple (name, *args), and one value is kept
+        per name: a new key replaces the value kept under its name. A key of
+        None keeps nothing. A build that raises keeps nothing, and what it
+        kept through nested calls is dropped again."""
+        kept = self._kept  # never changed in place: a new dict replaces it
+        if key in kept:
+            return kept[key]
+        try:
+            value = build()
+        except BaseException:
+            object.__setattr__(self, "_kept", kept)
+            raise
+        if key is not None:
+            now = {k: v for k, v in self._kept.items() if k[0] != key[0]} | {key: value}
+            object.__setattr__(self, "_kept", now)
+        return value
 
     @property
     def n(self) -> int:

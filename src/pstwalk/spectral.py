@@ -49,8 +49,8 @@ _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
 # solve is cheaper, and the cut-off bounds the Lanczos steps.
 KRYLOV_MIN_N = 128
 KRYLOV_MAX_DIM = 32
-# Entry tolerance of the pair spectrum that certificates and scans read; a
-# graph's kept pair always keeps this one beside at most one other (_pair).
+# Entry tolerance of the pair spectrum that certificates and scans read, the
+# one spectrum a graph keeps for its kept pair (_pair_spectrum).
 SUPPORT_TOL = 1e-8
 
 
@@ -104,28 +104,24 @@ def eigendecompose(g: Graph) -> EigenDecomposition:
 
 def _decomposition(g: Graph) -> EigenDecomposition:
     """The checked eigendecomposition of g, solved by eigendecompose on first
-    use and kept on g for as long as g lives; a failed solve keeps nothing."""
-    if g._spectrum is None:
-        object.__setattr__(g, "_spectrum", eigendecompose(g))
-    return g._spectrum
+    use and kept on g (Graph._keep) for as long as g lives."""
+    return g._keep(("eigenpairs",), lambda: eigendecompose(g))
 
 
 def _eigenvalues(g: Graph) -> np.ndarray:
-    """The eigenvalues of g, descending, from a values-only solve kept on g
-    like _decomposition's. They must be finite, and their sum and sum of
-    squares must match tr A and ||A||_F^2."""
-    if g._values is None:
-        w = np.linalg.eigvalsh(g.adj)[::-1].copy()
-        if not np.all(np.isfinite(w)):
-            raise NumericFailureError("eigenvalues overflowed to non-finite values")
-        fro2 = float(np.vdot(g.adj, g.adj))
-        tol = RECON_TOL * g.n * max(1.0, fro2)
-        if not (abs(float(np.sum(w)) - float(np.trace(g.adj))) <= tol
-                and abs(float(np.dot(w, w)) - fro2) <= tol):
-            raise NumericFailureError("eigenvalue trace identities out of tolerance")
-        w.setflags(write=False)
-        object.__setattr__(g, "_values", w)
-    return g._values
+    """The eigenvalues of g, descending, from a values-only solve. They must
+    be finite, and their sum and sum of squares must match tr A and
+    ||A||_F^2."""
+    w = np.linalg.eigvalsh(g.adj)[::-1].copy()
+    if not np.all(np.isfinite(w)):
+        raise NumericFailureError("eigenvalues overflowed to non-finite values")
+    fro2 = float(np.vdot(g.adj, g.adj))
+    tol = RECON_TOL * g.n * max(1.0, fro2)
+    if not (abs(float(np.sum(w)) - float(np.trace(g.adj))) <= tol
+            and abs(float(np.dot(w, w)) - fro2) <= tol):
+        raise NumericFailureError("eigenvalue trace identities out of tolerance")
+    w.setflags(write=False)
+    return w
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
@@ -249,11 +245,12 @@ class PairSpectrum:
     broken_at: Optional[float]
 
 
-def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = 1e-8) -> PairSpectrum:
+def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = SUPPORT_TOL) -> PairSpectrum:
     """The PairSpectrum of (a, b) in O(n^2) time and memory, built by
     _support like every pair's: each E_r e_a is a sum of scaled eigenvector
     columns, never a dense projector. A vector with all entries within tol
-    of zero counts as zero."""
+    of zero counts as zero; a tol that leaves no cluster supported raises
+    InvalidArgumentError."""
     return _support(decomp, decomp.values, a, b, tol)[0]
 
 
@@ -262,7 +259,9 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     with eigenvalues values (descending), and the graph's grouping tolerance.
     Each eigenvalue of dec must lie within that tolerance of a graph
     eigenvalue, and its column joins the cluster of the nearest one; where
-    values is dec.values, each column joins its own eigenvalue's cluster."""
+    values is dec.values, each column joins its own eigenvalue's cluster.
+    A tol that leaves no cluster supported raises InvalidArgumentError: a
+    unit vector has a cluster with ||E_r e_a|| >= 1/sqrt(clusters)."""
     bounds, means, group_tol = _clusters(values, None)
     # both descend, so the nearest eigenvalues run in order and each cluster
     # found is one run of columns
@@ -278,6 +277,8 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     ea = np.add.reduceat(v * v[a, :], runs, axis=1)
     eb = np.add.reduceat(v * v[b, :], runs, axis=1)
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
+    if not sup.size:
+        raise InvalidArgumentError(f"tol {tol:g} leaves no supported eigenvalue cluster")
     ea, eb = ea[:, sup], eb[:, sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
@@ -291,61 +292,54 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
 
 
 class _Pair(NamedTuple):
-    """A vertex pair's question reduced: the checked eigenpairs dec of
-    _walk(g, a, b) that carry the walk between the pair and the weight row
-    dec.vectors[b] * dec.vectors[a] over them; where _pair was given a tol,
-    also the pair's PairSpectrum on the graph and the graph's grouping
-    tolerance group_tol."""
+    """A vertex pair's question reduced (see _walk): checked eigenpairs dec
+    that carry the walk between the pair, and the weight row
+    dec.vectors[b] * dec.vectors[a] over them."""
 
     a: int
     b: int
     dec: EigenDecomposition
     weight: np.ndarray
-    spectrum: Optional[PairSpectrum] = None
-    group_tol: Optional[float] = None
 
     def amplitude(self, t):
         """<b| exp(-itA) |a> of the graph; see fidelity."""
         return _amplitudes(self.weight, self.dec.values, t)
 
 
-def _pair(g: Graph, a: int, b: int, tol: Optional[float] = None) -> _Pair:
-    """The pair (a, b) of g, vertices checked, on the eigenpairs of
-    _walk(g, a, b); with tol, its PairSpectrum and the graph's grouping
-    tolerance too, clustered by _support against the graph's eigenvalues:
-    the dense decomposition's own, or for Ritz pairs a values-only solve
-    (_eigenvalues). So support, theta and group_tol are the graph's on
-    either route, and as the Ritz vectors have graph rows, entry tolerances
-    apply as on the dense route. Once all the call built passed its checks,
-    g keeps the pair, with a dict from float(tol) to (PairSpectrum,
-    group_tol) that holds the SUPPORT_TOL entry and at most one other."""
+def _pair(g: Graph, a: int, b: int) -> _Pair:
+    """The pair (a, b) of g, vertices checked, as _walk reduces it. g keeps
+    its last pair, so one reduction serves every question on it."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-    kept = g._last_pair
-    if kept is None or (kept[0].a, kept[0].b) != (a, b):
-        dec = _walk(g, a, b)
-        kept = (_Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :]), {})
-    pair, spectra = kept
-    if tol is not None:
-        key = float(tol)
-        found = spectra.get(key)
-        if found is None:
-            values = pair.dec.values if pair.dec is g._spectrum else _eigenvalues(g)
-            found = _support(pair.dec, values, a, b, tol)
-            spectra = {k: v for k, v in spectra.items() if k == SUPPORT_TOL}
-            spectra[key] = found
-            kept = (pair, spectra)
-        pair = pair._replace(spectrum=found[0], group_tol=found[1])
-    object.__setattr__(g, "_last_pair", kept)
-    return pair
+    return g._keep(("pair", a, b), lambda: _walk(g, a, b))
 
 
-def _walk(g: Graph, a: int, b: int) -> EigenDecomposition:
-    """Eigenpairs that carry the walk from a and from b: fidelity(dec, a, c, t)
-    is <c| exp(-itA) |a> for every vertex c, and likewise from b. On a graph
-    of at least KRYLOV_MIN_N vertices and at most KRYLOV_MAX_DIM distinct
-    degrees, the Ritz pairs of A on the Krylov space K(e_a, e_b) where it
-    closes within KRYLOV_MAX_DIM dimensions; otherwise the graph's checked
-    decomposition."""
+def _pair_spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[_Pair, PairSpectrum, float]:
+    """The pair (a, b) of g as _pair gives it, its PairSpectrum at tol and
+    the graph's grouping tolerance. _support clusters the walk against the
+    graph's eigenvalues: the walk's own where it has all n eigenpairs (the
+    dense decomposition), else a values-only solve, so support, theta,
+    group_tol and entry tolerances are the graph's on either route. g keeps
+    those values and the SUPPORT_TOL spectrum of the last pair asked; as a
+    failed build keeps nothing, a new walk is kept only once its spectrum
+    has passed _support's checks."""
+    a, b = g.check_vertex(a), g.check_vertex(b)
+
+    def support() -> Tuple[PairSpectrum, float]:
+        dec = _pair(g, a, b).dec
+        values = dec.values if dec.n == g.n else g._keep(("eigenvalues",), lambda: _eigenvalues(g))
+        return _support(dec, values, a, b, tol)
+
+    ps, group_tol = g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
+    return _pair(g, a, b), ps, group_tol
+
+
+def _walk(g: Graph, a: int, b: int) -> _Pair:
+    """The pair (a, b) on eigenpairs dec that carry the walk from a and from
+    b: fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
+    likewise from b. On a graph of at least KRYLOV_MIN_N vertices and at most
+    KRYLOV_MAX_DIM distinct degrees, the Ritz pairs of A on the Krylov space
+    K(e_a, e_b) where it closes within KRYLOV_MAX_DIM dimensions; otherwise
+    the graph's checked decomposition."""
     walk = None
     if g.n >= KRYLOV_MIN_N:
         # more distinct degrees than the cut-off (a random graph has about n)
@@ -353,7 +347,8 @@ def _walk(g: Graph, a: int, b: int) -> EigenDecomposition:
         deg = np.sort(np.round(g.degrees(), 9))
         if np.count_nonzero(deg[1:] != deg[:-1]) < KRYLOV_MAX_DIM:
             walk = _lanczos(g, (a, b), KRYLOV_MAX_DIM)
-    return _decomposition(g) if walk is None else walk
+    dec = _decomposition(g) if walk is None else walk
+    return _Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :])
 
 
 def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:

@@ -32,7 +32,7 @@ from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import ConditionReport, lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import SUPPORT_TOL, _amplitudes, _Pair, _pair
+from .spectral import SUPPORT_TOL, _amplitudes, _pair, _pair_spectrum
 
 __all__ = [
     "FidelitySeries",
@@ -85,12 +85,9 @@ class PstCertificate:
     reason: str
 
 
-def _window(
-    g: Graph, a: int, b: int, t_max: float, steps: int, tol: Optional[float] = None
-) -> Tuple[_Pair, np.ndarray]:
-    """Checked arguments of a sampled time window, vertices first: the pair
-    (a, b) of g, as _pair(g, a, b, tol) gives it, and the steps times
-    spread over [0, t_max]."""
+def _window(g: Graph, a: int, b: int, t_max: float, steps: int) -> np.ndarray:
+    """Checked arguments of a sampled time window, vertices first: the steps
+    times spread over [0, t_max]."""
     g.check_vertex(a)
     g.check_vertex(b)
     if steps < 2:
@@ -99,12 +96,12 @@ def _window(
         raise InvalidArgumentError("t_max must be positive")
     if not np.isfinite(t_max):
         raise InvalidArgumentError("t_max must be finite")
-    return _pair(g, a, b, tol), np.linspace(0.0, t_max, steps)
+    return np.linspace(0.0, t_max, steps)
 
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
-    pair, times = _window(g, a, b, t_max, steps)
-    return FidelitySeries(times, pair.amplitude(times), a, b)
+    times = _window(g, a, b, t_max, steps)
+    return FidelitySeries(times, _pair(g, a, b).amplitude(times), a, b)
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) -> Tuple[float, float]:
@@ -143,12 +140,12 @@ def max_fidelity_scan(
     negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
-    pair, times = _window(g, a, b, t_max, steps, SUPPORT_TOL)
-    ps = pair.spectrum
+    times = _window(g, a, b, t_max, steps)
+    pair, ps, group_tol = _pair_spectrum(g, a, b)
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
-    slack = 10.0 * pair.group_tol * (t_max + 1.0)
+    slack = 10.0 * group_tol * (t_max + 1.0)
     near = times[coarse >= np.max(coarse) - slack]
     exact = np.abs(pair.amplitude(near))
     k = int(np.argmax(exact))
@@ -190,8 +187,9 @@ def strong_cospectrality(
 ) -> Optional[Tuple[int, ...]]:
     """Sign vector over supported eigenvalue clusters if every cluster
     projects |a> onto +-|b>'s projection; None otherwise. A necessary
-    condition for perfect transfer between a and b."""
-    return _pair(g, a, b, tol).spectrum.signs
+    condition for perfect transfer between a and b. A tol that leaves no
+    cluster supported raises InvalidArgumentError."""
+    return _pair_spectrum(g, a, b, tol)[1].signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -214,8 +212,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    pair = _pair(g, a, b, SUPPORT_TOL)
-    ps = pair.spectrum
+    pair, ps, _ = _pair_spectrum(g, a, b)
     if ps.signs is None:
         return PstCertificate(
             "no",
@@ -228,17 +225,9 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
             f"non-proportional vectors",
         )
     support, signs, vals = ps.support, ps.signs, ps.theta
-    if len(vals) < 2:
-        return PstCertificate(
-            "no",
-            None,
-            None,
-            support,
-            signs,
-            "a single supported eigenvalue cluster keeps |F| constant below 1",
-        )
     diffs = [v - vals[0] for v in vals[1:]]
-    gap = min(vals[i] - vals[i + 1] for i in range(len(vals) - 1))
+    # one supported cluster only where a == b: any scale, and tau = 1 below
+    gap = min((vals[i] - vals[i + 1] for i in range(len(vals) - 1)), default=1.0)
     scale_r: Optional[float] = None
     for candidate in (gap, _approx_gcd(diffs, 1e-9 * max(1.0, abs(vals[0])))):
         if candidate <= 1e-12:

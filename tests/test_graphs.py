@@ -172,13 +172,13 @@ def test_graph_pickles_and_copies(clone):
     g = pw.hypercube(3)
     pw.spectrum(g)
     pw.strong_cospectrality(g, 0, 7)
-    assert g._last_pair is not None
+    assert ("eigenpairs",) in g._kept and ("pair", 0, 7) in g._kept
     back = clone(g)
     assert back == g and back.labels == g.labels
     assert hash(back) == hash(g) and repr(back) == repr(g)
     assert not back.adj.flags.writeable
     # neither the kept eigendecomposition nor the kept pair is carried
-    assert back._spectrum is None and back._last_pair is None
+    assert back._kept == {}
 
 
 def test_adjacency_symmetry_is_bitwise(corpus):

@@ -12,7 +12,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import NumericFailureError, spectral
-from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair
+from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair, _pair_spectrum
 
 TOL = 1e-8
 
@@ -183,9 +183,8 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
     for g in corpus:
         dec = pw.eigendecompose(g)
         for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
-            dense, pair = pw.pair_spectrum(dec, a, b), _pair(g, a, b, 1e-8)
+            dense, (pair, ps, _) = pw.pair_spectrum(dec, a, b), _pair_spectrum(g, a, b)
             reduced += pair.dec.n < g.n
-            ps = pair.spectrum
             assert ps.support == dense.support and ps.signs == dense.signs
             assert (ps.broken_at is None) == (dense.broken_at is None)
             assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
@@ -212,7 +211,7 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
     pw.spectrum(solved)
     for ask in questions:
         assert ask(g) == ask(solved)
-        assert g._spectrum is None
+        assert ("eigenpairs",) not in g._kept
     cert = pw.pst_certificate(g, 0, 255)
     assert cert.verdict == "yes" and cert.time_exact == (1, 2, 1.0)
     assert cert.support == tuple(range(9)) and cert.signs == (0, 1) * 4 + (0,)
@@ -220,14 +219,13 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
 
 def _matches_dense_route(g, a, b):
     dec = pw.eigendecompose(g)
-    pair, dense = _pair(g, a, b, 1e-8), pw.pair_spectrum(dec, a, b)
-    ps = pair.spectrum
+    (pair, ps, _), dense = _pair_spectrum(g, a, b), pw.pair_spectrum(dec, a, b)
     assert ps.support == dense.support and ps.signs == dense.signs
     assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
     assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
     times = np.linspace(0.0, 7.0, 29)
     assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times), rtol=0.0, atol=1e-9)
-    return pair
+    return pair, ps
 
 
 def test_krylov_route_extends_past_the_first_start():
@@ -236,14 +234,14 @@ def test_krylov_route_extends_past_the_first_start():
     g = pw.hypercube(7)
     from_0 = _lanczos(g, 0, KRYLOV_MAX_DIM)
     assert np.linalg.norm(from_0.vectors[1]) < 0.5
-    pair = _matches_dense_route(g, 0, 1)
+    pair, ps = _matches_dense_route(g, 0, 1)
     assert from_0.n < pair.dec.n < g.n
-    assert pair.spectrum.signs is None and g._spectrum is None
+    assert ps.signs is None and ("eigenpairs",) not in g._kept
 
 
 def test_krylov_route_of_a_vertex_with_itself():
     g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
-    pair = _matches_dense_route(g, 5, 5)
+    pair, _ = _matches_dense_route(g, 5, 5)
     assert pair.dec.n == _lanczos(g, 5, KRYLOV_MAX_DIM).n < g.n
 
 
@@ -256,10 +254,10 @@ def test_krylov_support_holds_cluster_indices_of_the_graph():
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
-    pair = _pair(g, 0, 2 * n + 1, 1e-8)
+    pair, ps, _ = _pair_spectrum(g, 0, 2 * n + 1)
     assert pair.dec.n == 4
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
-    support = pair.spectrum.support
+    support = ps.support
     assert support == dense.support and max(support) > 3
 
 
@@ -317,10 +315,10 @@ def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(NumericFailureError, match="trace identities"):
             pw.strong_cospectrality(g, 0, 127)
-        assert g._values is None
+        assert g._kept == {}
     monkeypatch.undo()
     assert pw.strong_cospectrality(g, 0, 127) == (0, 1) * 4
-    assert g._values is not None and g._spectrum is None
+    assert ("eigenvalues",) in g._kept and ("eigenpairs",) not in g._kept
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +343,7 @@ def test_one_reduction_per_pair(monkeypatch):
     pw.strong_cospectrality(g, 2, 65)
     pw.fidelity_series(g, 2, 65, 3.0, 31)
     assert calls == [((2, 65), KRYLOV_MAX_DIM, True)]
-    assert g._last_pair[0].dec is spectral._decomposition(g)
+    assert g._kept[("pair", 2, 65)].dec is spectral._decomposition(g)
 
 
 def _answers(g, a, b, tol):
@@ -355,45 +353,62 @@ def _answers(g, a, b, tol):
             pw.fidelity_series(g, a, b, 3.0, 31).amplitudes.tobytes())
 
 
+def _kept_pair(g):
+    return set(g._kept) - {("eigenpairs",), ("eigenvalues",)}
+
+
 @pytest.mark.parametrize("build, a, b, c", [
     (lambda: pw.hypercube(7), 0, 127, 1),  # the Krylov route
     (lambda: pw.path_graph([1.0, 2.0, 2.0, 1.0]), 0, 4, 3),  # the dense route
 ], ids=["Q7", "P5"])
-def test_kept_pair_is_keyed_on_the_pair_and_tol(build, a, b, c):
+def test_kept_pair_is_keyed_on_the_pair(build, a, b, c):
     g, seen = build(), set()
     for a_, b_, tol in ((a, b, 1e-8), (b, a, 1e-8), (a, c, 1e-8), (a, c, 0.1), (a, b, 0.1),
                         (a, b, 1e-8)):
         want = _answers(build(), a_, b_, tol)
         assert _answers(g, a_, b_, tol) == want
-        pair, spectra = g._last_pair
-        assert (pair.a, pair.b) == (a_, b_) and {1e-8, tol} <= set(spectra) and len(spectra) <= 2
+        # one walk and its 1e-8 spectrum, whatever the tol asked
+        assert _kept_pair(g) == {("pair", a_, b_), ("pair spectrum", a_, b_)}
         seen.add(want[0])
     assert len(seen) > 1  # the pairs and tolerances do give different answers
 
 
-def test_kept_pair_holds_at_most_two_spectra():
-    # a tol sweep on one pair keeps the 1e-8 spectrum and the last tol only
+def test_kept_pair_holds_one_spectrum():
+    # a tol sweep on one pair keeps the 1e-8 spectrum only
     g = pw.hypercube(5)
     pw.pst_certificate(g, 0, 31)
     for tol in np.geomspace(1e-12, 1e-2, 25):
         assert pw.strong_cospectrality(g, 0, 31, tol) == pw.strong_cospectrality(pw.hypercube(5), 0, 31, tol)
-        assert set(g._last_pair[1]) == {1e-8, float(tol)}
+        assert _kept_pair(g) == {("pair", 0, 31), ("pair spectrum", 0, 31)}
     # an unhashable tolerance answers as its float does
     assert pw.strong_cospectrality(g, 0, 31, np.array(1e-3)) == pw.strong_cospectrality(g, 0, 31, 1e-3)
-    assert set(g._last_pair[1]) == {1e-8, 1e-3}
+    assert _kept_pair(g) == {("pair", 0, 31), ("pair spectrum", 0, 31)}
 
 
 def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
     g = pw.hypercube(7)
     pw.strong_cospectrality(g, 0, 1)
-    kept = g._last_pair
+    kept = g._kept
+    assert set(kept) == {("eigenvalues",), ("pair", 0, 1), ("pair spectrum", 0, 1)}
     _detune_lanczos(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(g, 0, 127)
-    assert g._last_pair is kept and list(kept[1]) == [1e-8]
+    assert g._kept is kept
     monkeypatch.undo()
     assert pw.pst_certificate(g, 0, 127) == pw.pst_certificate(pw.hypercube(7), 0, 127)
-    assert (g._last_pair[0].a, g._last_pair[0].b) == (0, 127)
+    assert _kept_pair(g) == {("pair", 0, 127), ("pair spectrum", 0, 127)}
+
+
+def test_empty_support_is_an_error_and_keeps_nothing():
+    # a tol that leaves no cluster supported is out of range, not "strongly
+    # cospectral"; the pair (0, 1) of Q3 is not strongly cospectral at all
+    g = pw.hypercube(3)
+    with pytest.raises(pw.InvalidArgumentError, match="no supported eigenvalue cluster"):
+        pw.strong_cospectrality(g, 0, 1, tol=1.0)
+    assert g._kept == {}
+    assert pw.strong_cospectrality(g, 0, 1) is None
+    with pytest.raises(pw.InvalidArgumentError, match="no supported eigenvalue cluster"):
+        pw.pair_spectrum(pw.eigendecompose(pw.path_graph([1.0, 2.0])), 0, 1, tol=0.9)
 
 
 def test_lanczos_reduction_matches_dense_amplitudes():
@@ -422,7 +437,7 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
     with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
-    assert g._spectrum is None and g._last_pair is None
+    assert g._kept == {}
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +486,6 @@ def test_too_wide_cluster_message_names_the_first(chains):
 
 @pytest.mark.parametrize("g", [pw.complete(1), pw.Graph([[2.0]])], ids=["K1", "loop"])
 def test_one_vertex_pair_spectrum(g):
-    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair(g, 0, 0, 1e-8).spectrum):
+    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair_spectrum(g, 0, 0)[1]):
         assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
         assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None

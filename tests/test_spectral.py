@@ -92,7 +92,7 @@ def test_failed_solve_stores_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(NumericFailureError):
             pw.spectrum(g)
-        assert g._spectrum is None
+        assert g._kept == {}
     monkeypatch.undo()
     assert pw.spectrum(g)[0] == pytest.approx(2.0)
 

@@ -248,6 +248,18 @@ def test_certificate_c4_antipodes_yes():
     assert c.time_exact == (1, 2, 1.0)
 
 
+@pytest.mark.parametrize("g", [pw.empty_graph(2), pw.complete(1)], ids=["Kbar2", "K1"])
+def test_certificate_vertex_on_one_cluster_is_periodic(g):
+    # one supported cluster with signs forces e_a = +-e_b, so only a == b
+    # gets there, and |F| = 1 at every t: the pipeline answers yes at pi
+    c = pw.pst_certificate(g, 0, 0)
+    assert c.verdict == "yes" and c.time_exact == (1, 1, 1.0) and c.time_num == math.pi
+    assert c.support == (0,) and c.signs == (0,)
+    q3 = pw.pst_certificate(pw.hypercube(3), 0, 0)  # several clusters, as before
+    assert (q3.verdict, q3.time_exact, q3.support, q3.signs) == ("yes", (1, 1, 1.0), (0, 1, 2, 3), (0,) * 4)
+    assert "minimal alignment tau = 2" in q3.reason
+
+
 def test_certificate_complete_graph_not_cospectral():
     c = pw.pst_certificate(pw.complete(3), 0, 1)
     assert c.verdict == "no"
