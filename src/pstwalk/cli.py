@@ -288,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = pair_command("scan", "maximum |F| over [0, tmax]")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--steps", type=int, default=50001)
-    sp.add_argument("--refine", type=int, default=60)
+    sp.add_argument("--refine", type=int, default=60,
+                    help="Newton step cap; 0 = grid maximum only")
     sp.add_argument("--pi-units", action="store_true")
     common(sp)
     sp.set_defaults(handler=_cmd_scan)

@@ -249,8 +249,8 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = SUPPO
     """The PairSpectrum of (a, b) in O(n^2) time and memory, built by
     _support like every pair's: each E_r e_a is a sum of scaled eigenvector
     columns, never a dense projector. A vector with all entries within tol
-    of zero counts as zero; a tol that leaves no cluster supported raises
-    InvalidArgumentError."""
+    of zero counts as zero; a tol that is not positive, or that leaves no
+    cluster supported, raises InvalidArgumentError."""
     return _support(decomp, decomp.values, a, b, tol)[0]
 
 
@@ -260,8 +260,12 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     Each eigenvalue of dec must lie within that tolerance of a graph
     eigenvalue, and its column joins the cluster of the nearest one; where
     values is dec.values, each column joins its own eigenvalue's cluster.
-    A tol that leaves no cluster supported raises InvalidArgumentError: a
-    unit vector has a cluster with ||E_r e_a|| >= 1/sqrt(clusters)."""
+    A tol that is not positive, where every sign test would fail on
+    rounding, raises InvalidArgumentError, as does one that leaves no
+    cluster supported (a unit vector has a cluster with ||E_r e_a|| >=
+    1/sqrt(clusters))."""
+    if not tol > 0:  # zero, negative or NaN
+        raise InvalidArgumentError(f"tol must be positive, got {tol:g}")
     bounds, means, group_tol = _clusters(values, None)
     # both descend, so the nearest eigenvalues run in order and each cluster
     # found is one run of columns

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, pi, sqrt
-from typing import Callable, List, Optional, Sequence, Tuple
+from math import floor, nan, pi, sqrt
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,40 +104,36 @@ def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> Fidel
     return FidelitySeries(times, _pair(g, a, b).amplitude(times), a, b)
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int) -> Tuple[float, float]:
-    invphi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def max_fidelity_scan(
     g: Graph, a: int, b: int, t_max: float, steps: int, refine_iters: int = 60
 ) -> Tuple[float, float]:
-    """Grid maximum of |F| over [0, t_max] followed by golden-section
-    refinement around the best grid point. Returns (t_star, fmax) as floats.
+    """Grid maximum of |F| over [0, t_max], refined by Newton steps on
+    |F|^2 around the best grid point. Returns (t_star, fmax) as floats.
 
     The grid runs over the distinct eigenvalues that support the pair (see
     pair_spectrum), so its cost follows their number, not n. Grid points
     within the clustering error of its top, and the refinement, are then
     evaluated over every eigenpair of the pair's reduced problem: the Ritz
     pairs of its Krylov space where that is small (see spectral._walk),
-    else the whole graph's. The scan shares the pair that g keeps with the
-    certificate, the series and the collapse check of the same pair, so
-    one reduction serves them all. Raises AmbiguousDegeneracyError where
-    the eigenvalues cannot be clustered, and InvalidArgumentError on a
-    negative refine_iters."""
+    else the whole graph's. With F = sum w exp(-i theta t), each refining
+    step takes F, F' and F'' from one product of the weight rows w,
+    -i theta w and -theta^2 w with the phases, and g' = 2 Re(conj(F) F'),
+    g'' = 2 (|F'|^2 + Re(conj(F) F'')) for g = |F|^2. The steps keep a
+    bracket, at first one grid spacing either side of the grid point within
+    [0, t_max], that holds a maximum of |F| at least as high as the best
+    point yet: a point lower than that by more than the rounding of |F|
+    becomes the bracket's far end; any other becomes the best point, and
+    the bracket keeps its side where g rises (the wider side where F is zero
+    to rounding). From a best point t moves by the Newton step -g'/g'';
+    where g'' >= 0 or the step would leave the bracket, to the bracket's
+    midpoint. The steps stop where a step rounds to nothing, where g' = 0,
+    where no float is left inside the bracket, or after refine_iters steps
+    (0: the grid maximum only). The best point replaces the grid point only
+    where its |F|, evaluated as fidelity evaluates it, is larger.
+    The scan shares the pair that g keeps with the certificate, the series
+    and the collapse check of the same pair, so one reduction serves them
+    all. Raises AmbiguousDegeneracyError where the eigenvalues cannot be
+    clustered, and InvalidArgumentError on a negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
     times = _window(g, a, b, t_max, steps)
@@ -150,15 +146,43 @@ def max_fidelity_scan(
     exact = np.abs(pair.amplitude(near))
     k = int(np.argmax(exact))
     best_t, best_f = float(near[k]), float(exact[k])
-    if refine_iters > 0:
-        h = times[1] - times[0]
-        lo = max(0.0, best_t - h)
-        hi = min(t_max, best_t + h)
-        t_ref, f_ref = _golden_max(
-            lambda t: abs(pair.amplitude(t)), lo, hi, refine_iters
-        )
+    h = float(times[1] - times[0])
+    lo, hi = max(0.0, best_t - h), min(t_max, best_t + h)
+    theta, w = pair.dec.values, pair.weight
+    rows = np.stack((w, -1j * theta * w, -theta * theta * w))
+    # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
+    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    t, t_top, top = best_t, best_t, -np.inf
+    for _ in range(refine_iters):
+        f, f1, f2 = (rows @ np.exp(-1j * (theta[:, None] * t)))[:, 0]
+        if abs(f) < top - err:
+            # below the best point yet: a higher maximum lies between them
+            lo, hi = (lo, t) if t > t_top else (t, hi)
+            t_next = nan
+        else:
+            t_top, top = t, abs(f)
+            d1 = 2.0 * (f.conjugate() * f1).real  # g' and g'' of g = |F|^2
+            d2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
+            if abs(f) <= err:  # F = 0 to rounding: g' has no sign, take the wider side
+                lo, hi = (lo, t) if t - lo > hi - t else (t, hi)
+            elif d1 > 0.0:  # the bracket keeps the side where g rises
+                lo = t
+            elif d1 < 0.0:
+                hi = t
+            else:
+                break
+            t_next = t - d1 / d2 if d2 < 0.0 else nan
+            if t_next == t:  # a step below rounding
+                break
+        if not lo < t_next < hi:  # no Newton step inside the bracket
+            t_next = 0.5 * (lo + hi)
+            if not lo < t_next < hi:  # no float left inside
+                break
+        t = t_next
+    if t_top != best_t:
+        f_ref = float(abs(pair.amplitude(t_top)))
         if f_ref > best_f:
-            best_t, best_f = float(t_ref), float(f_ref)
+            best_t, best_f = float(t_top), f_ref
     return best_t, best_f
 
 
@@ -187,8 +211,9 @@ def strong_cospectrality(
 ) -> Optional[Tuple[int, ...]]:
     """Sign vector over supported eigenvalue clusters if every cluster
     projects |a> onto +-|b>'s projection; None otherwise. A necessary
-    condition for perfect transfer between a and b. A tol that leaves no
-    cluster supported raises InvalidArgumentError."""
+    condition for perfect transfer between a and b. A tol that is not
+    positive, or that leaves no cluster supported, raises
+    InvalidArgumentError."""
     return _pair_spectrum(g, a, b, tol)[1].signs
 
 

@@ -25,24 +25,42 @@ def _pairs(g):
 # references computed here, over every eigenvalue or from dense projectors
 # ---------------------------------------------------------------------------
 
-def _golden_max(fn, lo, hi, iters):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fc, fd = fn(c), fn(d)
+def _newton_max(theta, w, t, lo, hi, t_max, iters):
+    """Bracketed Newton steps on g = |F|^2 for F = sum w exp(-i theta t):
+    g' and g'' from F, F' and F'' summed per eigenvalue."""
+    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    t_top, top = t, -np.inf
     for _ in range(iters):
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = fn(d)
+        phase = np.exp(-1j * theta * t)
+        f, f1, f2 = (w * phase).sum(), (-1j * theta * w * phase).sum(), (-theta**2 * w * phase).sum()
+        if abs(f) < top - err:
+            lo, hi = (lo, t) if t > t_top else (t, hi)
+            t_next = math.nan
         else:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = fn(c)
-    return (c, fc) if fc >= fd else (d, fd)
+            t_top, top = t, abs(f)
+            d1 = 2.0 * (f.conjugate() * f1).real
+            d2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
+            if abs(f) <= err:
+                lo, hi = (lo, t) if t - lo > hi - t else (t, hi)
+            elif d1 > 0.0:
+                lo = t
+            elif d1 < 0.0:
+                hi = t
+            else:
+                break
+            t_next = t - d1 / d2 if d2 < 0.0 else math.nan
+            if t_next == t:
+                break
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+            if not lo < t_next < hi:
+                break
+        t = t_next
+    return t_top
 
 
 def _reference_scan(g, a, b, t_max, steps, iters=60):
-    """Grid over all n eigenvalues in one product, then golden section."""
+    """Grid over all n eigenvalues in one product, then Newton steps."""
     dec = pw.eigendecompose(g)
     times = np.linspace(0.0, t_max, steps)
     w_ab = dec.vectors[b, :] * dec.vectors[a, :]
@@ -50,10 +68,8 @@ def _reference_scan(g, a, b, t_max, steps, iters=60):
     k = int(np.argmax(vals))
     best_t, best_f = float(times[k]), float(vals[k])
     h = times[1] - times[0]
-    t_ref, f_ref = _golden_max(
-        lambda t: abs(pw.fidelity(dec, a, b, t)),
-        max(0.0, best_t - h), min(t_max, best_t + h), iters,
-    )
+    t_ref = _newton_max(dec.values, w_ab, best_t, max(0.0, best_t - h), min(t_max, best_t + h), t_max, iters)
+    f_ref = abs(pw.fidelity(dec, a, b, t_ref))
     return (t_ref, f_ref) if f_ref > best_f else (best_t, best_f)
 
 
@@ -409,6 +425,21 @@ def test_empty_support_is_an_error_and_keeps_nothing():
     assert pw.strong_cospectrality(g, 0, 1) is None
     with pytest.raises(pw.InvalidArgumentError, match="no supported eigenvalue cluster"):
         pw.pair_spectrum(pw.eigendecompose(pw.path_graph([1.0, 2.0])), 0, 1, tol=0.9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_non_positive_tol_is_an_error_and_builds_nothing(tol):
+    # at tol <= 0 every sign test fails on rounding, so Q3's antipodes, which
+    # transfer perfectly, would read "not strongly cospectral"
+    g = pw.hypercube(3)
+    with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
+        pw.strong_cospectrality(g, 0, 7, tol)
+    with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
+        _pair_spectrum(g, 0, 7, tol)
+    assert g._kept == {}
+    with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
+        pw.pair_spectrum(pw.eigendecompose(g), 0, 7, tol)
+    assert pw.strong_cospectrality(g, 0, 7) == (0, 1, 0, 1)
 
 
 def test_lanczos_reduction_matches_dense_amplitudes():

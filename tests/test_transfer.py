@@ -102,8 +102,6 @@ def test_series_csv_layout():
 def test_scan_hypercube_peak():
     t, f = pw.max_fidelity_scan(pw.hypercube(3), 0, 7, 2.0 * math.pi, 4096, 60)
     assert f >= 1.0 - 1e-10
-    # |F| is flat to second order at the peak, so value-based refinement
-    # localizes t* only to ~sqrt(eps)
     assert abs(t - math.pi / 2.0) <= 5e-9
 
 
@@ -145,6 +143,96 @@ def test_scan_returns_python_floats(t_max, steps, grid_wins):
     assert type(t_star) is float and type(fmax) is float
     assert (t_star in np.linspace(0.0, t_max, steps)) == grid_wins
     assert t_star == pytest.approx(math.pi / 2.0, abs=1e-8)
+
+
+def test_scan_keeps_an_exact_grid_maximum():
+    # pi/2 is the 1001st point of the grid and Q7's antipodes transfer there
+    times = np.linspace(0.0, 2.0 * math.pi, 4001)
+    t, f = pw.max_fidelity_scan(pw.hypercube(7), 0, 127, 2.0 * math.pi, 4001)
+    assert t == times[1000] == math.pi / 2.0
+    assert f >= 1.0 - 1e-12
+
+
+def test_scan_refines_weak_product_to_its_transfer_time():
+    # the README scan: no grid point of [0, 6.2832] is pi/2
+    g = pw.weak_product(pw.hypercube(2), pw.complete(4))
+    t, f = pw.max_fidelity_scan(g, 0, 12, 6.2832, 50001)
+    assert abs(t - math.pi / 2.0) <= 1e-12
+    assert f >= 1.0 - 1e-12
+
+
+def _scans(corpus, t_max=2.0 * math.pi, steps=4001):
+    """(grid, refined, h) scans of the corpus pairs of the reference tests."""
+    h = t_max / (steps - 1)
+    for g in corpus:
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2)} - {(0, 0)}):
+            try:
+                grid = pw.max_fidelity_scan(g, a, b, t_max, steps, 0)
+            except pw.AmbiguousDegeneracyError:
+                continue
+            yield grid, pw.max_fidelity_scan(g, a, b, t_max, steps), h
+
+
+def test_scan_without_refinement_is_the_grid_answer(corpus):
+    times = np.linspace(0.0, 2.0 * math.pi, 4001)
+    for (t0, f0), (t1, f1), _ in _scans(corpus[::2]):
+        assert t0 in times
+        # where the steps found nothing larger, the answer is the grid's
+        assert (t1, f1) == (t0, f0) or f1 > f0
+    for g in corpus[::2]:
+        grid = np.abs(pw.fidelity_series(g, 0, g.n - 1, 2.0 * math.pi, 4001).amplitudes)
+        t0, f0 = pw.max_fidelity_scan(g, 0, g.n - 1, 2.0 * math.pi, 4001, 0)
+        assert f0 == pytest.approx(np.max(grid), abs=1e-12)
+
+
+def test_newton_steps_stop_at_rounding(corpus):
+    # a step that rounds to nothing ends the steps, and the bracket ends a
+    # cycle between two neighbouring floats: eight steps give the answer
+    # of sixty
+    for g in corpus:
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2)} - {(0, 0)}):
+            try:
+                full = pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 4001)
+            except pw.AmbiguousDegeneracyError:
+                continue
+            assert pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 4001, 8) == full
+
+
+def test_refined_maximum_is_never_below_the_grid_maximum(corpus):
+    for (_, f0), (_, f1), _ in _scans(corpus):
+        assert f1 >= f0
+
+
+def test_refined_time_stays_within_one_step_of_the_grid_point(corpus):
+    moved = 0
+    for (t0, _), (t1, _), h in _scans(corpus):
+        assert abs(t1 - t0) <= h
+        moved += t1 != t0
+    assert moved  # some corpus maxima lie off the grid
+
+
+def test_scan_finds_a_peak_narrower_than_the_grid():
+    # |F| = |sin t|^3 on Q3's antipodes is concave only within 0.42 of
+    # pi/2; the best point of the grid {0, 1, 2} is t = 2, where g'' > 0
+    t, f = pw.max_fidelity_scan(pw.hypercube(3), 0, 7, 2.0, 3)
+    assert f >= 1.0 - 1e-10
+    assert abs(t - math.pi / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [3, 5, 11])
+def test_coarse_scan_ends_at_a_local_maximum(corpus, steps):
+    # grid steps wider than the peaks: the answer is a maximum of |F| over
+    # 1e-6 either side of it within the window
+    t_max, d = 2.0 * math.pi, 1e-6
+    for g in corpus:
+        dec = pw.eigendecompose(g)
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2)} - {(0, 0)}):
+            try:
+                t, f = pw.max_fidelity_scan(g, a, b, t_max, steps)
+            except pw.AmbiguousDegeneracyError:
+                continue
+            for s in (max(0.0, t - d), min(t_max, t + d)):
+                assert abs(pw.fidelity(dec, a, b, s)) <= f + 1e-12
 
 
 def test_scan_validates_arguments():
