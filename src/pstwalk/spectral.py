@@ -109,10 +109,12 @@ def _decomposition(g: Graph) -> EigenDecomposition:
 
 
 def _eigenvalues(g: Graph) -> np.ndarray:
-    """The eigenvalues of g, descending, from a values-only solve. They must
-    be finite, and their sum and sum of squares must match tr A and
-    ||A||_F^2."""
-    w = np.linalg.eigvalsh(g.adj)[::-1].copy()
+    """The eigenvalues of g, descending: the Walsh-Hadamard transform of row
+    0 where g is cubelike (see _walsh_hadamard), else a values-only solve
+    (eigvalsh). Either way they must be finite, and their sum and sum of
+    squares must match tr A and ||A||_F^2."""
+    w = _walsh_hadamard(g.adj)
+    w = (np.linalg.eigvalsh(g.adj) if w is None else np.sort(w))[::-1].copy()
     if not np.all(np.isfinite(w)):
         raise NumericFailureError("eigenvalues overflowed to non-finite values")
     fro2 = float(np.vdot(g.adj, g.adj))
@@ -122,6 +124,30 @@ def _eigenvalues(g: Graph) -> np.ndarray:
         raise NumericFailureError("eigenvalue trace identities out of tolerance")
     w.setflags(write=False)
     return w
+
+
+def _walsh_hadamard(adj: np.ndarray) -> Optional[np.ndarray]:
+    """The eigenvalues, unsorted, of a cubelike adjacency: one with n = 2^d
+    and adj[i, j] == adj[0, i ^ j] exactly for every i, j (a Cayley graph
+    on Z_2^d), whose eigenvalues are the Walsh-Hadamard transform of row 0
+    (Bernasconi, Godsil and Severini 2008); exact integers for integer
+    weights. None for any other adjacency. The check runs level by level
+    on the top rows: rows [h, 2h) are rows [0, h) with columns XOR h, so
+    each 2h x 2h block of the top 2h rows is [[B, C], [C, B]]. That is
+    about n^2 comparisons on views, and no n x n temporary."""
+    n = adj.shape[0]
+    d = n.bit_length() - 1
+    if n != 1 << d:
+        return None
+    for h in (1 << k for k in range(d)):
+        top, low = (adj[s : s + h].reshape(h, -1, 2, h) for s in (0, h))
+        if not (np.array_equal(top[:, :, 0], low[:, :, 1]) and np.array_equal(top[:, :, 1], low[:, :, 0])):
+            return None
+    w = adj[0].reshape((2,) * d)
+    for k in range(d):  # one butterfly per bit: O(n log n)
+        x0, x1 = np.moveaxis(w, k, 0)
+        w = np.stack((x0 + x1, x0 - x1), axis=k)
+    return w.ravel()
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
@@ -321,11 +347,12 @@ def _pair_spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[
     """The pair (a, b) of g as _pair gives it, its PairSpectrum at tol and
     the graph's grouping tolerance. _support clusters the walk against the
     graph's eigenvalues: the walk's own where it has all n eigenpairs (the
-    dense decomposition), else a values-only solve, so support, theta,
-    group_tol and entry tolerances are the graph's on either route. g keeps
-    those values and the SUPPORT_TOL spectrum of the last pair asked; as a
-    failed build keeps nothing, a new walk is kept only once its spectrum
-    has passed _support's checks."""
+    dense decomposition), else _eigenvalues (the Walsh-Hadamard transform
+    of row 0 on a cubelike graph, a values-only solve on any other), so
+    support, theta, group_tol and entry tolerances are the graph's on
+    either route. g keeps those values and the SUPPORT_TOL spectrum of the
+    last pair asked; as a failed build keeps nothing, a new walk is kept
+    only once its spectrum has passed _support's checks."""
     a, b = g.check_vertex(a), g.check_vertex(b)
 
     def support() -> Tuple[PairSpectrum, float]:

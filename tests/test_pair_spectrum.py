@@ -324,17 +324,132 @@ def test_krylov_route_gives_up_past_the_cut_off(monkeypatch):
     assert calls == [((0, g.n - 1), KRYLOV_MAX_DIM, True)]
 
 
-def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
-    g = pw.hypercube(7)
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + 1e-6)
+def _perturbed_values_fail_and_keep_nothing(monkeypatch, g, a, b, owner, name, signs):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda m: real(m) + 1e-6)
     for _ in range(2):
         with pytest.raises(NumericFailureError, match="trace identities"):
-            pw.strong_cospectrality(g, 0, 127)
+            pw.strong_cospectrality(g, a, b)
         assert g._kept == {}
     monkeypatch.undo()
-    assert pw.strong_cospectrality(g, 0, 127) == (0, 1) * 4
+    assert pw.strong_cospectrality(g, a, b) == signs
     assert ("eigenvalues",) in g._kept and ("eigenpairs",) not in g._kept
+
+
+def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
+    # C16 x K8 is on the Krylov route and not cubelike: its values come from eigvalsh
+    g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
+    signs = (0, 1) * 4 + (0,) + (0, 1) * 4 + (0,)
+    _perturbed_values_fail_and_keep_nothing(monkeypatch, g, 0, 64, np.linalg, "eigvalsh", signs)
+
+
+def test_walsh_hadamard_transform_is_checked_and_failures_keep_nothing(monkeypatch):
+    g = pw.hypercube(7)
+    _perturbed_values_fail_and_keep_nothing(monkeypatch, g, 0, 127, spectral, "_walsh_hadamard", (0, 1) * 4)
+
+
+# ---------------------------------------------------------------------------
+# the graph eigenvalues on the Krylov route: the Walsh-Hadamard transform of
+# row 0 on a cubelike graph, a values-only solve on any other
+# ---------------------------------------------------------------------------
+
+def _xor_cayley(f):
+    """The adjacency f[i ^ j] on Z_2^d, n = len(f) = 2^d."""
+    i = np.arange(len(f))
+    return pw.Graph(np.asarray(f)[np.bitwise_xor.outer(i, i)])
+
+
+CUBELIKE = {
+    **{f"Q{d}": (lambda d=d: pw.hypercube(d)) for d in range(1, 10)},
+    "random-weights": lambda: _xor_cayley(np.random.default_rng(3).uniform(-1.0, 3.0, 64)),
+    "shifted": lambda: pw.Graph(pw.hypercube(6).adj + 2.5 * np.eye(64)),
+    "scaled": lambda: pw.scale(pw.hypercube(7), math.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", CUBELIKE)
+def test_walsh_hadamard_transform_gives_the_eigenvalues(name):
+    g = CUBELIKE[name]()
+    assert spectral._walsh_hadamard(g.adj) is not None
+    w, ref = spectral._eigenvalues(g), np.linalg.eigvalsh(g.adj)[::-1]
+    assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_hypercube_eigenvalues_are_exact_integers(d):
+    # Q_d has eigenvalue d - 2k with multiplicity C(d, k)
+    want = np.repeat(d - 2.0 * np.arange(d + 1), [math.comb(d, k) for k in range(d + 1)])
+    assert np.array_equal(spectral._eigenvalues(pw.hypercube(d)), want)
+
+
+def test_walsh_hadamard_transform_takes_only_cubelike_graphs():
+    assert spectral._walsh_hadamard(pw.complete(6).adj) is None  # n not a power of two
+    assert spectral._walsh_hadamard(pw.cycle(8).adj) is None  # a Cayley graph on Z_8 only
+    q = pw.hypercube(5).adj
+    for i, j, x in ((0, 1, 0.5), (3, 9, 1.0), (30, 31, 2.0), (0, 31, 1.0), (17, 17, 1.0)):
+        adj = q.copy()
+        adj[i, j] = adj[j, i] = x  # one symmetric entry changed
+        assert spectral._walsh_hadamard(adj) is None, (i, j)
+    # what the check reads of a relabelled cubelike graph differs
+    perm = np.random.default_rng(0).permutation(32)
+    assert spectral._walsh_hadamard(q[np.ix_(perm, perm)]) is None
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_cubelike_check_allocates_no_square_array(layout):
+    n = 512
+    good = np.asarray(pw.hypercube(9).adj, order=layout)
+    bad = good.copy(order=layout)
+    bad[n - 1, n - 2] = bad[n - 2, n - 1] = 2.0  # read only at the last level
+    for adj, cubelike in ((good, True), (bad, False)):
+        assert (spectral._walsh_hadamard(adj) is not None) == cubelike
+        # an n x n float array is 8 n^2 bytes; the check's temporaries are
+        # an n/2 x n/2 boolean and numpy's fixed-size ufunc buffers
+        assert _traced_peak(lambda: spectral._walsh_hadamard(adj)) <= n * n
+
+
+def test_cubelike_graph_answers_without_a_values_only_solve(monkeypatch):
+    def answers(g):
+        cert = pw.pst_certificate(g, 0, 255)
+        return (cert, pw.max_fidelity_scan(g, 0, 255, 2.0 * math.pi, 2001),
+                pw.fidelity_series(g, 0, 255, 3.0, 31).amplitudes.tobytes(),
+                pw.collapse_fidelity_check(g, 0, 255, np.linspace(0.0, 2.0 * math.pi, 300)))
+
+    want = answers(pw.hypercube(8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    g = pw.hypercube(8)
+    assert answers(g) == want
+    assert want[0].verdict == "yes" and want[0].time_exact[:2] == (1, 2)
+    assert ("eigenvalues",) in g._kept and ("eigenpairs",) not in g._kept
+
+
+def test_non_cubelike_krylov_graph_takes_the_values_only_solve(monkeypatch):
+    calls, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or real(m))
+    cert = pw.pst_certificate(pw.cartesian_product(pw.cycle(16), pw.complete(8)), 0, 64)
+    assert calls == [(128, 128)]
+    assert cert.verdict == "unknown" and len(cert.support) == 18
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_relabelled_cubelike_graph_gives_the_same_answers(d):
+    # the relabelled copy is not cubelike as labelled and takes eigvalsh
+    g = pw.hypercube(d)
+    perm = np.random.default_rng(d).permutation(g.n)  # vertex v of g is vertex perm[v] of h
+    inv = np.argsort(perm)
+    h = pw.Graph(g.adj[np.ix_(inv, inv)])
+    assert spectral._walsh_hadamard(h.adj) is None
+    for a, b in ((0, g.n - 1), (0, 1), (0, 3), (5, 6)):
+        ha, hb = int(perm[a]), int(perm[b])
+        cert, h_cert = pw.pst_certificate(g, a, b), pw.pst_certificate(h, ha, hb)
+        assert (h_cert.verdict, h_cert.support, h_cert.signs, h_cert.time_exact) == (
+            cert.verdict, cert.support, cert.signs, cert.time_exact), (a, b)
+        theta, h_theta = _pair_spectrum(g, a, b)[1].theta, _pair_spectrum(h, ha, hb)[1].theta
+        assert np.max(np.abs(np.subtract(theta, h_theta))) <= 1e-9, (a, b)
 
 
 # ---------------------------------------------------------------------------
