@@ -15,7 +15,7 @@ operator arguments.
 
 from __future__ import annotations
 
-import os
+import re
 from dataclasses import dataclass, field
 from typing import Tuple, Union
 
@@ -44,7 +44,18 @@ __all__ = ["GraphExpr", "parse_expr", "format_expr", "eval_expr"]
 
 ParamValue = Union[int, float, str, Tuple[int, ...]]
 
-_PATH_DELIMS = set("(),;") | set(" \t\r\n")
+# kind: (pattern, message, converter). In str patterns \s is str.isspace, \w is
+# isalnum() or "_", and \d is isdecimal, the digits int() and float() read.
+_TOKENS = {
+    "name": (re.compile(r"\w+"), "expected a name", str),
+    "uint": (re.compile(r"\d+"), "expected an integer", int),
+    "real": (
+        re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"), "expected a number", float
+    ),
+    "path": (re.compile(r"[^(),; \t\r\n]+"), "expected a file path", str),
+}
+_SPACE = re.compile(r"\s*")
+_MORE_JUMPS = re.compile(r"\s*,\s*(?=\d)")
 
 
 @dataclass(frozen=True)
@@ -67,16 +78,21 @@ def _path(n: int) -> Graph:
 
 
 def _load_graph_file(path: str) -> Graph:
-    if not os.path.exists(path):
-        raise GraphFormatError(f"graph file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise GraphFormatError(f"graph file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"graph file is not UTF-8: {path} (byte {exc.start})") from None
+    return parse_graph(text)
 
 
 # head: (separator, items, builder); atoms (separator ":") read head:item:item,
 # operators head(item<sep>item). An item is a nested expression _E or a parameter
-# (key, kind[, default]) whose kind names the _Parser method that reads it; a key
-# ending in "=" is written key=value. The builder takes the items in order.
+# (key, kind[, default]) whose kind names the _TOKENS entry or _Parser method that
+# reads it; a key ending in "=" is written key=value. The builder takes the items
+# in order.
 _E = ("", "expr")
 _HEADS = {
     "K": (":", [("n", "uint")], complete),
@@ -109,109 +125,46 @@ class _Parser:
         return ExprError(message, self.pos if pos is None else pos)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def at(self, ch: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(ch, self.pos)
 
     def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
+        if not self.at(ch):
             raise self.error(f"expected '{ch}'")
         self.pos += 1
 
-    def name(self) -> str:
+    def token(self, kind: str):
+        pattern, message, convert = _TOKENS[kind]
         self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and (
-            self.text[self.pos].isalpha() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-            # later characters may be digits, so heads like "p4" lex whole
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start : self.pos]
-
-    def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def real(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = False
-        while self.peek().isdigit():
-            self.pos += 1
-            digits = True
-        if self.peek() == ".":
-            self.pos += 1
-            while self.peek().isdigit():
-                self.pos += 1
-                digits = True
-        if not digits:
-            raise self.error("expected a number", start)
-        if self.peek() in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.peek() in "+-":
-                self.pos += 1
-            if not self.peek().isdigit():
-                self.pos = mark
-            else:
-                while self.peek().isdigit():
-                    self.pos += 1
-        return float(self.text[start : self.pos])
+        m = pattern.match(self.text, self.pos)
+        # no character class is exactly isalpha: [^\W\d] also admits "²" and "½"
+        if m is None or kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_"):
+            raise self.error(message)
+        self.pos = m.end()
+        return convert(m[0])
 
     def integer(self) -> int:
         """A number with an integral value, such as 1 or 1.0."""
         self.skip_ws()
         start = self.pos
-        value = self.real()
+        value = self.token("real")
         if not value.is_integer():
             raise self.error("expected an integer", start)
         return int(value)
 
-    def path(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _PATH_DELIMS:
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a file path")
-        return self.text[start : self.pos]
-
     def jumps(self) -> Tuple[int, ...]:
-        jumps = [self.uint()]
-        while True:
-            mark = self.pos
-            self.skip_ws()
-            if self.peek() != ",":
-                self.pos = mark
-                break
-            self.pos += 1
-            self.skip_ws()
-            if not self.peek().isdigit():
-                # The comma belongs to an enclosing argument list.
-                self.pos = mark
-                break
-            jumps.append(self.uint())
+        jumps = [self.token("uint")]
+        # a comma not followed by a digit belongs to an enclosing argument list
+        while m := _MORE_JUMPS.match(self.text, self.pos):
+            self.pos = m.end()
+            jumps.append(self.token("uint"))
         return tuple(jumps)
 
     def expr(self) -> GraphExpr:
-        self.skip_ws()
-        head = self.name()
+        head = self.token("name")
         if head not in _HEADS:
             raise self.error(f"unknown name '{head}'", self.pos - len(head))
         sep, items, _ = _HEADS[head]
@@ -220,17 +173,16 @@ class _Parser:
         for i, (key, kind, *default) in enumerate(items):
             param = key.rstrip("=")
             if i:
-                self.skip_ws()
-                if default and self.peek() != sep:
+                if default and not self.at(sep):
                     params.append((param, default[0]))
                     continue
                 self.expect(sep)
             if param != key:
-                got = self.name()
+                got = self.token("name")
                 if got != param:
                     raise self.error(f"expected parameter '{param}', got '{got}'")
                 self.expect("=")
-            value = getattr(self, kind)()
+            value = self.token(kind) if kind in _TOKENS else getattr(self, kind)()
             if kind == "expr":
                 args.append(value)
             else:

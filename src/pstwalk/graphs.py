@@ -319,11 +319,9 @@ def serialize_graph(g: Graph) -> str:
                     "line without leading or trailing whitespace"
                 )
             lines.append(f"label {i} {s}")
-    for u in range(g.n):
-        for v in range(u, g.n):
-            w = g.adj[u, v]
-            if w != 0.0:
-                lines.append(f"edge {u} {v} {w:.17g}")
+    rows, cols = np.nonzero(np.triu(g.adj))
+    for u, v, w in zip(rows.tolist(), cols.tolist(), g.adj[rows, cols].tolist()):
+        lines.append(f"edge {u} {v} {w:.17g}")
     return "\n".join(lines) + "\n"
 
 

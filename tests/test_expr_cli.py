@@ -21,6 +21,7 @@ def test_parse_sized_atoms():
         ("P:4", "P", 4),
         ("C:6", "C", 6),
         ("Q:3", "Q", 3),
+        ("K:\u0663", "K", 3),  # an Arabic-Indic digit, which int() reads
     ]:
         node = parse_expr(text)
         assert node.op == op and node.param("n") == n and node.args == ()
@@ -32,6 +33,8 @@ def test_parse_circulant_and_file_atoms():
     assert node.param("n") == 15 and node.param("jumps") == (1, 2, 4)
     node = parse_expr("file:/tmp/some.graph")
     assert node.op == "file" and node.param("path") == "/tmp/some.graph"
+    # only ASCII space, tab, CR and LF end a path; other spaces belong to it
+    assert parse_expr("file:a\xa0b").param("path") == "a\xa0b"
 
 
 def test_parse_operator_arities():
@@ -53,6 +56,7 @@ def test_parse_is_whitespace_insensitive():
     tight = parse_expr("weak(Q:2,K:4)")
     spaced = parse_expr("  weak ( Q:2 ,\n\tK:4 )  ")
     assert tight == spaced
+    assert parse_expr("weak(Q:2,\u2003K:4)") == tight
 
 
 def test_circulant_comma_lookahead():
@@ -201,6 +205,12 @@ PARSE_ERRORS = [
     ('circ:5:1,2 ,', 'unexpected trailing characters (offset 11)', 11),
     ('file:a b', 'unexpected trailing characters (offset 7)', 7),
     ('scale(P:4;0.5)0', 'unexpected trailing characters (offset 14)', 14),
+    ('\u00bdK:3', 'expected a name (offset 0)', 0),
+    # "\u00b2" passes str.isdigit but not isdecimal, so int() and float() reject it
+    ('K:\u00b2', 'expected an integer (offset 2)', 2),
+    ('scale(K:3;\u00b2)', 'expected a number (offset 10)', 10),
+    ('circ:5:1,\u00b2', 'unexpected trailing characters (offset 8)', 8),
+    ('p4(w=1e\u00b2)', "expected ')' (offset 6)", 6),
 ]
 
 
@@ -396,8 +406,19 @@ def test_file_atom_round_trip(tmp_path):
 
 
 def test_file_atom_missing_file():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError) as ei:
         eval_expr(parse_expr("file:/nonexistent/nowhere.graph"))
+    assert str(ei.value) == "graph file not found: /nonexistent/nowhere.graph"
+
+
+def test_file_atom_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"pstgraph 1\nn 2\nlabel 0 caf\xe9\n")
+    with pytest.raises(GraphFormatError) as ei:
+        eval_expr(parse_expr(f"file:{path}"))
+    assert str(ei.value) == f"graph file is not UTF-8: {path} (byte 26)"
+    assert main(["build", "--expr", f"file:{path}"]) == 1
+    assert capsys.readouterr() == ("", f"error: graph file is not UTF-8: {path} (byte 26)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,32 @@ def test_serialize_round_trip(corpus):
         assert back.labels == g.labels
 
 
+def _serialize_by_loop(g):
+    """The reference: every (u, v) with u <= v, one Python step each."""
+    lines = [pw.graphs.FORMAT_HEADER, f"n {g.n}"]
+    lines += [f"label {i} {s}" for i, s in enumerate(g.labels or ())]
+    for u in range(g.n):
+        for v in range(u, g.n):
+            w = g.adj[u, v]
+            if w != 0.0:
+                lines.append(f"edge {u} {v} {w:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_the_loop_reference_byte_for_byte():
+    rng = np.random.default_rng(7)
+    a = np.triu(rng.normal(size=(40, 40)) * (rng.random((40, 40)) < 0.3))
+    a[np.diag_indices(40)] = rng.normal(size=40)
+    a = a + np.triu(a, 1).T
+    a[3, 9] = a[9, 3] = a[5, 5] = -0.0
+    a[0, 39] = a[39, 0] = 1e-300
+    weighted = Graph(a)
+    assert np.signbit(weighted.adj[3, 9]) and np.signbit(weighted.adj[5, 5])
+    assert weighted.has_loops()
+    for g in (pw.hypercube(9), weighted):
+        assert pw.serialize_graph(g).encode() == _serialize_by_loop(g).encode()
+
+
 def test_serialize_keeps_labels_and_loops():
     g = pw.path_graph([1.0], loops=(0.5, 0.0)).relabelled(["left", "right"])
     text = pw.serialize_graph(g)
