@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError
-from .graphs import Graph, regular_degree
+from .graphs import Graph, _layered, path_graph, regular_degree
 from .products import ConditionReport
 from .rationals import (
     CLASS_EVEN_OVER_ODD,
@@ -54,6 +54,10 @@ __all__ = [
     "p4_pst_condition",
 ]
 
+# appended to a condition's detail when the parity-class shortcut and the
+# exact test, which decides, give different answers
+_SHORTCUT_DISAGREES = " (parity-class shortcut disagrees; exact test governs)"
+
 
 # ---------------------------------------------------------------------------
 # double cones
@@ -72,12 +76,9 @@ def double_cone(base: Graph, b: int, alpha: float) -> Graph:
     if not alpha > 0:
         raise InvalidArgumentError("cone scale alpha must be positive")
     _, x0 = perron_vector(base)
-    n = base.n
-    adj = np.zeros((n + 2, n + 2))
-    adj[0, 1] = adj[1, 0] = float(b)
-    adj[0, 2:] = adj[2:, 0] = alpha * x0
-    adj[1, 2:] = adj[2:, 1] = alpha * x0
-    adj[2:, 2:] = base.adj
+    spoke = alpha * x0[None, :]
+    links = {(0, 1): float(b), (0, 2): spoke, (1, 2): spoke}
+    adj = _layered([[[0.0]], [[0.0]], base.adj], links)
     labels = None
     if base.labels is not None:
         labels = ("A", "B") + base.labels
@@ -177,15 +178,8 @@ def glued_double_cone(
     for a in (g1.adj, g2.adj):
         if np.max(np.abs(conn @ a - a @ conn)) > 1e-10:
             raise NonCommutingError("connection matrix must commute with both adjacencies")
-    size = 2 * n + 2
-    adj = np.zeros((size, size))
-    adj[0, 1 : n + 1] = adj[1 : n + 1, 0] = 1.0
-    adj[size - 1, n + 1 : 2 * n + 1] = adj[n + 1 : 2 * n + 1, size - 1] = 1.0
-    adj[1 : n + 1, 1 : n + 1] = g1.adj
-    adj[n + 1 : 2 * n + 1, n + 1 : 2 * n + 1] = g2.adj
-    adj[1 : n + 1, n + 1 : 2 * n + 1] = conn
-    adj[n + 1 : 2 * n + 1, 1 : n + 1] = conn.T
-    return Graph(adj)
+    apex = [[0.0]]
+    return Graph(_layered([apex, g1.adj, g2.adj, apex], {(0, 1): 1.0, (1, 2): conn, (2, 3): 1.0}))
 
 
 def glued_cone_apexes(g: Graph) -> Tuple[int, int]:
@@ -210,14 +204,20 @@ def _glued_branch_data(n: int, k: int, gamma: int):
 
 
 def glued_cone_pst_condition(n: int, k: int, gamma: int) -> ConditionReport:
-    """Parity test for apex-to-apex transfer on a glued double cone whose
+    """Exact test for apex-to-apex transfer on a glued double cone whose
     halves are k-regular on n vertices with connection row sum gamma.
 
-    With k_pm = (k +- gamma)/2 and Delta_pm = sqrt(k_pm^2 + n), the condition
-    is Delta_plus/Delta_minus in {even/odd, odd/even} together with at least
-    one of gamma/Delta_pm in even/odd. When it holds the minimal time comes
-    from the exact phase-alignment system on the four apex-supported
-    eigenvalues k_pm +- Delta_pm.
+    With k_pm = (k +- gamma)/2 and Delta_pm = sqrt(k_pm^2 + n), all apex
+    support sits on the four eigenvalues k_pm +- Delta_pm, with swap sign 0
+    on the + branch and 1 on the - branch. Transfer is perfect iff both
+    Delta_pm are rational, no eigenvalue lies on both branches, and the exact
+    phase-alignment system on the four has a solution; its minimal solution
+    is the time.
+
+    The witness also records the parity-class shortcut: Delta_plus/Delta_minus
+    in {even/odd, odd/even} and at least one gamma/Delta_pm in even/odd. The
+    shortcut is sufficient but not necessary, so the exact test decides
+    holds, and the detail flags each "yes" the shortcut misses.
     """
     _validate_nkg(n, k, gamma)
     (k_plus, dsq_plus), (k_minus, dsq_minus) = _glued_branch_data(n, k, gamma)
@@ -238,36 +238,33 @@ def glued_cone_pst_condition(n: int, k: int, gamma: int) -> ConditionReport:
     ratio = d_plus / d_minus
     g_plus = Fraction(gamma) / d_plus
     g_minus = Fraction(gamma) / d_minus
-    tag_ratio = classify_rational(ratio.numerator, ratio.denominator)
-    tags_gamma = (
-        classify_rational(g_plus.numerator, g_plus.denominator),
-        classify_rational(g_minus.numerator, g_minus.denominator),
-    )
+    tag_ratio = classify_rational(*ratio.as_integer_ratio())
+    tags_gamma = tuple(classify_rational(*f.as_integer_ratio()) for f in (g_plus, g_minus))
     witness["delta_ratio"] = ratio
     witness["gamma_ratios"] = (g_plus, g_minus)
     witness["delta_ratio_class"] = tag_ratio
     witness["gamma_ratio_classes"] = tags_gamma
-    holds = tag_ratio in (CLASS_EVEN_OVER_ODD, CLASS_ODD_OVER_EVEN) and (
+    class_form = tag_ratio in (CLASS_EVEN_OVER_ODD, CLASS_ODD_OVER_EVEN) and (
         CLASS_EVEN_OVER_ODD in tags_gamma
     )
-    # Exact minimal time from the phase-alignment congruences, independent of
-    # the class shortcut above.
     values = [k_plus + d_plus, k_plus - d_plus, k_minus + d_minus, k_minus - d_minus]
-    signs = [0, 0, 1, 1]
-    ref = values[0]
-    denom = lcm(*[ (v - ref).denominator for v in values[1:] ])
-    deltas = [int((v - ref) * denom) for v in values[1:]]
-    parities = [s ^ signs[0] for s in signs[1:]]
-    tau = minimal_phase_alignment(deltas, parities)
-    if tau is not None:
+    tau = None
+    if len(set(values)) == 4:  # else one eigenvalue carries both swap signs
+        ref = values[0]
+        denom = lcm(*[(v - ref).denominator for v in values[1:]])
+        deltas = [int((v - ref) * denom) for v in values[1:]]
+        tau = minimal_phase_alignment(deltas, [0, 1, 1])
+    holds = tau is not None
+    if holds:
         t_exact = tau * denom  # t = tau * pi / r with r = 1/denom
         witness["time"] = float(t_exact) * pi
         witness["time_exact"] = t_exact
-    if holds:
         detail = (
             f"Delta_plus/Delta_minus = {ratio} ({tag_ratio}), gamma ratios "
             f"{g_plus} ({tags_gamma[0]}), {g_minus} ({tags_gamma[1]})"
         )
+        if not class_form:
+            detail += _SHORTCUT_DISAGREES
     elif tag_ratio == CLASS_ODD_OVER_ODD:
         detail = f"condition fails (Delta ratio {ratio} has odd/odd parity)"
     else:
@@ -314,21 +311,9 @@ def glued_cone_apex_fidelity(n: int, k: int, gamma: int, t) -> Union[complex, np
 def cylindrical_cone(g1: Graph, middle: Graph, g2: Graph) -> Graph:
     """Layered graph apex + G1 + middle + G2 + apex, consecutive layers fully
     joined with weight-1 edges. Layer blocks keep their own adjacency."""
-    sizes = [1, g1.n, middle.n, g2.n, 1]
-    offsets = np.cumsum([0] + sizes)
-    size = int(offsets[-1])
-    adj = np.zeros((size, size))
-    blocks = [None, g1, middle, g2, None]
-    for i, block in enumerate(blocks):
-        if block is not None:
-            s = offsets[i]
-            adj[s : s + block.n, s : s + block.n] = block.adj
-    for i in range(4):
-        rows = slice(offsets[i], offsets[i + 1])
-        cols = slice(offsets[i + 1], offsets[i + 2])
-        adj[rows, cols] = 1.0
-        adj[cols, rows] = 1.0
-    return Graph(adj)
+    apex = [[0.0]]
+    blocks = [apex, g1.adj, middle.adj, g2.adj, apex]
+    return Graph(_layered(blocks, {(i, i + 1): 1.0 for i in range(4)}))
 
 
 def cylindrical_apexes(g: Graph) -> Tuple[int, int]:
@@ -494,12 +479,7 @@ def weighted_p4(gamma: float, kappa: float = 0.0) -> Graph:
     """Path 0-1-2-3 with outer weights 1, middle weight gamma, and loops of
     weight kappa on the two internal vertices."""
     _check_p4_gamma(gamma)
-    adj = np.zeros((4, 4))
-    adj[0, 1] = adj[1, 0] = 1.0
-    adj[1, 2] = adj[2, 1] = gamma
-    adj[2, 3] = adj[3, 2] = 1.0
-    adj[1, 1] = adj[2, 2] = kappa
-    return Graph(adj)
+    return path_graph((1.0, gamma, 1.0), (0.0, kappa, kappa, 0.0))
 
 
 def p4_pst_condition(gamma: float, kappa: float = 0.0) -> ConditionReport:
@@ -530,55 +510,44 @@ def p4_pst_condition(gamma: float, kappa: float = 0.0) -> ConditionReport:
     }
     r_plus = rational_reconstruct(d_plus / gamma)
     r_minus = rational_reconstruct(d_minus / gamma)
-    if r_plus is None or r_minus is None:
+    if r_plus is None or r_minus is None or 0 in (r_plus[0], r_minus[0]):
         return ConditionReport(
             False, witness, "condition fails (irrational Delta/gamma ratio)"
         )
     fp = Fraction(*r_plus)
     fm = Fraction(*r_minus)
     scale = lcm(fp.denominator, fm.denominator)
-    c_plus = int(fp * scale)
-    c_minus = int(fm * scale)
-    d_val = scale
-    g = gcd(gcd(c_plus, c_minus), d_val)
-    triple = (c_plus // g, c_minus // g, d_val // g)
+    c_plus, c_minus = int(fp * scale), int(fm * scale)
+    g = gcd(c_plus, c_minus, scale)
+    triple = (c_plus // g, c_minus // g, scale // g)
     witness["triple"] = list(triple)
     feasible = sum(triple) % 2 == 1
 
     # Parity-class shortcut, kept for cross-checking.
     if kappa == 0.0:
-        inv = 1 / fp  # gamma / Delta
-        tag = classify_rational(inv.numerator, inv.denominator)
+        tag = classify_rational(*(1 / fp).as_integer_ratio())  # gamma / Delta
         class_form = tag in (CLASS_ODD_OVER_EVEN, CLASS_ODD_OVER_ODD)
         witness["class_form"] = class_form
         witness["gamma_delta_class"] = tag
     else:
         ratio = fp / fm
-        tag_ratio = classify_rational(ratio.numerator, ratio.denominator)
-        inv_p = 1 / fp
-        inv_m = 1 / fm
-        tags = (
-            classify_rational(inv_p.numerator, inv_p.denominator),
-            classify_rational(inv_m.numerator, inv_m.denominator),
-        )
+        tag_ratio = classify_rational(*ratio.as_integer_ratio())
+        tags = [classify_rational(*(1 / f).as_integer_ratio()) for f in (fp, fm)]
         class_form = tag_ratio in (CLASS_EVEN_OVER_ODD, CLASS_ODD_OVER_EVEN) and any(
             tg in (CLASS_EVEN_OVER_ODD, CLASS_ODD_OVER_ODD) for tg in tags
         )
         witness["class_form"] = class_form
         witness["delta_ratio_class"] = tag_ratio
-        witness["gamma_delta_classes"] = list(tags)
+        witness["gamma_delta_classes"] = tags
 
     if feasible:
-        t_star = triple[2] * pi / gamma
-        witness["time"] = t_star
+        witness["time"] = triple[2] * pi / gamma
         detail = (
             f"primitive multiplier triple {triple} has odd sum; transfer at "
             f"t = {triple[2]}*pi/gamma"
         )
-        if not class_form:
-            detail += " (parity-class shortcut disagrees; exact test governs)"
-        return ConditionReport(True, witness, detail)
-    detail = f"condition fails (multiplier triple {triple} has even sum)"
-    if class_form:
-        detail += " (parity-class shortcut disagrees; exact test governs)"
-    return ConditionReport(False, witness, detail)
+    else:
+        detail = f"condition fails (multiplier triple {triple} has even sum)"
+    if feasible != class_form:
+        detail += _SHORTCUT_DISAGREES
+    return ConditionReport(feasible, witness, detail)

@@ -126,7 +126,7 @@ class Graph:
         return self.adj.shape == other.adj.shape and np.array_equal(self.adj, other.adj)
 
     def __hash__(self):
-        return hash((self.n, self.adj.tobytes()))
+        return hash((self.n, (self.adj + 0.0).tobytes()))  # + 0.0 maps -0.0 to 0.0, as == does
 
     def __repr__(self):
         kind = "weighted" if not self.is_unweighted() else "unweighted"
@@ -135,6 +135,22 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _layered(blocks, links) -> np.ndarray:
+    """The symmetric block matrix with the square `blocks` on its diagonal in
+    order. links[(i, j)], i < j, is a scalar or a matrix set between blocks i
+    and j, and its transpose mirrors it between j and i; unlinked blocks get
+    zeros. Every block-structured builder lays out its adjacency here."""
+    ends = np.cumsum([len(block) for block in blocks])
+    spans = [slice(end - len(block), end) for block, end in zip(blocks, ends)]
+    a = np.zeros((ends[-1], ends[-1]))
+    for span, block in zip(spans, blocks):
+        a[span, span] = block
+    for (i, j), link in links.items():
+        a[spans[i], spans[j]] = link
+        a[spans[j], spans[i]] = np.transpose(link)
+    return a
 
 
 def complete(n: int) -> Graph:
@@ -170,12 +186,8 @@ def path_graph(weights: Sequence[float], loops=None) -> Graph:
             raise InvalidArgumentError(
                 f"got {len(w)} edge weights (path on {n} vertices) but {len(lo)} loop weights"
             )
-    a = np.zeros((n, n))
-    for i, x in enumerate(w):
-        a[i, i + 1] = a[i + 1, i] = x
-    for i, x in enumerate(lo):
-        a[i, i] = x
-    return Graph(a)
+    links = {(i, i + 1): x for i, x in enumerate(w)}
+    return Graph(_layered([[[x]] for x in lo], links))
 
 
 def cycle(n: int) -> Graph:
@@ -230,16 +242,10 @@ def join(g: Graph, h: Graph) -> Graph:
 
     Vertices of g come first.
     """
-    n, m = g.n, h.n
-    a = np.zeros((n + m, n + m))
-    a[:n, :n] = g.adj
-    a[n:, n:] = h.adj
-    a[:n, n:] = 1.0
-    a[n:, :n] = 1.0
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = list(g.labels) + list(h.labels)
-    return Graph(a, labels)
+    return Graph(_layered([g.adj, h.adj], {(0, 1): 1.0}), labels)
 
 
 def scale(g: Graph, c: float) -> Graph:

@@ -56,31 +56,31 @@ def _product_labels(g: Graph, h: Graph) -> Optional[Tuple[str, ...]]:
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
-        adj = np.kron(g.adj, np.eye(h.n)) + np.kron(np.eye(g.n), h.adj)
-    return Graph(adj, labels=_product_labels(g, h))
+    """G_I[H]: each vertex of a copy of H linked to its twin in every adjacent copy."""
+    return generalized_lexicographic_product(g, Graph(np.eye(h.n)), h)
 
 
 def weak_product(g: Graph, h: Graph) -> Graph:
+    # one kron, not G_C[H]: adding I (x) A_H's zeros would turn -0.0 into +0.0
     with np.errstate(over="ignore"):
         adj = np.kron(g.adj, h.adj)
     return Graph(adj, labels=_product_labels(g, h))
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
-    with np.errstate(over="ignore"):
-        adj = np.kron(g.adj, np.ones((h.n, h.n))) + np.kron(np.eye(g.n), h.adj)
-    return Graph(adj, labels=_product_labels(g, h))
+    """G_J[H]: each vertex of a copy of H linked to all of every adjacent copy."""
+    return generalized_lexicographic_product(g, Graph(np.ones((h.n, h.n))), h)
 
 
 def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
     """Adjacency A_G (x) A_C + I (x) A_H; C prescribes the connection pattern
-    between copies of H, so it must have the same order as H."""
+    between copies of H, so it must have the same order as H. Every product
+    but the weak one is built here."""
     if c.n != h.n:
         raise InvalidSizeError(
             f"connection graph has {c.n} vertices but inner graph has {h.n}"
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
         adj = np.kron(g.adj, c.adj) + np.kron(np.eye(g.n), h.adj)
     return Graph(adj, labels=_product_labels(g, h))
 

@@ -21,8 +21,11 @@ def test_double_cone_structure():
     assert np.allclose(g.adj[0, 2:], 1.0)
     assert np.allclose(g.adj[1, 2:], 1.0)
     assert g.labels is None  # unlabeled base stays unlabeled
-    labeled = pw.double_cone(pw.hypercube(1), 0, 1.0)
+    labeled = pw.double_cone(pw.hypercube(1), 1, 2.0)
     assert list(labeled.labels) == ["A", "B", "0", "1"]
+    s0, s1 = 2.0 * pw.perron_vector(pw.hypercube(1))[1]
+    expected = [[0, 1, s0, s1], [1, 0, s0, s1], [s0, s0, 0, 1], [s1, s1, 1, 0]]
+    assert np.array_equal(labeled.adj, expected)
 
 
 def test_double_cone_adjacent_apexes():
@@ -201,6 +204,31 @@ def test_glued_cone_condition_irrational():
     assert "irrational" in rep.detail
 
 
+@pytest.mark.parametrize(
+    "n, k, gamma, time", [(3, 0, 2, math.pi / 2), (12, 0, 4, math.pi / 4), (15, 8, 6, math.pi / 2)]
+)
+def test_glued_cone_condition_exact_test_overrides_class_shortcut(n, k, gamma, time, oracle_amp):
+    # the parity classes reject these, but the four apex phases align
+    rep = pw.glued_cone_pst_condition(n, k, gamma)
+    assert rep.holds
+    assert rep.witness["time"] == pytest.approx(time, abs=1e-12)
+    assert rep.detail.endswith("(parity-class shortcut disagrees; exact test governs)")
+    half = pw.circulant(n, range(1, k // 2 + 1))
+    g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
+    assert pw.pst_certificate(g, 0, g.n - 1).verdict == "yes"
+    assert abs(oracle_amp(g, 0, g.n - 1, time)) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (4, 0), (8, 2)])
+def test_glued_cone_condition_unglued_halves(n, k):
+    # gamma = 0 leaves the apexes in separate components, and each eigenvalue
+    # k/2 +- Delta sits on both symmetry branches
+    rep = pw.glued_cone_pst_condition(n, k, 0)
+    assert not rep.holds
+    assert rep.witness["time"] is None
+    assert "disagrees" not in rep.detail
+
+
 def test_glued_cone_family():
     assert pw.glued_cone_family(2) == (15, 6, 8)
     assert pw.glued_cone_family(3) == (60, 12, 16)
@@ -361,6 +389,9 @@ def test_weighted_p4_matrix():
     assert np.array_equal(g.adj, expected)
     with pytest.raises(InvalidArgumentError):
         pw.weighted_p4(0.0)
+    negative_zero_loops = pw.weighted_p4(1.0, -0.0)
+    assert np.array_equal(negative_zero_loops.adj, pw.path_graph([1.0, 1.0, 1.0]).adj)
+    assert np.signbit(np.diag(negative_zero_loops.adj)).tolist() == [False, True, True, False]
 
 
 def test_p4_condition_loopless_instances(oracle_amp):
@@ -412,6 +443,13 @@ def test_p4_condition_with_loops_positive(oracle_amp):
     assert abs(t_star - 2 * math.pi * root / 8.0) < 1e-10
     g = pw.weighted_p4(8.0 / root, 10.0 / root)
     assert abs(oracle_amp(g, 0, 3, t_star)) >= 1 - 1e-8
+
+
+def test_p4_condition_ratio_reconstructing_to_zero_fails():
+    # Delta_minus / gamma = 1e-9 reconstructs to 0/1: no triple, no division
+    rep = pw.p4_pst_condition(1e9, 1e9)
+    assert not rep.holds
+    assert rep.detail == "condition fails (irrational Delta/gamma ratio)"
 
 
 def test_p4_condition_rejects_nonpositive_gamma():

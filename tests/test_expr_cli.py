@@ -599,6 +599,20 @@ def test_cli_condition_gluedcone(capsys):
     assert payload["witness"]["delta_ratio"] == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "argv, holds",
+    [
+        (["gluedcone", "--n", "4", "--k", "0", "--gamma", "0"], False),
+        (["gluedcone", "--n", "3", "--k", "0", "--gamma", "2"], True),
+        (["p4", "--w", "1e9", "--loop", "1e9"], False),
+    ],
+)
+def test_cli_condition_answers_edge_inputs(capsys, argv, holds):
+    rc, payload = _run_json(capsys, ["condition"] + argv)
+    assert rc == 0
+    assert payload["holds"] is holds
+
+
 def test_cli_condition_cylcone(capsys):
     rc, payload = _run_json(
         capsys, ["condition", "cylcone", "--n", "3", "--k", "2", "--m", "2"]

@@ -16,6 +16,7 @@ from pstwalk import (
     SelfLoopError,
     UnsupportedGraphError,
 )
+from pstwalk.graphs import _layered
 
 
 def test_complete_graph_basics():
@@ -118,12 +119,37 @@ def test_hypercube_matches_the_entry_loop():
         assert g.labels == tuple(format(i, f"0{d}b") for i in range(m))
 
 
+def test_layered_places_blocks_and_mirrors_links():
+    blocks = [[[5.0]], [[0.0, 4.0], [4.0, 0.0]], np.full((3, 3), 6.0)]
+    a = _layered(blocks, {(0, 1): -0.0, (0, 2): [[1.0, 2.0, 3.0]], (1, 2): 7.0})
+    expected = np.array(
+        [
+            [5.0, -0.0, -0.0, 1.0, 2.0, 3.0],
+            [-0.0, 0.0, 4.0, 7.0, 7.0, 7.0],
+            [-0.0, 4.0, 0.0, 7.0, 7.0, 7.0],
+            [1.0, 7.0, 7.0, 6.0, 6.0, 6.0],
+            [2.0, 7.0, 7.0, 6.0, 6.0, 6.0],
+            [3.0, 7.0, 7.0, 6.0, 6.0, 6.0],
+        ]
+    )
+    assert np.array_equal(a, expected) and np.array_equal(np.signbit(a), np.signbit(expected))
+    # blocks with no link between them stay zero
+    assert np.array_equal(_layered([[[1.0]], [[2.0]]], {}), np.diag([1.0, 2.0]))
+
+
 def test_join_puts_left_operand_first():
     g = pw.join(pw.empty_graph(2), pw.complete(3))
     assert g.n == 5
     assert g.adj[0, 1] == 0  # the two apexes stay non-adjacent
     assert all(g.adj[0, v] == 1 for v in range(2, 5))
     assert g.adj[2, 3] == 1
+    assert g.labels is None
+    labelled = pw.join(pw.hypercube(1), pw.scale(pw.hypercube(1), -1.0))
+    expected = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, -0.0, -1], [1, 1, -1, -0.0]]
+    assert np.array_equal(labelled.adj, expected)
+    assert np.array_equal(np.signbit(labelled.adj), np.signbit(expected))
+    assert labelled.labels == ("0", "1", "0", "1")
+    assert pw.join(pw.hypercube(1), pw.complete(2)).labels is None
 
 
 def test_complement_involution_unweighted():
@@ -323,3 +349,7 @@ def test_graph_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != pw.cycle(5)
+    # -0.0 == 0.0, so a graph with -0.0 entries hashes as its +0.0 twin
+    negated, plain = pw.scale(pw.path_graph([1.0, 0.0]), -1.0), pw.path_graph([-1.0, 0.0])
+    assert negated == plain and hash(negated) == hash(plain)
+    assert len({negated, plain}) == 1
