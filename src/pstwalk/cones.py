@@ -11,14 +11,17 @@ Four families live here, all built around two distinguished "apex" vertices:
   and the checker emits the parity contradiction showing why);
 * weighted 4-paths with a tunable middle edge and optional loops on the two
   internal vertices.
+
+The double cone, glued cone and 4-path transfer between their apexes exactly
+when the primitive integer multipliers of their frequencies have an odd sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, pi, sqrt
-from typing import Any, Dict, Optional, Tuple, Union
+from math import gcd, lcm, pi, sqrt
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .rationals import (
     CLASS_ODD_OVER_EVEN,
     CLASS_ODD_OVER_ODD,
     classify_rational,
-    minimal_phase_alignment,
     rational_reconstruct,
     sqrt_rational,
 )
@@ -57,6 +59,17 @@ __all__ = [
 # appended to a condition's detail when the parity-class shortcut and the
 # exact test, which decides, give different answers
 _SHORTCUT_DISAGREES = " (parity-class shortcut disagrees; exact test governs)"
+
+
+def _multipliers(freqs: Tuple[Fraction, ...]):
+    """The primitive integer vector f*den/g of nonnegative rational
+    frequencies f (den the lcm of their denominators, g the gcd of f*den)
+    and t/pi = den/g of the first transfer, or None when its sum is even."""
+    den = lcm(*(f.denominator for f in freqs))
+    scaled = [int(f * den) for f in freqs]
+    g = gcd(*scaled)
+    vector = tuple(c // g for c in scaled)
+    return vector, Fraction(den, g) if sum(vector) % 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +123,8 @@ def double_cone_fidelity(lam0: float, b: int, alpha: float, t) -> Union[complex,
 
 def double_cone_pst_condition(lam0: float, b: int, alpha: float) -> ConditionReport:
     """Transfer between the apexes is perfect iff the frequency ratio
-    (lam_plus + b) / Delta is a reduced rational with exactly one even part
-    (even/odd or odd/even); the minimal time is then q*pi/Delta.
+    (lam_plus + b) / Delta is a rational p/q whose multipliers (p, q) have
+    an odd sum (even/odd or odd/even); the minimal time is then q*pi/Delta.
 
     |F| = 1 needs sin(t*Delta) = 0 together with an anti-phase condition
     between the two spectral branches, which is exactly that parity demand.
@@ -132,12 +145,12 @@ def double_cone_pst_condition(lam0: float, b: int, alpha: float) -> ConditionRep
     tag = classify_rational(p, q)
     witness["ratio"] = [p, q]
     witness["class"] = tag
-    if tag == CLASS_ODD_OVER_ODD:
+    _, t = _multipliers((Fraction(p, q), Fraction(1)))
+    if t is None:
         return ConditionReport(
             False, witness, f"condition fails (ratio {p}/{q} has odd/odd parity)"
         )
-    t_star = q * pi / delta
-    witness["time"] = t_star
+    witness["time"] = t * pi / delta
     return ConditionReport(
         True, witness, f"ratio {p}/{q} in class {tag}; transfer at t = {q}*pi/Delta"
     )
@@ -209,10 +222,11 @@ def glued_cone_pst_condition(n: int, k: int, gamma: int) -> ConditionReport:
 
     With k_pm = (k +- gamma)/2 and Delta_pm = sqrt(k_pm^2 + n), all apex
     support sits on the four eigenvalues k_pm +- Delta_pm, with swap sign 0
-    on the + branch and 1 on the - branch. Transfer is perfect iff both
-    Delta_pm are rational, no eigenvalue lies on both branches, and the exact
-    phase-alignment system on the four has a solution; its minimal solution
-    is the time.
+    on the + branch and 1 on the - branch. Their phases align iff t*Delta_plus,
+    t*Delta_minus and t*gamma are multiples of pi with an odd multiplier sum,
+    so transfer is perfect iff both Delta_pm are rational and the primitive
+    multipliers of (Delta_plus, Delta_minus, gamma) have an odd sum (never for
+    an eigenvalue on both branches: then gamma = |Delta_plus +- Delta_minus|).
 
     The witness also records the parity-class shortcut: Delta_plus/Delta_minus
     in {even/odd, odd/even} and at least one gamma/Delta_pm in even/odd. The
@@ -220,7 +234,7 @@ def glued_cone_pst_condition(n: int, k: int, gamma: int) -> ConditionReport:
     holds, and the detail flags each "yes" the shortcut misses.
     """
     _validate_nkg(n, k, gamma)
-    (k_plus, dsq_plus), (k_minus, dsq_minus) = _glued_branch_data(n, k, gamma)
+    (_, dsq_plus), (_, dsq_minus) = _glued_branch_data(n, k, gamma)
     d_plus = sqrt_rational(dsq_plus)
     d_minus = sqrt_rational(dsq_minus)
     witness: Dict[str, Any] = {
@@ -247,16 +261,9 @@ def glued_cone_pst_condition(n: int, k: int, gamma: int) -> ConditionReport:
     class_form = tag_ratio in (CLASS_EVEN_OVER_ODD, CLASS_ODD_OVER_EVEN) and (
         CLASS_EVEN_OVER_ODD in tags_gamma
     )
-    values = [k_plus + d_plus, k_plus - d_plus, k_minus + d_minus, k_minus - d_minus]
-    tau = None
-    if len(set(values)) == 4:  # else one eigenvalue carries both swap signs
-        ref = values[0]
-        denom = lcm(*[(v - ref).denominator for v in values[1:]])
-        deltas = [int((v - ref) * denom) for v in values[1:]]
-        tau = minimal_phase_alignment(deltas, [0, 1, 1])
-    holds = tau is not None
+    _, t_exact = _multipliers((d_plus, d_minus, Fraction(gamma)))
+    holds = t_exact is not None
     if holds:
-        t_exact = tau * denom  # t = tau * pi / r with r = 1/denom
         witness["time"] = float(t_exact) * pi
         witness["time_exact"] = t_exact
         detail = (
@@ -330,13 +337,6 @@ class NoTransferTrace:
     trace: Tuple[str, ...]
 
 
-def _is_square(x: int) -> Optional[int]:
-    if x < 0:
-        return None
-    r = isqrt(x)
-    return r if r * r == x else None
-
-
 def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
     """Prove no apex-to-apex perfect transfer on the cylindrical cone built
     from k-regular n-vertex layers around an m-vertex empty middle.
@@ -362,7 +362,7 @@ def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
     params = {"n": n, "k": k, "m": m, "delta_sq": big_d / 4.0, "gamma_sq": big_e / 4.0}
 
     if k % 2 == 1:
-        s = _is_square(big_d)
+        s = sqrt_rational(big_d)
         if s is None:
             trace.append(
                 "k is odd, so t*k lands in 2Z*pi while t*Delta must land in Z*pi, "
@@ -393,7 +393,7 @@ def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
         d2 = kt * kt + n1
         e2 = kt * kt + (2 * m + 1) * n1
         if kt == 0:
-            r = _is_square(2 * m + 1)
+            r = sqrt_rational(2 * m + 1)
             if r is not None:
                 trace.append(
                     f"k/2 = 0{note}: t*Delta must be an odd multiple of pi and "
@@ -412,26 +412,15 @@ def cylindrical_no_pst_check(n: int, k: int, m: int) -> NoTransferTrace:
                     f"{2 * m + 1} is not a perfect square: contradiction"
                 )
             break
-        if _is_square(d2) is None:
+        delta, gam = sqrt_rational(d2), sqrt_rational(e2)
+        if delta is None or gam is None:
+            name, sq = ("Delta", d2) if delta is None else ("Gamma", e2)
             trace.append(
-                f"current frequencies{note} need t*{kt} in Z*pi and t*Delta in Z*pi, "
-                f"forcing Delta/{kt} rational"
+                f"current frequencies{note} need t*{kt} in Z*pi and t*{name} in Z*pi, "
+                f"forcing {name}/{kt} rational"
             )
-            trace.append(
-                f"but Delta^2 = {d2} is not a perfect square: contradiction"
-            )
+            trace.append(f"but {name}^2 = {sq} is not a perfect square: contradiction")
             break
-        if _is_square(e2) is None:
-            trace.append(
-                f"current frequencies{note} need t*{kt} in Z*pi and t*Gamma in Z*pi, "
-                f"forcing Gamma/{kt} rational"
-            )
-            trace.append(
-                f"but Gamma^2 = {e2} is not a perfect square: contradiction"
-            )
-            break
-        delta = _is_square(d2)
-        gam = _is_square(e2)
         lam = (kt + delta, kt - delta)
         mu = (kt + gam, kt - gam)
         if n1 % 2 == 1:
@@ -488,9 +477,9 @@ def p4_pst_condition(gamma: float, kappa: float = 0.0) -> ConditionReport:
     With Delta_pm = sqrt((kappa +- gamma)^2 + 4)/2, perfect transfer needs a
     time t with t*Delta_plus, t*Delta_minus and t*gamma all integer multiples
     of pi whose three multipliers sum to an odd number. When Delta_pm/gamma
-    are rational that reduces to the parity of the primitive integer triple
-    proportional to (Delta_plus, Delta_minus, gamma); the minimal time is
-    then d*pi/gamma for the triple's gamma component d.
+    are rational that is the parity of the primitive multiplier triple of
+    (Delta_plus/gamma, Delta_minus/gamma, 1); the minimal time is then
+    d*pi/gamma for the triple's gamma component d.
 
     The witness also records the parity-class shortcut on Delta and gamma
     ratios ("class_form"); the exact triple-parity test is what decides
@@ -508,20 +497,18 @@ def p4_pst_condition(gamma: float, kappa: float = 0.0) -> ConditionReport:
         "class_form": None,
         "time": None,
     }
-    r_plus = rational_reconstruct(d_plus / gamma)
-    r_minus = rational_reconstruct(d_minus / gamma)
+    # a rational ratio reproduces to a few ulp, one sqrt away from Delta_pm;
+    # the default 1e-9 lets sqrt(1 + 1e-10) pass as 1
+    r_plus, r_minus = (rational_reconstruct(d / gamma, tol=1e-12) for d in (d_plus, d_minus))
     if r_plus is None or r_minus is None or 0 in (r_plus[0], r_minus[0]):
         return ConditionReport(
             False, witness, "condition fails (irrational Delta/gamma ratio)"
         )
     fp = Fraction(*r_plus)
     fm = Fraction(*r_minus)
-    scale = lcm(fp.denominator, fm.denominator)
-    c_plus, c_minus = int(fp * scale), int(fm * scale)
-    g = gcd(c_plus, c_minus, scale)
-    triple = (c_plus // g, c_minus // g, scale // g)
+    triple, t = _multipliers((fp, fm, Fraction(1)))
     witness["triple"] = list(triple)
-    feasible = sum(triple) % 2 == 1
+    feasible = t is not None
 
     # Parity-class shortcut, kept for cross-checking.
     if kappa == 0.0:

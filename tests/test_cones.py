@@ -6,7 +6,14 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, InvalidSizeError, NonCommutingError
-from pstwalk.cones import _double_cone_parts
+from pstwalk.cones import _double_cone_parts, _multipliers
+from pstwalk.rationals import (
+    CLASS_ODD_OVER_ODD,
+    classify_rational,
+    minimal_phase_alignment,
+    rational_reconstruct,
+    sqrt_rational,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +459,15 @@ def test_p4_condition_ratio_reconstructing_to_zero_fails():
     assert rep.detail == "condition fails (irrational Delta/gamma ratio)"
 
 
+@pytest.mark.parametrize("kappa", [1e5, -1e5])
+def test_p4_condition_nearly_rational_ratio_fails(kappa):
+    # Delta_pm / gamma = sqrt(1 + 1e-10) is irrational, though within 1e-9 of 1
+    rep = pw.p4_pst_condition(1e5, kappa)
+    assert not rep.holds
+    assert rep.witness["triple"] is None
+    assert rep.detail == "condition fails (irrational Delta/gamma ratio)"
+
+
 def test_p4_condition_rejects_nonpositive_gamma():
     with pytest.raises(InvalidArgumentError):
         pw.p4_pst_condition(-1.0, 0.0)
@@ -462,3 +478,112 @@ def test_p4_condition_rejects_nonpositive_gamma():
 def test_p4_builder_and_condition_share_gamma_check(call, gamma):
     with pytest.raises(InvalidArgumentError, match="middle weight gamma must be positive"):
         call(gamma, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the three conditions against the decisions they replaced: phase alignment
+# of the glued cone's four apex eigenvalues, the 4-path's lcm/gcd triple and
+# the double cone's parity class
+# ---------------------------------------------------------------------------
+
+def _glued_alignment_reference(n, k, gamma):
+    """(holds, time_exact) from the exact phase alignment of the four apex
+    eigenvalues k_pm +- Delta_pm with swap signs (0, 0, 1, 1)."""
+    k_plus, k_minus = Fraction(k + gamma, 2), Fraction(k - gamma, 2)
+    d_plus = sqrt_rational(k_plus * k_plus + n)
+    d_minus = sqrt_rational(k_minus * k_minus + n)
+    if d_plus is None or d_minus is None:
+        return False, None
+    values = [k_plus + d_plus, k_plus - d_plus, k_minus + d_minus, k_minus - d_minus]
+    if len(set(values)) < 4:  # one eigenvalue carries both swap signs
+        return False, None
+    denom = math.lcm(*[(v - values[0]).denominator for v in values[1:]])
+    deltas = [int((v - values[0]) * denom) for v in values[1:]]
+    tau = minimal_phase_alignment(deltas, [0, 1, 1])
+    return (False, None) if tau is None else (True, tau * denom)
+
+
+def test_glued_cone_condition_matches_phase_alignment_reference():
+    for n in range(1, 41):
+        for k in range(n):
+            for gamma in range(n + 1):
+                rep = pw.glued_cone_pst_condition(n, k, gamma)
+                got = (rep.holds, rep.witness.get("time_exact"))
+                assert got == _glued_alignment_reference(n, k, gamma), (n, k, gamma)
+
+
+@pytest.mark.parametrize(
+    "n, k, gamma, vector, t_exact",
+    [
+        (4, 0, 0, (1, 1, 0), None),  # eigenvalues +-2, each on both branches
+        (8, 2, 0, (1, 1, 0), None),  # eigenvalues 1 +- 3, each on both branches
+        (3, 0, 2, (1, 1, 1), Fraction(1, 2)),  # +-3 on one branch, +-1 on the other
+        (15, 6, 8, (2, 1, 2), Fraction(1, 4)),
+    ],
+)
+def test_glued_cone_condition_multipliers(n, k, gamma, vector, t_exact):
+    # an eigenvalue on both branches (gamma = 0) gives an even multiplier sum
+    d_plus = sqrt_rational(Fraction(k + gamma, 2) ** 2 + n)
+    d_minus = sqrt_rational(Fraction(k - gamma, 2) ** 2 + n)
+    plus = {Fraction(k + gamma, 2) + s * d_plus for s in (1, -1)}
+    minus = {Fraction(k - gamma, 2) + s * d_minus for s in (1, -1)}
+    assert bool(plus & minus) == (gamma == 0)
+    assert _multipliers((d_plus, d_minus, Fraction(gamma))) == (vector, t_exact)
+    rep = pw.glued_cone_pst_condition(n, k, gamma)
+    assert (rep.holds, rep.witness.get("time_exact")) == (t_exact is not None, t_exact)
+
+
+def _p4_rational_grid():
+    """(gamma, kappa) with Delta_pm / gamma = r_pm for small rationals r_pm:
+    kappa = gamma (r_plus^2 - r_minus^2), gamma^2 = 4 / (2 S - D^2 - 1) with
+    S = r_plus^2 + r_minus^2 and D = r_plus^2 - r_minus^2."""
+    ratios = sorted({Fraction(p, q) for p in range(1, 9) for q in range(1, 9)})
+    for r_plus in ratios:
+        for r_minus in ratios:
+            s, d = r_plus**2 + r_minus**2, r_plus**2 - r_minus**2
+            if 2 * s - d * d - 1 > 0:
+                gamma = 2.0 / math.sqrt(float(2 * s - d * d - 1))
+                yield gamma, gamma * float(d)
+
+
+def test_p4_condition_matches_lcm_gcd_triple_reference():
+    checked = 0
+    for gamma, kappa in _p4_rational_grid():
+        d_plus = 0.5 * math.sqrt((kappa + gamma) ** 2 + 4.0)
+        d_minus = 0.5 * math.sqrt((kappa - gamma) ** 2 + 4.0)
+        fp = Fraction(*rational_reconstruct(d_plus / gamma))
+        fm = Fraction(*rational_reconstruct(d_minus / gamma))
+        scale = math.lcm(fp.denominator, fm.denominator)
+        c_plus, c_minus = int(fp * scale), int(fm * scale)
+        g = math.gcd(c_plus, c_minus, scale)
+        triple = [c_plus // g, c_minus // g, scale // g]
+        holds = sum(triple) % 2 == 1
+        rep = pw.p4_pst_condition(gamma, kappa)
+        assert (rep.witness["triple"], rep.holds) == (triple, holds), (gamma, kappa)
+        time = triple[2] * math.pi / gamma if holds else None
+        assert repr(rep.witness["time"]) == repr(time), (gamma, kappa)
+        checked += holds
+    assert checked > 100
+
+
+def test_double_cone_condition_matches_parity_class_reference():
+    checked = 0
+    for lam0 in (1.0, 2.0, 3.0, 2.0 * math.sqrt(2.0), math.sqrt(3.0)):
+        for b in (0, 1):
+            for p in range(1, 12):
+                for q in range(1, 12):
+                    # alpha with (lam_plus + b) / Delta = p / q
+                    delta = (0.5 * (lam0 + b) + b) * q / p
+                    alpha_sq = (delta * delta - (0.5 * (lam0 - b)) ** 2) / 2
+                    if alpha_sq <= 0:
+                        continue
+                    alpha = math.sqrt(alpha_sq)
+                    lam_plus, delta, _, _ = _double_cone_parts(lam0, b, alpha)
+                    rec = rational_reconstruct((lam_plus + b) / delta)
+                    holds = rec is not None and classify_rational(*rec) != CLASS_ODD_OVER_ODD
+                    time = rec[1] * math.pi / delta if holds else None
+                    rep = pw.double_cone_pst_condition(lam0, b, alpha)
+                    assert rep.holds == holds, (lam0, b, alpha)
+                    assert repr(rep.witness["time"]) == repr(time), (lam0, b, alpha)
+                    checked += holds
+    assert checked > 100
