@@ -18,31 +18,13 @@ import tempfile
 from fractions import Fraction
 from typing import Any, Optional
 
-import numpy as np
-
-from .cones import (
+from .conditions import (
     cylindrical_no_pst_check,
     double_cone_pst_condition,
     glued_cone_pst_condition,
     p4_pst_condition,
 )
 from .errors import ExprError, PstwalkError
-from .expr import eval_expr, parse_expr
-from .graphs import Graph, serialize_graph
-from .partitions import _collapse, format_cells
-from .products import (
-    check_lexico_clique_condition,
-    check_std_lexico_condition,
-    check_weak_pst_condition,
-)
-from .spectral import spectrum
-from .transfer import (
-    fidelity_band,
-    fidelity_series,
-    max_fidelity_scan,
-    pst_certificate,
-    pst_table,
-)
 
 __all__ = ["main"]
 
@@ -54,10 +36,8 @@ class UsageError(Exception):
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(x) for x in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    if hasattr(value, "tolist"):  # a numpy array, or a numpy scalar (tolist is item)
+        return _jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_jsonable(x) for x in value]
     if isinstance(value, dict):
@@ -85,7 +65,9 @@ def _emit_json(payload: Any, out_path: Optional[str]) -> None:
     _emit(json.dumps(_jsonable(payload), indent=2) + "\n", out_path)
 
 
-def _graph(expr_text: str) -> Graph:
+def _graph(expr_text: str):
+    from .expr import eval_expr, parse_expr
+
     return eval_expr(parse_expr(expr_text))
 
 
@@ -97,12 +79,19 @@ def _time_factor(args: argparse.Namespace) -> float:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+# Each numeric command imports what it needs, so that the family conditions
+# answer without loading numpy.
+
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .graphs import serialize_graph
+
     _emit(serialize_graph(_graph(args.expr)), args.out)
     return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectral import spectrum
+
     vals = spectrum(_graph(args.expr))
     if args.format == "csv":
         _emit("lambda\n" + "".join(f"{v:.17g}\n" for v in vals), args.out)
@@ -112,6 +101,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
+    from .transfer import fidelity_series
+
     series = fidelity_series(
         _graph(args.expr), args.src, args.dst, args.tmax * _time_factor(args), args.steps
     )
@@ -130,6 +121,8 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .transfer import fidelity_band, max_fidelity_scan
+
     t_star, fmax = max_fidelity_scan(
         _graph(args.expr),
         args.src,
@@ -152,6 +145,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .transfer import pst_certificate
+
     cert = pst_certificate(_graph(args.expr), args.src, args.dst)
     payload = dataclasses.asdict(cert)
     if cert.time_exact is not None:
@@ -161,6 +156,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_collapse(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .graphs import serialize_graph
+    from .partitions import _collapse, format_cells
+
     # _collapse rejects the empty grid of --steps <= 0 and the NaN grid of an infinite --tmax
     with np.errstate(invalid="ignore"):
         t_grid = np.linspace(0.0, args.tmax * _time_factor(args), max(args.steps, 0))
@@ -185,26 +185,27 @@ def _cmd_collapse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _product_condition(args: argparse.Namespace):
+    """The weak / lex-clique / lex-std check of the products module."""
+    from .products import (
+        check_lexico_clique_condition,
+        check_std_lexico_condition,
+        check_weak_pst_condition,
+    )
+
+    g, h, t = _graph(args.g), _graph(args.h), args.time * _time_factor(args)
+    if args.name == "weak":
+        return check_weak_pst_condition(g, t, h)
+    if args.name == "lex-clique":
+        return check_lexico_clique_condition(g, h, t, args.m)
+    return check_std_lexico_condition(g, h, t)
+
+
 # condition name -> (required flags, check returning a report dataclass)
 _CONDITIONS = {
-    "weak": (
-        ("g", "h", "time"),
-        lambda args: check_weak_pst_condition(
-            _graph(args.g), args.time * _time_factor(args), _graph(args.h)
-        ),
-    ),
-    "lex-clique": (
-        ("g", "h", "time"),
-        lambda args: check_lexico_clique_condition(
-            _graph(args.g), _graph(args.h), args.time * _time_factor(args), args.m
-        ),
-    ),
-    "lex-std": (
-        ("g", "h", "time"),
-        lambda args: check_std_lexico_condition(
-            _graph(args.g), _graph(args.h), args.time * _time_factor(args)
-        ),
-    ),
+    "weak": (("g", "h", "time"), _product_condition),
+    "lex-clique": (("g", "h", "time"), _product_condition),
+    "lex-std": (("g", "h", "time"), _product_condition),
     "doublecone": (
         ("lam0", "alpha"),
         lambda args: double_cone_pst_condition(args.lam0, args.b, args.alpha),
@@ -228,6 +229,8 @@ def _cmd_condition(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .transfer import pst_table
+
     rows = pst_table()
     if args.format == "json":
         _emit_json([dataclasses.asdict(r) for r in rows], args.out)

@@ -7,18 +7,17 @@ left-operand-first convention used by join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import pi
-from typing import Any, Dict, List, Optional, Tuple
+from math import isfinite, pi
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidSizeError, NonCommutingError
+from .conditions import ConditionReport
+from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
 from .graphs import Graph, regular_degree
 from .spectral import _clusters, _decomposition, is_integral, spectrum
 
 __all__ = [
-    "ConditionReport",
     "cartesian_product",
     "weak_product",
     "lexicographic_product",
@@ -31,22 +30,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of an arithmetic sufficiency check.
-
-    holds is True only when every membership test passed; witness carries the
-    checked quantities so callers (and tests) can audit the decision.
-    """
-
-    holds: bool
-    witness: Dict[str, Any]
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _product_labels(g: Graph, h: Graph) -> Optional[Tuple[str, ...]]:
@@ -136,14 +119,21 @@ def is_circulant_adjacency(g: Graph) -> bool:
 
 
 def _spectrum_near_multiples(
-    lam: np.ndarray, factor: float, base: float
+    lam: np.ndarray, t: float, scale: float, base: float
 ) -> Tuple[bool, List[float]]:
-    """Is every x = factor*lambda, lambda in lam, within 1e-9*(1+|x|) of an
-    integer multiple of base? Returns the verdict and the signed residuals."""
+    """Is every x = (t*scale)*lambda, lambda in lam, within 1e-9*(1+|x|) of
+    an integer multiple of base? Returns the verdict and the signed
+    residuals. A time t that is not finite raises InvalidArgumentError, an
+    x beyond the float range NumericFailureError."""
+    if not isfinite(t):
+        raise InvalidArgumentError(f"transfer time must be finite, got {t}")
+    factor = t * scale
     ok = True
     residuals = []
     for lk in lam:
         x = factor * float(lk)
+        if not isfinite(x):
+            raise NumericFailureError(f"t*lambda = {factor}*{float(lk)} leaves the float range")
         res = x - round(x / base) * base
         residuals.append(res)
         ok = ok and abs(res) <= MEMBERSHIP_RTOL * (1.0 + abs(x))
@@ -156,7 +146,7 @@ def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
     Needs (i) t_g * Spec(G) inside Z*pi and (ii) H a circulant graph whose
     eigenvalues are all odd integers. Sufficient, not necessary.
     """
-    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t_g, pi)
+    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t_g, 1, pi)
     circ = is_circulant_adjacency(h)
     mu = spectrum(h)
     odd_ok = is_integral(h) and bool(np.all(np.round(mu) % 2 == 1))
@@ -188,7 +178,7 @@ def check_lexico_clique_condition(
         m = h.n
     size_ok = h.n == m
     reg = regular_degree(h)
-    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t * m, 2.0 * pi)
+    spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t, m, 2.0 * pi)
     holds = size_ok and reg is not None and spec_ok
     problems = []
     if not size_ok:
@@ -216,7 +206,7 @@ def check_std_lexico_condition(g: Graph, h: Graph, t_h: float) -> ConditionRepor
     """
     reg = regular_degree(h)
     lam = spectrum(g)
-    spec_ok, residuals = _spectrum_near_multiples(lam, t_h * h.n, 2.0 * pi)
+    spec_ok, residuals = _spectrum_near_multiples(lam, t_h, h.n, 2.0 * pi)
     holds = reg is not None and spec_ok
     integer_form: Optional[bool] = None
     if reg is not None and is_integral(g):

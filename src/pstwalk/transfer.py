@@ -19,18 +19,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cones import (
+from .conditions import (
+    ConditionReport,
     NoTransferTrace,
-    cylindrical_cone,
     cylindrical_no_pst_check,
-    double_cone,
     double_cone_pst_condition,
     glued_cone_pst_condition,
-    glued_double_cone,
 )
+from .cones import cylindrical_cone, double_cone, glued_double_cone
 from .errors import InvalidArgumentError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
-from .products import ConditionReport, lexicographic_product, weak_product
+from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
 from .spectral import SUPPORT_TOL, _amplitudes, _pair, _pair_spectrum
 
@@ -128,8 +127,10 @@ def max_fidelity_scan(
     where g'' >= 0 or the step would leave the bracket, to the bracket's
     midpoint. The steps stop where a step rounds to nothing, where g' = 0,
     where no float is left inside the bracket, or after refine_iters steps
-    (0: the grid maximum only). The best point replaces the grid point only
-    where its |F|, evaluated as fidelity evaluates it, is larger.
+    (0: the grid maximum only); none are taken where the pair's cluster
+    weights sum, in absolute value, to no more than the rounding of |F|. The
+    best point replaces the grid point only where its |F|, evaluated as
+    fidelity evaluates it, is larger.
     The scan shares the pair that g keeps with the certificate, the series
     and the collapse check of the same pair, so one reduction serves them
     all. Raises AmbiguousDegeneracyError where the eigenvalues cannot be
@@ -149,9 +150,11 @@ def max_fidelity_scan(
     h = float(times[1] - times[0])
     lo, hi = max(0.0, best_t - h), min(t_max, best_t + h)
     theta, w = pair.dec.values, pair.weight
-    rows = np.stack((w, -1j * theta * w, -theta * theta * w))
     # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
     err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    if np.sum(np.abs(ps.weight)) <= err:  # |F| is zero to rounding at every t
+        return best_t, best_f
+    rows = np.stack((w, -1j * theta * w, -theta * theta * w))
     t, t_top, top = best_t, best_t, -np.inf
     for _ in range(refine_iters):
         f, f1, f2 = (rows @ np.exp(-1j * (theta[:, None] * t)))[:, 0]

@@ -6,7 +6,8 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, InvalidSizeError, NonCommutingError
-from pstwalk.cones import _double_cone_parts, _multipliers
+from pstwalk.conditions import _multipliers
+from pstwalk.cones import _double_cone_parts
 from pstwalk.rationals import (
     CLASS_ODD_OVER_ODD,
     classify_rational,

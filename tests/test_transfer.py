@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import InvalidArgumentError
+from pstwalk import InvalidArgumentError, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +478,25 @@ def test_table_notes_and_times(table):
     # hypercube Q4 certificate
     assert "certificate yes" in table[5].note
     assert table[5].time_num == pytest.approx(math.pi / 2.0)
+
+
+@pytest.mark.parametrize("g, a, b", [
+    (pw.empty_graph(4), 0, 3),
+    (pw.Graph(np.kron(np.eye(2), pw.complete(2).adj)), 0, 2),  # two K2s
+    (pw.Graph(np.kron(np.eye(3), pw.cycle(4).adj)), 1, 6),  # three C4s
+])
+def test_scan_takes_no_steps_where_the_amplitude_is_zero(g, a, b, monkeypatch):
+    # |F| = 0 at every t between components: the steps would bisect their
+    # bracket down to one float and find nothing, so none are taken, and
+    # the exact amplitude is evaluated on the grid only
+    grid = pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 401, 0)
+    calls = []
+    amplitude = spectral._Pair.amplitude
+
+    def counting(pair, t):
+        calls.append(t)
+        return amplitude(pair, t)
+
+    monkeypatch.setattr(spectral._Pair, "amplitude", counting)
+    assert pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 401, 60) == grid
+    assert len(calls) == 1
