@@ -69,13 +69,20 @@ def _multipliers(freqs: Tuple[Fraction, ...]):
 # double cones
 # ---------------------------------------------------------------------------
 
+def _check_double_cone(b: int, alpha: float) -> None:
+    """The apex-apex weight and cone scale that double_cone builds with."""
+    if b not in (0, 1):
+        raise InvalidArgumentError("apex-apex weight b must be 0 or 1")
+    if not alpha > 0:
+        raise InvalidArgumentError("cone scale alpha must be positive")
+
+
 def _double_cone_delta(lam0: float, b: int, alpha: float) -> Tuple[float, float]:
     """lam_plus = (lam0 + b)/2 and Delta = sqrt(((lam0 - b)/2)^2 + 2 alpha^2):
     the symmetric apex state and the base's Perron state mix into
     lam_plus -+ Delta. A Delta that leaves the float range raises
     NumericFailureError."""
-    if not alpha > 0:
-        raise InvalidArgumentError("cone scale alpha must be positive")
+    _check_double_cone(b, alpha)
     if not (isfinite(lam0) and isfinite(alpha)):
         raise InvalidArgumentError("base eigenvalue lam0 and cone scale alpha must be finite")
     lam_plus = 0.5 * (lam0 + b)

@@ -25,6 +25,7 @@ import numpy as np
 # p4_pst_condition is re-imported so that pstwalk.cones.p4_pst_condition
 # still names it; conditions.__all__ alone exports it
 from .conditions import (
+    _check_double_cone,
     _check_p4_gamma,
     _double_cone_delta,
     _glued_branch_data,
@@ -61,10 +62,7 @@ def double_cone(base: Graph, b: int, alpha: float) -> Graph:
     between the apexes collapse to a three-level system with an exact
     closed-form amplitude.
     """
-    if b not in (0, 1):
-        raise InvalidArgumentError("apex-apex weight b must be 0 or 1")
-    if not alpha > 0:
-        raise InvalidArgumentError("cone scale alpha must be positive")
+    _check_double_cone(b, alpha)
     _, x0 = perron_vector(base)
     spoke = alpha * x0[None, :]
     links = {(0, 1): float(b), (0, 2): spoke, (1, 2): spoke}

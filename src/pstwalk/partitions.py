@@ -97,9 +97,12 @@ class _EdgeList(NamedTuple):
 
 
 def _edge_list(g: Graph) -> _EdgeList:
-    flat = np.flatnonzero(g.adj != 0.0)
-    u, v = np.divmod(flat, g.n)
-    return _EdgeList(g.n, u, v, g.adj.ravel()[flat])
+    """g's edge list, extracted on first use and kept on g (Graph._keep)."""
+    def extract() -> _EdgeList:
+        flat = np.flatnonzero(g.adj != 0.0)
+        u, v = np.divmod(flat, g.n)
+        return _EdgeList(g.n, u, v, g.adj.ravel()[flat])
+    return g._keep(("edges",), extract)
 
 
 def _equitable_tol(g: Graph) -> float:
@@ -153,19 +156,26 @@ def distance_partition(
     """Partition of V by distance from a, if it is equitable.
 
     With require_antipode, the farthest cell must be a single vertex.
-    Raises NotConnectedError when some vertex is unreachable from a.
+    Raises NotConnectedError when some vertex is unreachable from a. The
+    partition from the last source asked (or None) is kept on g, so a second
+    call from a, such as the one collapse_fidelity_check makes, runs no
+    second search.
     """
     g.check_vertex(a)
+    part = g._keep(("distance partition", a), lambda: _distance_partition(g, a))
+    if part is None or (require_antipode and len(part.cells[-1]) != 1):
+        return None
+    return part
+
+
+def _distance_partition(g: Graph, a: int) -> Optional[EquitablePartition]:
     dist = distances_from(g, a)
     if np.any(np.isinf(dist)):
         raise NotConnectedError("distance partition needs a connected graph")
-    radius = int(np.max(dist))
-    cells = [tuple(int(v) for v in np.nonzero(dist == r)[0]) for r in range(radius + 1)]
+    cells = [np.flatnonzero(dist == r).tolist() for r in range(int(np.max(dist)) + 1)]
     part = is_equitable(g, cells)
-    if part is None:
-        return None
-    if require_antipode and len(part.cells[-1]) != 1:
-        return None
+    if part is not None:
+        part.degrees.setflags(write=False)  # kept on g, handed to every caller
     return part
 
 

@@ -123,11 +123,14 @@ def _spectrum_near_multiples(
 ) -> Tuple[bool, List[float]]:
     """Is every x = (t*scale)*lambda, lambda in lam, within 1e-9*(1+|x|) of
     an integer multiple of base? Returns the verdict and the signed
-    residuals. A time t that is not finite raises InvalidArgumentError, an
-    x beyond the float range NumericFailureError."""
+    residuals. A time t that is not finite raises InvalidArgumentError, a
+    scale or an x beyond the float range NumericFailureError."""
     if not isfinite(t):
         raise InvalidArgumentError(f"transfer time must be finite, got {t}")
-    factor = t * scale
+    try:
+        factor = t * scale
+    except OverflowError:  # an integer scale too large for a float
+        raise NumericFailureError("the scale of t leaves the float range") from None
     ok = True
     residuals = []
     for lk in lam:

@@ -107,3 +107,26 @@ def test_double_cone_fidelity_refuses_an_infinite_scale():
 def test_double_cone_condition_refuses_a_nonpositive_scale(alpha):
     with pytest.raises(InvalidArgumentError, match="cone scale alpha must be positive"):
         pw.double_cone_pst_condition(2.0, 0, alpha)
+
+
+def test_double_cone_condition_refuses_an_apex_weight_the_builder_refuses(capsys):
+    message = "apex-apex weight b must be 0 or 1"
+    for b in (5, -3):
+        assert main(["condition", "doublecone", "--lam0", "2", "--b", str(b), "--alpha", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        for alpha in (1.0, -1.0):  # the weight is checked before the scale
+            with pytest.raises(InvalidArgumentError, match=message):
+                pw.double_cone_pst_condition(2.0, b, alpha)
+            with pytest.raises(InvalidArgumentError, match=message):
+                pw.double_cone(pw.complete(3), b, alpha)
+
+
+def test_clique_order_beyond_the_float_range_is_refused(capsys):
+    m = 10 ** 400
+    argv = ["condition", "lex-clique", "--g", "K:2", "--h", "K:2", "--time", "1", "--m", str(m)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(NumericFailureError):
+        pw.check_lexico_clique_condition(pw.complete(2), pw.complete(2), 1.0, m)

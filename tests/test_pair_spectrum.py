@@ -583,7 +583,8 @@ def test_lanczos_checks_its_ritz_pairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
     with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
-    assert g._kept == {}
+    # nothing spectral is kept after the failed checks
+    assert set(g._kept) == {("edges",), ("distance partition", 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,37 @@ def test_distance_partition_requires_connected():
         pw.distance_partition(pw.empty_graph(2), 0)
 
 
+def test_distance_partition_of_a_disconnected_graph_keeps_nothing():
+    g = pw.Graph(np.kron(np.eye(2), np.ones((3, 3)) - np.eye(3)))  # two triangles
+    for _ in range(2):
+        with pytest.raises(NotConnectedError):
+            pw.distance_partition(g, 0)
+        assert g._kept == {}
+
+
+def test_collapse_reuses_the_distance_partition_and_edge_list(monkeypatch):
+    searches, extracted = [], []
+    distances_from, edge_list = partitions.distances_from, partitions._EdgeList
+
+    def searching(g, a):
+        searches.append(a)
+        return distances_from(g, a)
+
+    def extracting(*args):
+        extracted.append(args[0])
+        return edge_list(*args)
+
+    monkeypatch.setattr(partitions, "distances_from", searching)
+    monkeypatch.setattr(partitions, "_EdgeList", extracting)
+    g = pw.hypercube(7)
+    part = pw.distance_partition(g, 0)
+    refined = pw.coarsest_equitable_refinement(g, [[0], [127], list(range(1, 127))])
+    grid = np.linspace(0.0, 3.0, 31)
+    assert pw.collapse_fidelity_check(g, 0, 127, grid) < 1e-12
+    assert refined.cells == part.cells
+    assert searches == [0] and extracted == [128]
+
+
 def test_refinement_is_equitable_and_refines(corpus):
     for g in corpus[:30]:
         part = pw.coarsest_equitable_refinement(g, [list(range(g.n))])
