@@ -114,16 +114,20 @@ def max_fidelity_scan(
     within the clustering error of its top, and the refinement, are then
     evaluated over every eigenpair of the pair's reduced problem: the Ritz
     pairs of its Krylov space where that is small (see spectral._walk),
-    else the whole graph's. With F = sum w exp(-i theta t), each refining
-    step takes F, F' and F'' from one product of the weight rows w,
-    -i theta w and -theta^2 w with the phases, and g' = 2 Re(conj(F) F'),
-    g'' = 2 (|F'|^2 + Re(conj(F) F'')) for g = |F|^2. The steps keep a
-    bracket, at first one grid spacing either side of the grid point within
-    [0, t_max], that holds a maximum of |F| at least as high as the best
-    point yet: a point lower than that by more than the rounding of |F|
-    becomes the bracket's far end; any other becomes the best point, and
-    the bracket keeps its side where g rises (the wider side where F is zero
-    to rounding). From a best point t moves by the Newton step -g'/g'';
+    else the whole graph's. Of the grid points whose |F| lies within the
+    rounding of |F| (below) of their top, the earliest run of neighbours
+    on the grid is taken, and its highest point is the best grid point: of
+    equal maxima the earliest is taken, whichever way they round, and a
+    maximum flat over a few grid points keeps its highest. With
+    F = sum w exp(-i theta t), each refining step takes F, F' and F'' from
+    one product of the weight rows w, -i theta w and -theta^2 w with the
+    phases, and g' = 2 Re(conj(F) F'), g'' = 2 (|F'|^2 + Re(conj(F) F''))
+    for g = |F|^2. The steps keep a bracket, at first one grid spacing
+    either side of the grid point within [0, t_max], that holds a maximum
+    of |F| at least as high as the best point yet: a point lower than that
+    by more than the rounding of |F| becomes the bracket's far end; any
+    other becomes the best point, and the bracket keeps its side where g
+    rises (the wider side where F is zero to rounding). From a best point t moves by the Newton step -g'/g'';
     where g'' >= 0 or the step would leave the bracket, to the bracket's
     midpoint. The steps stop where a step rounds to nothing, where g' = 0,
     where no float is left inside the bracket, or after refine_iters steps
@@ -134,7 +138,8 @@ def max_fidelity_scan(
     The scan shares the pair that g keeps with the certificate, the series
     and the collapse check of the same pair, so one reduction serves them
     all. Raises AmbiguousDegeneracyError where the eigenvalues cannot be
-    clustered, and InvalidArgumentError on a negative refine_iters."""
+    clustered, NumericFailureError where theta t_max overflows, and
+    InvalidArgumentError on a negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
     times = _window(g, a, b, t_max, steps)
@@ -143,15 +148,18 @@ def max_fidelity_scan(
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
     slack = 10.0 * group_tol * (t_max + 1.0)
-    near = times[coarse >= np.max(coarse) - slack]
+    on = np.flatnonzero(coarse >= np.max(coarse) - slack)  # grid indices near the top
+    near = times[on]
     exact = np.abs(pair.amplitude(near))
-    k = int(np.argmax(exact))
-    best_t, best_f = float(near[k]), float(exact[k])
-    h = float(times[1] - times[0])
-    lo, hi = max(0.0, best_t - h), min(t_max, best_t + h)
     theta, w = pair.dec.values, pair.weight
     # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
     err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    level = np.flatnonzero(exact >= np.max(exact) - err)  # the top to rounding
+    peak = level[on[level] - on[level[0]] == np.arange(level.size)]  # its earliest run of grid neighbours
+    k = int(peak[np.argmax(exact[peak])])
+    best_t, best_f = float(near[k]), float(exact[k])
+    h = float(times[1] - times[0])
+    lo, hi = max(0.0, best_t - h), min(t_max, best_t + h)
     if np.sum(np.abs(ps.weight)) <= err:  # |F| is zero to rounding at every t
         return best_t, best_f
     rows = np.stack((w, -1j * theta * w, -theta * theta * w))

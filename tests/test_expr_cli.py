@@ -308,6 +308,7 @@ def test_cli_non_finite_weights_exit_1_without_warnings(capsys, recwarn):
 def test_cli_bad_time_windows_exit_1_without_warnings(capsys, recwarn):
     pair = ["--expr", "Q:3", "--from", "0", "--to", "7"]
     grid = "t_grid must hold at least one time, all finite"
+    phases = "the phases theta t leave the float range"
     for argv, message in (
         (["fidelity", *pair, "--tmax", "inf", "--steps", "3"], "t_max must be finite"),
         (["scan", *pair, "--tmax", "inf"], "t_max must be finite"),
@@ -316,6 +317,10 @@ def test_cli_bad_time_windows_exit_1_without_warnings(capsys, recwarn):
         (["collapse", *pair, "--tmax", "inf", "--steps", "3"], grid),
         (["collapse", *pair, "--steps", "0"], grid),
         (["collapse", *pair, "--steps", "-1"], grid),
+        # finite windows whose phases theta t overflow
+        (["scan", *pair, "--tmax", "1e308"], phases),
+        (["fidelity", *pair, "--tmax", "1.7e308", "--steps", "3"], phases),
+        (["collapse", "--expr", "Q:4", "--from", "0", "--to", "15", "--tmax", "1e308", "--format", "json"], phases),
     ):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -323,6 +323,29 @@ def test_amplitudes_match_direct_exp_on_table_grid():
     assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= _bound(weight, theta, times)
 
 
+@pytest.mark.parametrize("k, steps, t0, t_span", [
+    (256, 20001, 0.0, 2 * math.pi),  # the largest ladder-random pair: two chunks
+    (64, 100001, 13.7, 200.0),  # four SCAN_TERMS chunks, five of start phases
+])
+def test_amplitudes_match_direct_exp_at_benchmark_shapes(k, steps, t0, t_span):
+    rng = np.random.default_rng(k)
+    times = np.linspace(t0, t0 + t_span, steps)
+    weight, theta = rng.normal(size=k) / k, rng.uniform(-80.0, 80.0, size=k)
+    ref = _direct(weight, theta, times)
+    bound = _bound(weight, theta, times)
+    assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= bound
+    assert np.max(np.abs(_amplitudes(weight, theta, times, absolute=True) - np.abs(ref))) <= bound
+
+
+@pytest.mark.parametrize("times", [1e308, [0.0, 1.7e308], np.linspace(0.0, 1e308, 2 * B), [0.0, math.nan]])
+def test_amplitudes_refuse_phases_beyond_the_float_range(times, recwarn):
+    with pytest.raises(NumericFailureError, match="float range"):
+        _amplitudes(np.ones(3), np.array([3.0, 1.0, -3.0]), times)
+    with pytest.raises(NumericFailureError, match="float range"):
+        pw.fidelity(pw.eigendecompose(pw.hypercube(3)), 0, 7, times)
+    assert not recwarn.list
+
+
 def test_amplitudes_keep_shape_and_scalars():
     weight, theta = np.array([0.5, -0.25, 0.25]), np.array([2.0, 0.0, -1.5])
     grid = np.linspace(0.0, 3.0, 4 * B).reshape(4, B)
@@ -341,7 +364,10 @@ def test_even_grid_is_rotated_and_uneven_grid_is_direct(monkeypatch):
     uneven[1234] += 1e-6  # far beyond the 4 ulp that still count as even
     terms = _count_exp_terms(monkeypatch)
     _amplitudes(weight, theta, times)
-    assert sum(terms) == k * (B + -(-steps // B))
+    # a table of q phases takes r + ceil(q / r) exponentials per eigenvalue,
+    # r = ceil(sqrt q): 12 + 11 for the B inner phases, 6 + 6 for the 32
+    # block starts, where one per phase took B + 32
+    assert sum(terms) == k * (12 + 11 + 6 + 6)
     terms.clear()
     amp = _amplitudes(weight, theta, uneven)
     assert sum(terms) >= k * steps
@@ -399,15 +425,21 @@ def _newton_max(dec, a, b, t, lo, hi, t_max, iters):
 
 def _reference_scan(g, a, b, t_max, steps, iters=60):
     """max_fidelity_scan with its sums taken by _direct: the grid over the
-    pair's support, then every eigenvalue near the top, then Newton."""
+    pair's support, then every eigenvalue near the top, whose earliest
+    peak to rounding Newton refines from its highest grid point."""
     dec = pw.eigendecompose(g)
     times = np.linspace(0.0, t_max, steps)
     ps = pw.pair_spectrum(dec, a, b)
     coarse = np.abs(_direct(ps.weight, np.asarray(ps.theta), times))
     slack = 10.0 * pw.default_group_tol(dec) * (t_max + 1.0)
-    near = times[coarse >= np.max(coarse) - slack]
-    exact = np.abs(_direct(dec.vectors[b, :] * dec.vectors[a, :], dec.values, near))
-    k = int(np.argmax(exact))
+    on = np.flatnonzero(coarse >= np.max(coarse) - slack)
+    near = times[on]
+    w = dec.vectors[b, :] * dec.vectors[a, :]
+    exact = np.abs(_direct(w, dec.values, near))
+    err = 8.0 * EPS * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(dec.values)) * t_max)
+    top = [i for i in range(len(near)) if exact[i] >= np.max(exact) - err]
+    peak = [i for i in top if on[i] - on[top[0]] == top.index(i)]  # the earliest run of neighbours
+    k = max(peak, key=lambda i: exact[i])
     best_t, best_f = float(near[k]), float(exact[k])
     h = times[1] - times[0]
     t_ref, f_ref = _newton_max(dec, a, b, best_t, max(0.0, best_t - h), min(t_max, best_t + h), t_max, iters)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import InvalidArgumentError, spectral
+from pstwalk import InvalidArgumentError, NumericFailureError, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +120,31 @@ def test_scan_glued_cone_peak():
 
 
 def test_scan_c6_frozen_maximum():
+    # |F| = sqrt(3)/2 at 2pi/3 and 4pi/3: the earlier one is taken
     t, f = pw.max_fidelity_scan(pw.cycle(6), 0, 3, 2.0 * math.pi, 20001, 60)
     assert f == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-9)
-    assert t == pytest.approx(4.0 * math.pi / 3.0, abs=1e-6)
+    assert t == pytest.approx(2.0 * math.pi / 3.0, abs=1e-6)
+
+
+def test_scan_takes_the_earliest_of_equal_maxima_on_both_routes(monkeypatch):
+    # Q8 97 -> 125 has equal maxima at t and 3pi - t; the Krylov route and
+    # the dense route round them differently, and both take t < 3pi/2
+    g, steps = pw.hypercube(8), 4001
+    krylov = [pw.max_fidelity_scan(g, 97, 125, 3.0 * math.pi, steps, iters) for iters in (0, 60)]
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", g.n + 1)
+    g = pw.hypercube(8)
+    dense = [pw.max_fidelity_scan(g, 97, 125, 3.0 * math.pi, steps, iters) for iters in (0, 60)]
+    assert krylov[0][0] == dense[0][0] == np.linspace(0.0, 3.0 * math.pi, steps)[1613]
+    for (t, f), (t_dense, f_dense) in zip(krylov, dense):
+        assert t == pytest.approx(t_dense, abs=1e-12) and t < 1.5 * math.pi
+        assert f == pytest.approx(f_dense, abs=1e-12)
+
+
+def test_scan_keeps_the_highest_point_of_a_flat_maximum():
+    # |F| = 0.8 at pi for cylcone (3,2,2), flat enough that the grid points
+    # pi -+ h lie within rounding of it: the grid point pi stays the answer
+    g = pw.cylindrical_cone(pw.complete(3), pw.empty_graph(2), pw.complete(3))
+    assert pw.max_fidelity_scan(g, 0, 9, 2.0 * math.pi, 20001) == (math.pi, pytest.approx(0.8, abs=1e-12))
 
 
 def test_scan_refinement_recovers_off_grid_peak():
@@ -249,6 +271,19 @@ def test_time_windows_must_be_finite_and_refinement_non_negative():
             call(g, 0, 7, math.inf, 3)
     with pytest.raises(InvalidArgumentError, match="refine_iters must be non-negative"):
         pw.max_fidelity_scan(g, 0, 7, 3.0, 30, refine_iters=-1)
+
+
+def test_time_windows_whose_phases_overflow_are_refused(recwarn):
+    # max|theta| t_max is past the float range, though t_max is finite
+    g, grid = pw.hypercube(3), np.linspace(0.0, 1e308, 3)
+    for call in (
+        lambda: pw.max_fidelity_scan(g, 0, 7, 1e308, 4001),
+        lambda: pw.fidelity_series(g, 0, 7, 1.7e308, 3),
+        lambda: pw.collapse_fidelity_check(pw.hypercube(4), 0, 15, grid),
+    ):
+        with pytest.raises(NumericFailureError, match="float range"):
+            call()
+    assert not recwarn.list
 
 
 def test_time_windows_name_a_bad_vertex_first():
