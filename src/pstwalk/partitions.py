@@ -128,13 +128,32 @@ def _cell_sums(edges: _EdgeList, label: np.ndarray) -> np.ndarray:
     return sums.astype(float, copy=False).reshape(n, m)
 
 
-def _equitable(edges: _EdgeList, cells: Cells) -> Optional[EquitablePartition]:
-    """is_equitable on well-formed cells, each sorted."""
-    label = _labels(cells)
-    sums = _cell_sums(edges, label)
-    d = sums[[c[0] for c in cells]]
-    sums -= d[label]
-    if np.max(np.abs(sums, out=sums)) > edges.tol:
+def _cells(label: np.ndarray) -> Cells:
+    """The cells of a labelling whose labels 0..m-1 all occur: cell j holds
+    the vertices labelled j, ascending."""
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), label.size]
+    flat = order.tolist()
+    return tuple(tuple(flat[i:j]) for i, j in zip(cuts, cuts[1:]))
+
+
+def _equitable(edges: _EdgeList, cells: Cells, label: np.ndarray) -> Optional[EquitablePartition]:
+    """is_equitable on well-formed cells, each sorted, with label[v] the
+    index of the cell holding vertex v. The cell sums are taken with the
+    rows of the cells' smallest vertices first, in cell order, so their m
+    rows are the degree matrix and only the other vertices' rows are
+    compared with it."""
+    n, m = edges.n, len(cells)
+    first = np.fromiter((c[0] for c in cells), np.intp, m)
+    other = np.ones(n, dtype=bool)
+    other[first] = False
+    other = np.flatnonzero(other)
+    row = np.empty(n, dtype=np.intp)
+    row[first], row[other] = np.arange(m), np.arange(m, n)
+    sums = _cell_sums(edges._replace(u=row[edges.u]), label)
+    d, rest = sums[:m], sums[m:]
+    rest -= d[label[other]]
+    if np.max(np.abs(rest, out=rest), initial=0.0) > edges.tol:
         return None
     return EquitablePartition(cells, d)
 
@@ -147,7 +166,8 @@ def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[Equitable
     Malformed cell lists (overlap, gaps, out-of-range vertices) raise; a
     well-formed but non-equitable partition just returns None.
     """
-    return _equitable(_edge_list(g), _normalize_cells(g, cells))
+    cells = _normalize_cells(g, cells)
+    return _equitable(_edge_list(g), cells, _labels(cells))
 
 
 def distance_partition(
@@ -172,8 +192,8 @@ def _distance_partition(g: Graph, a: int) -> Optional[EquitablePartition]:
     dist = distances_from(g, a)
     if np.any(np.isinf(dist)):
         raise NotConnectedError("distance partition needs a connected graph")
-    cells = [np.flatnonzero(dist == r).tolist() for r in range(int(np.max(dist)) + 1)]
-    part = is_equitable(g, cells)
+    label = dist.astype(np.intp)  # cell r holds the vertices at distance r
+    part = _equitable(_edge_list(g), _cells(label), label)
     if part is not None:
         part.degrees.setflags(write=False)  # kept on g, handed to every caller
     return part
@@ -201,10 +221,14 @@ def coarsest_equitable_refinement(
         if split.max() == label.max():  # no cell split
             break
         label = split
-    order = np.argsort(label, kind="stable")  # cell by cell, each cell ascending
-    cells = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    cells.sort(key=lambda c: c[0])  # c[0] is its smallest vertex
-    part = _equitable(edges, tuple(tuple(c.tolist()) for c in cells))
+    # renumber the cells by smallest vertex: a stable sort puts each cell's
+    # smallest vertex first
+    order = np.argsort(label, kind="stable")
+    first = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    label = rank[label]
+    part = _equitable(edges, _cells(label), label)
     if part is None:  # pragma: no cover - refinement fixpoint is equitable
         raise NotEquitableError("refinement failed to reach an equitable partition")
     return part

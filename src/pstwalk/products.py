@@ -15,7 +15,7 @@ import numpy as np
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
 from .graphs import Graph, regular_degree
-from .spectral import _clusters, _decomposition, is_integral, spectrum
+from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
     "cartesian_product",
@@ -76,7 +76,8 @@ def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:
     if np.max(np.abs(comm)) > 1e-10 * h.n * scale:
         raise NonCommutingError("inner and connection adjacencies do not commute")
     dec = _decomposition(h)
-    bounds, means, _ = _clusters(dec.values, None)
+    bounds, _ = _clusters(dec.values, None)
+    means = _means(dec.values, bounds, np.arange(bounds.size - 1))
     pairs: List[Tuple[float, float]] = []
     for lo, hi, mu in zip(bounds[:-1], bounds[1:], means.tolist()):
         block = dec.vectors[:, lo:hi].copy()  # contiguous: BLAS rounds a strided view differently

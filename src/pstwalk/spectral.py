@@ -81,14 +81,17 @@ class SpectralProjectors:
 
 def eigendecompose(g: Graph) -> EigenDecomposition:
     """Dense symmetric eigensolve, validated against the residual contract."""
-    w, v = np.linalg.eigh(g.adj)
+    w, vw = np.linalg.eigh(g.adj)
     if not np.all(np.isfinite(w)):
         raise NumericFailureError("eigenvalues overflowed to non-finite values")
     w = w[::-1].copy()
-    v = v[:, ::-1].copy()
+    v = vw[:, ::-1].copy()
     n = g.n
-    amax = max(1.0, float(np.max(np.abs(g.adj))))
-    check = (v * w) @ v.T  # one n x n buffer for both checks
+    amax = max(1.0, float(g.adj.max()), float(-g.adj.min()))
+    # V diag(w) overwrites eigh's own vectors, so both checks take one new
+    # n x n buffer
+    check = np.multiply(v, w, out=vw) @ v.T
+    del vw
     check -= g.adj
     np.abs(check, out=check)
     if not np.max(check) <= RECON_TOL * n * amax:
@@ -182,21 +185,22 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     unit roundoff. Other grids take one exponential per term and time.
     Temporaries hold about max(SCAN_TERMS, B k) terms. Raises
     NumericFailureError where max|theta| max|t| is not finite, as no phase
-    is then defined."""
+    is then defined; on an even grid max|t| is read from its two ends."""
     theta = np.asarray(theta, dtype=float)
     times = np.asarray(times, dtype=float)
     t = times.ravel()
-    top = float(np.abs(theta).max(initial=0.0)) * float(np.abs(t).max(initial=0.0))
-    if not math.isfinite(top):  # a float product: inf on overflow, no warning
-        raise NumericFailureError("the phases theta t leave the float range")
+    reach = float(np.abs(theta).max(initial=0.0))
     m, nb, even = t.size, _STEP_BLOCK, False
     out, emit = (np.empty(m), np.abs) if absolute else (np.empty(m, complex), np.positive)
     if m >= 2 * nb:
+        end = max(abs(float(t[0])), abs(float(t[-1])))
+        _check_phases(reach * end)  # before the grid test, whose offsets could overflow
         h = (t[-1] - t[0]) / (m - 1)
-        tol = 4.0 * np.spacing(max(abs(t[0]), abs(t[-1])))
+        tol = 4.0 * np.spacing(end)
         off = lambda s: np.arange(s, min(s + SCAN_TERMS, m)) * h + t[0] - t[s : s + SCAN_TERMS]
         even = all(np.max(np.abs(off(s))) <= tol for s in range(0, m, SCAN_TERMS))  # by chunks
     if not even:
+        _check_phases(reach * float(np.abs(t).max(initial=0.0)))
         span = max(1, SCAN_TERMS // max(theta.size, 1))
         for s in range(0, m, span):
             emit(weight @ np.exp(-1j * (theta[:, None] * t[s : s + span])), out=out[s : s + span])
@@ -208,6 +212,13 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
         emit((phase @ inner).ravel()[: m - s], out=out[s : s + span])
         del phase  # before the next block's phases are allocated
     return out.reshape(times.shape)[()]
+
+
+def _check_phases(top: float) -> None:
+    """Raise NumericFailureError where max|theta| max|t| = top is not finite
+    (a float product: inf on overflow, without a warning)."""
+    if not math.isfinite(top):
+        raise NumericFailureError("the phases theta t leave the float range")
 
 
 def _phases(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
@@ -233,8 +244,7 @@ def _group_tol(values: np.ndarray) -> float:
 def _clusters(w: np.ndarray, group_tol: Optional[float]):
     """Single-linkage clusters of the eigenvalues w (sorted descending) as
     bounds, an index array whose entries j and j + 1 delimit cluster j (so
-    bounds[0] = 0 and bounds[-1] = len(w)); each cluster's mean eigenvalue;
-    and the grouping tolerance used.
+    bounds[0] = 0 and bounds[-1] = len(w)), and the grouping tolerance used.
 
     A cluster whose diameter exceeds 10x the grouping tolerance is rejected:
     that means the tolerance sits inside a continuum of eigenvalues and any
@@ -253,15 +263,23 @@ def _clusters(w: np.ndarray, group_tol: Optional[float]):
             f"eigenvalue cluster around {w[bounds[j]]:.6g} has diameter {diam[j]:.3g} "
             f"> 10*group_tol ({10 * group_tol:.3g})"
         )
-    means = w[bounds[:-1]]  # a singleton's mean is its eigenvalue
-    for j in np.flatnonzero(np.diff(bounds) > 1):
-        means[j] = np.mean(w[bounds[j] : bounds[j + 1]])
-    return bounds, means, group_tol
+    return bounds, group_tol
+
+
+def _means(w: np.ndarray, bounds: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """The mean eigenvalue of each cluster j in js of w (see _clusters), by
+    np.mean; a singleton's mean is its eigenvalue."""
+    lo, hi = bounds[js], bounds[js + 1]
+    means = w[lo]
+    for i in np.flatnonzero(hi - lo > 1):
+        means[i] = np.mean(w[lo[i] : hi[i]])
+    return means
 
 
 def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] = None) -> SpectralProjectors:
     """Cluster eigenvalues by single linkage and form one projector per cluster."""
-    bounds, means, group_tol = _clusters(decomp.values, group_tol)
+    bounds, group_tol = _clusters(decomp.values, group_tol)
+    means = _means(decomp.values, bounds, np.arange(bounds.size - 1))
     projs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = decomp.vectors[:, lo:hi]
@@ -311,7 +329,7 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     1/sqrt(clusters))."""
     if not tol > 0:  # zero, negative or NaN
         raise InvalidArgumentError(f"tol must be positive, got {tol:g}")
-    bounds, means, group_tol = _clusters(values, None)
+    bounds, group_tol = _clusters(values, None)
     # both descend, so the nearest eigenvalues run in order and each cluster
     # found is one run of columns
     asc = values[::-1]
@@ -323,19 +341,20 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     cluster = np.searchsorted(bounds, nearest, side="right") - 1
     runs = np.flatnonzero(np.diff(cluster, prepend=-1))
     v = dec.vectors
-    ea = np.add.reduceat(v * v[a, :], runs, axis=1)
-    eb = np.add.reduceat(v * v[b, :], runs, axis=1)
+    ea, eb, weight = v * v[a, :], v * v[b, :], v[a, :] * v[b, :]
+    if runs.size < cluster.size:  # some cluster has several columns: sum each run
+        ea, eb, weight = (np.add.reduceat(x, runs, axis=-1) for x in (ea, eb, weight))
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
     if not sup.size:
         raise InvalidArgumentError(f"tol {tol:g} leaves no supported eigenvalue cluster")
-    ea, eb = ea[:, sup], eb[:, sup]
+    if sup.size < runs.size:
+        ea, eb, weight = ea[:, sup], eb[:, sup], weight[sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    support = cluster[runs][sup]
-    theta = tuple(means[support].tolist())
+    support = cluster[runs[sup]]
+    theta = tuple(_means(values, bounds, support).tolist())
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
-    weight = np.add.reduceat(v[a, :] * v[b, :], runs)[sup]
     broken_at = theta[broken[0]] if broken.size else None
     return PairSpectrum(tuple(support.tolist()), theta, weight, signs, broken_at), group_tol
 

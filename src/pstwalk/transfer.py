@@ -27,7 +27,7 @@ from .conditions import (
     glued_cone_pst_condition,
 )
 from .cones import cylindrical_cone, double_cone, glued_double_cone
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericFailureError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
@@ -138,22 +138,29 @@ def max_fidelity_scan(
     The scan shares the pair that g keeps with the certificate, the series
     and the collapse check of the same pair, so one reduction serves them
     all. Raises AmbiguousDegeneracyError where the eigenvalues cannot be
-    clustered, NumericFailureError where theta t_max overflows, and
-    InvalidArgumentError on a negative refine_iters."""
+    clustered, NumericFailureError where theta t_max overflows or where the
+    rounding bound of |F| over the window, 8 eps sum|w| (1 + max|theta|
+    t_max), exceeds 1 - PRETTY_GOOD, as its float times then cannot resolve
+    the walk, and InvalidArgumentError on a negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
     times = _window(g, a, b, t_max, steps)
     pair, ps, group_tol = _pair_spectrum(g, a, b)
     coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
+    theta, w = pair.dec.values, pair.weight
+    # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
+    err = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) * (1.0 + float(np.max(np.abs(theta))) * t_max)
+    if err > 1.0 - PRETTY_GOOD:
+        raise NumericFailureError(
+            f"the scan's rounding bound {err:.3g} exceeds {1.0 - PRETTY_GOOD:.3g}: "
+            f"float times up to t_max = {t_max:g} cannot resolve the walk"
+        )
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
     slack = 10.0 * group_tol * (t_max + 1.0)
     on = np.flatnonzero(coarse >= np.max(coarse) - slack)  # grid indices near the top
     near = times[on]
     exact = np.abs(pair.amplitude(near))
-    theta, w = pair.dec.values, pair.weight
-    # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
-    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
     level = np.flatnonzero(exact >= np.max(exact) - err)  # the top to rounding
     peak = level[on[level] - on[level[0]] == np.arange(level.size)]  # its earliest run of grid neighbours
     k = int(peak[np.argmax(exact[peak])])

@@ -101,3 +101,50 @@ def corpus():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(CORPUS_SEED + 1)
+
+
+def _glued_ladder_cone(index):
+    n, k, gamma = pw.glued_cone_family(index)
+    half = pw.circulant(n, range(1, k // 2 + 1))
+    return pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1))), 0, 2 * n + 1
+
+
+def _random_ladder(seed):
+    """The benchmark's random ladder of one seed: n = 32..256, edge density
+    0.2, uniform(0.2, 3) weights, loops on about 30% of vertices, each graph
+    connected, and a random vertex pair."""
+    rng = np.random.default_rng(seed)
+
+    def adjacency(n):
+        upper = np.triu(rng.random((n, n)) < 0.2, 1)
+        adj = np.where(upper, rng.uniform(0.2, 3.0, size=(n, n)), 0.0)
+        adj = adj + adj.T
+        return adj + np.diag(np.where(rng.random(n) < 0.3, rng.uniform(0.5, 2.0, size=n), 0.0))
+
+    out = []
+    for n in (32, 64, 128, 192, 256):
+        adj = adjacency(n)
+        while not pw.is_connected(pw.Graph(adj)):
+            adj = adjacency(n)
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        out.append((f"random{n}", pw.Graph(adj), a, b))
+    return out
+
+
+def _ladder():
+    structured = [
+        ("lex(K:2,Q:2)", pw.lexicographic_product(pw.complete(2), pw.hypercube(2)), 0, 3),
+        ("cylcone(3,2,2)", pw.cylindrical_cone(pw.complete(3), pw.empty_graph(2), pw.complete(3)), 0, 9),
+        ("weak(Q:2,K:4)", pw.weak_product(pw.hypercube(2), pw.complete(4)), 0, 12),
+        ("gluedcone2", *_glued_ladder_cone(2)),
+        ("Q6", pw.hypercube(6), 0, 63),
+        ("gluedcone3", *_glued_ladder_cone(3)),
+    ] + [(f"Q{d}", pw.hypercube(d), 0, 2 ** d - 1) for d in (7, 8, 9)]
+    return structured + _random_ladder(0)
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """The benchmark's two ladders as (name, graph, a, b): the structured
+    one, and the random one of seed 0."""
+    return _ladder()

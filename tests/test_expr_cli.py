@@ -321,6 +321,9 @@ def test_cli_bad_time_windows_exit_1_without_warnings(capsys, recwarn):
         (["scan", *pair, "--tmax", "1e308"], phases),
         (["fidelity", *pair, "--tmax", "1.7e308", "--steps", "3"], phases),
         (["collapse", "--expr", "Q:4", "--from", "0", "--to", "15", "--tmax", "1e308", "--format", "json"], phases),
+        # a finite window whose float times cannot resolve the walk
+        (["scan", *pair, "--tmax", "1e300"],
+         "the scan's rounding bound 5.33e+285 exceeds 0.001: float times up to t_max = 1e+300 cannot resolve the walk"),
     ):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -611,7 +611,8 @@ def test_cluster_bounds_and_means_match_the_index_groups(corpus):
     for g in list(corpus) + extra:
         w = pw.spectrum(g)
         groups, means, group_tol = _grouped_clusters(w)
-        bounds, got, got_tol = spectral._clusters(w, None)
+        bounds, got_tol = spectral._clusters(w, None)
+        got = spectral._means(w, bounds, np.arange(len(bounds) - 1))
         assert bounds[0] == 0 and bounds[-1] == len(w)
         assert [x.tolist() for x in np.split(np.arange(len(w)), bounds[1:-1])] == [x.tolist() for x in groups]
         assert got.tolist() == means and got_tol == group_tol
@@ -636,3 +637,65 @@ def test_one_vertex_pair_spectrum(g):
     for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair_spectrum(g, 0, 0)[1]):
         assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
         assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None
+
+
+# ---------------------------------------------------------------------------
+# _support against the formulation that summed every run of columns
+# ---------------------------------------------------------------------------
+
+def _support_reference(dec, values, a, b, tol):
+    """The pair spectrum as np.add.reduceat over every run of columns, one
+    column or several, with every cluster's mean taken first."""
+    bounds, group_tol = spectral._clusters(values, None)
+    means = values[bounds[:-1]]
+    for j in np.flatnonzero(np.diff(bounds) > 1):
+        means[j] = np.mean(values[bounds[j] : bounds[j + 1]])
+    asc = values[::-1]
+    hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
+    lo = np.maximum(hi - 1, 0)
+    nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
+    cluster = np.searchsorted(bounds, nearest, side="right") - 1
+    runs = np.flatnonzero(np.diff(cluster, prepend=-1))
+    v = dec.vectors
+    ea = np.add.reduceat(v * v[a, :], runs, axis=1)
+    eb = np.add.reduceat(v * v[b, :], runs, axis=1)
+    sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
+    ea, eb = ea[:, sup], eb[:, sup]
+    plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
+    minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
+    support = cluster[runs][sup]
+    theta = tuple(means[support].tolist())
+    broken = np.nonzero(~plus & ~minus)[0]
+    signs = None if broken.size else tuple(0 if p else 1 for p in plus)
+    weight = np.add.reduceat(v[a, :] * v[b, :], runs)[sup]
+    broken_at = theta[broken[0]] if broken.size else None
+    return tuple(support.tolist()), theta, weight, signs, broken_at, group_tol
+
+
+def _assert_bitwise_reference(dec, values, a, b, tol=TOL):
+    ps, group_tol = spectral._support(dec, values, a, b, tol)
+    support, theta, weight, signs, broken_at, ref_tol = _support_reference(dec, values, a, b, tol)
+    assert ps.support == support and ps.signs == signs and group_tol == ref_tol
+    assert np.array(ps.theta).tobytes() == np.array(theta).tobytes()
+    assert ps.weight.tobytes() == weight.tobytes()
+    assert repr(ps.broken_at) == repr(broken_at)  # a float's repr gives its bits back
+
+
+def test_support_matches_the_reduceat_reference_on_every_corpus_pair(corpus):
+    for g in corpus:
+        dec = pw.eigendecompose(g)
+        for a in range(g.n):
+            for b in range(a, g.n):
+                _assert_bitwise_reference(dec, dec.values, a, b)
+
+
+def test_support_matches_the_reduceat_reference_on_the_ladders(ladder):
+    # each instance's pair on the route its questions take (Ritz pairs on
+    # the structured graphs of n >= 128), and the dense route of a wider tol
+    for name, g, a, b in ladder:
+        dec = _pair(g, a, b).dec
+        values = dec.values if dec.n == g.n else spectral._eigenvalues(g)
+        _assert_bitwise_reference(dec, values, a, b)
+        if g.n <= 128:
+            full = pw.eigendecompose(g)
+            _assert_bitwise_reference(full, full.values, a, b, tol=0.05)

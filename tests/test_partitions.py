@@ -441,13 +441,52 @@ def test_collapse_command_checks_equitability_once(monkeypatch, capsys):
     from pstwalk import cli, partitions
 
     calls = []
-    is_equitable = partitions.is_equitable
+    equitable = partitions._equitable
 
-    def counting(g, cells):
+    def counting(edges, cells, label):
         calls.append(len(cells))
-        return is_equitable(g, cells)
+        return equitable(edges, cells, label)
 
-    monkeypatch.setattr(partitions, "is_equitable", counting)
+    monkeypatch.setattr(partitions, "_equitable", counting)
     assert cli.main(["collapse", "--expr", "Q:4", "--from", "0", "--to", "15"]) == 0
     assert "max_deviation" in capsys.readouterr().out
     assert calls == [5]  # the distance partition of Q4: 5 cells, checked once
+
+
+def _distance_cells_reference(g, a):
+    """Cells of vertices at distance 0, 1, ... from a, by a breadth-first
+    search over a Python dict; None where some vertex is unreachable."""
+    dist, frontier = {a: 0}, [a]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in range(g.n):
+                if g.adj[u, v] != 0 and v not in dist:
+                    dist[v] = dist[u] + 1
+                    reached.append(v)
+        frontier = reached
+    if len(dist) < g.n:
+        return None
+    return [[v for v in range(g.n) if dist[v] == r] for r in range(max(dist.values()) + 1)]
+
+
+def test_distance_partition_matches_loop_reference_from_every_source(corpus):
+    for g in corpus:
+        for a in range(g.n):
+            cells = _distance_cells_reference(g, a)
+            if cells is None:
+                with pytest.raises(NotConnectedError):
+                    pw.distance_partition(g, a)
+                continue
+            assert _same_answer(pw.distance_partition(g, a), _is_equitable_reference(g, cells))
+
+
+def test_refinement_matches_loop_reference_on_the_ladders(ladder):
+    # the ladder pairs from {a}, {b}, rest: singletons on the random graphs
+    for name, g, a, b in ladder:
+        if g.n <= 64:
+            cells = [[a], [b], [v for v in range(g.n) if v not in (a, b)]]
+            part = pw.coarsest_equitable_refinement(g, cells)
+            assert _same_answer(part, _refinement_reference(g, cells)), name
+            if name.startswith("random"):
+                assert part.m == g.n

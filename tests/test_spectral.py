@@ -337,12 +337,26 @@ def test_amplitudes_match_direct_exp_at_benchmark_shapes(k, steps, t0, t_span):
     assert np.max(np.abs(_amplitudes(weight, theta, times, absolute=True) - np.abs(ref))) <= bound
 
 
-@pytest.mark.parametrize("times", [1e308, [0.0, 1.7e308], np.linspace(0.0, 1e308, 2 * B), [0.0, math.nan]])
+@pytest.mark.parametrize("times", [
+    1e308, [0.0, 1.7e308], np.linspace(0.0, 1e308, 2 * B), [0.0, math.nan],
+    # an even grid's max|t| is read at its ends, the direct path's at every t
+    np.linspace(1e308, 0.0, 2 * B),
+    np.concatenate([np.linspace(0.0, 1.0, B), [1e308], np.linspace(1.0, 2.0, B)]),
+    np.concatenate([np.linspace(0.0, 1.0, B), [math.nan], np.linspace(1.0, 2.0, B)]),
+])
 def test_amplitudes_refuse_phases_beyond_the_float_range(times, recwarn):
     with pytest.raises(NumericFailureError, match="float range"):
         _amplitudes(np.ones(3), np.array([3.0, 1.0, -3.0]), times)
     with pytest.raises(NumericFailureError, match="float range"):
         pw.fidelity(pw.eigendecompose(pw.hypercube(3)), 0, 7, times)
+    assert not recwarn.list
+
+
+def test_even_grid_up_to_the_float_range_is_answered(recwarn):
+    # theta t stays finite at both ends, so no phase leaves the float range
+    # (the values themselves carry rounding of order max|theta| max|t| eps)
+    got = _amplitudes(np.array([0.5, 0.5]), np.array([1.0, -1.0]), np.linspace(0.0, 1e308, 2 * B))
+    assert got.shape == (2 * B,) and np.all(np.abs(got) <= 1.0 + 1e-12)
     assert not recwarn.list
 
 

@@ -286,6 +286,18 @@ def test_time_windows_whose_phases_overflow_are_refused(recwarn):
     assert not recwarn.list
 
 
+def test_scan_refuses_windows_its_float_times_cannot_resolve(recwarn):
+    # Q3's antipodes: sum|w| = 1 and max|theta| = 3, so the scan's rounding
+    # bound 8 eps (1 + 3 t_max) passes 1 - PRETTY_GOOD = 1e-3 near 1.9e11
+    g = pw.hypercube(3)
+    for t_max in (1e12, 1e17, 1e300):
+        with pytest.raises(NumericFailureError, match="rounding bound .* exceeds 0.001"):
+            pw.max_fidelity_scan(g, 0, 7, t_max, 4001)
+    t, f = pw.max_fidelity_scan(g, 0, 7, 1e11, 4001)
+    assert 0.0 <= t <= 1e11 and 0.0 <= f <= 1.0 + 1e-12
+    assert not recwarn.list
+
+
 def test_time_windows_name_a_bad_vertex_first():
     g = pw.hypercube(3)
     for call in (pw.fidelity_series, pw.max_fidelity_scan):
