@@ -272,7 +272,9 @@ def _collapse(
         raise NotEquitableError(
             f"vertex {b} is not the antipodal cell of the distance partition"
         )
-    ts = np.asarray(list(t_grid), dtype=float)
+    # an array of one or more dimensions as it is; anything else through list(),
+    # which refuses a scalar or 0-d array
+    ts = np.asarray(t_grid if isinstance(t_grid, np.ndarray) and t_grid.ndim else list(t_grid), dtype=float)
     if ts.size == 0 or not np.all(np.isfinite(ts)):
         raise InvalidArgumentError("t_grid must hold at least one time, all finite")
     quot = _quotient(part)

@@ -44,6 +44,7 @@ ORTHO_TOL = 1e-10
 # went back to the OS and were page-faulted in again on every chunk.
 SCAN_TERMS = 1 << 15
 _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
+_SAMPLE_STEP = 16  # grid steps between the samples of a scan's coarse pass
 # Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
 # vertices are answered on the Krylov space of e_a and e_b where it closes
 # within KRYLOV_MAX_DIM dimensions (see _walk); below the floor the dense
@@ -214,6 +215,57 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     return out.reshape(times.shape)[()]
 
 
+def _near_top(weight, theta, times: np.ndarray, slack: float, err: float) -> np.ndarray:
+    """The indices, ascending, of the points of the even grid times (at
+    least two) where |F|, F = sum_k weight[k] exp(-i theta[k] t) as
+    _amplitudes sums it to within err, lies within slack of its grid top.
+    |F| is taken by _amplitudes at every S-th point (S = _SAMPLE_STEP), and
+    the points between two such samples only where sqrt(max^2 + M L^2 / 8)
+    + 2 err (M from _curvature, L the samples' longest spacing) reaches the
+    top sample less slack, and past the last sample: one start phase per
+    term and interval times a shared k x (S - 1) table of weighted inner
+    phases, in chunks of about SCAN_TERMS terms. A point left out lies
+    below the top less slack, so only rounding can classify a point
+    otherwise than the full grid would; a flat |F| has every point summed."""
+    theta = np.asarray(theta, dtype=float)
+    m, s = times.size, _SAMPLE_STEP
+    samples = _amplitudes(weight, theta, times[::s], absolute=True)
+    # sqrt(hi^2 + M L^2 / 8) + 2 err >= top sample - slack, hi the larger
+    # end of an interval and L the longest
+    need = max(float(np.max(samples)) - slack - 2.0 * err, 0.0)
+    span = float(np.max(np.diff(times[::s]), initial=0.0))
+    floor = need * need - _curvature(weight, theta) * span * span / 8.0
+    cut = math.sqrt(floor) if floor > 0.0 else -math.inf
+    rows = np.append(np.flatnonzero(np.maximum(samples[:-1], samples[1:]) >= cut), samples.size - 1)
+    q = min(s, m)  # so that the inner steps stay within the grid's span
+    h = (times[-1] - times[0]) / (m - 1)
+    inner = _phases(theta, h, h, q - 1).T * np.reshape(weight, (-1, 1))
+    coarse = np.full((samples.size, s), -np.inf)  # grid point j at [j // s, j % s]
+    coarse[:, 0] = samples
+    chunk = max(1, SCAN_TERMS // (theta.size + s))  # intervals per chunk
+    for c in range(0, rows.size, chunk):
+        r = rows[c : c + chunk]
+        coarse[r, 1:q] = np.abs(np.exp(-1j * (times[s * r, None] * theta)) @ inner)
+    coarse = coarse.ravel()[:m]  # the row past the last sample may be shorter
+    return np.flatnonzero(coarse >= np.max(coarse) - slack)
+
+
+def _curvature(weight, theta) -> float:
+    """M = sum_{r,s} |w_r w_s| (theta_r - theta_s)^2, a bound on
+    |d^2 |F|^2 / dt^2| for F(t) = sum_r w_r exp(-i theta_r t): between two
+    times L apart |F|^2 rises at most M L^2 / 8 above its larger end. In
+    O(k) as 2 W sum_r |w_r| (theta_r - c)^2, W = sum_r |w_r| and c the
+    |w|-weighted mean of theta (M = 2 W S_2 - 2 S_1^2 for the moments S_j
+    about any c, and S_1 = 0 about that mean)."""
+    w = np.abs(weight)
+    total = float(np.sum(w))
+    if total == 0.0:
+        return 0.0
+    theta = np.asarray(theta, dtype=float)
+    dev = theta - float(w @ theta) / total
+    return 2.0 * total * float(w @ (dev * dev))
+
+
 def _check_phases(top: float) -> None:
     """Raise NumericFailureError where max|theta| max|t| = top is not finite
     (a float product: inf on overflow, without a warning)."""
@@ -320,9 +372,10 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = SUPPO
 def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tuple[PairSpectrum, float]:
     """The PairSpectrum of rows a, b of the checked eigenpairs dec of a graph
     with eigenvalues values (descending), and the graph's grouping tolerance.
-    Each eigenvalue of dec must lie within that tolerance of a graph
-    eigenvalue, and its column joins the cluster of the nearest one; where
-    values is dec.values, each column joins its own eigenvalue's cluster.
+    Where values is dec.values (the dense route), each column joins its own
+    eigenvalue's cluster; otherwise each eigenvalue of dec must lie within
+    that tolerance of a graph eigenvalue, and its column joins the cluster
+    of the nearest one.
     A tol that is not positive, where every sign test would fail on
     rounding, raises InvalidArgumentError, as does one that leaves no
     cluster supported (a unit vector has a cluster with ||E_r e_a|| >=
@@ -330,19 +383,24 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     if not tol > 0:  # zero, negative or NaN
         raise InvalidArgumentError(f"tol must be positive, got {tol:g}")
     bounds, group_tol = _clusters(values, None)
-    # both descend, so the nearest eigenvalues run in order and each cluster
-    # found is one run of columns
-    asc = values[::-1]
-    hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
-    lo = np.maximum(hi - 1, 0)
-    nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
-    if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
-        raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
-    cluster = np.searchsorted(bounds, nearest, side="right") - 1
-    runs = np.flatnonzero(np.diff(cluster, prepend=-1))
+    if values is dec.values:  # column j has eigenvalue j: run j of columns is cluster j
+        runs = bounds[:-1]
+        ids = np.arange(runs.size)
+    else:
+        # both descend, so the nearest eigenvalues run in order and each
+        # cluster found is one run of columns
+        asc = values[::-1]
+        hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
+        lo = np.maximum(hi - 1, 0)
+        nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
+        if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
+            raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
+        cluster = np.searchsorted(bounds, nearest, side="right") - 1
+        runs = np.flatnonzero(np.diff(cluster, prepend=-1))
+        ids = cluster[runs]  # the cluster of each run
     v = dec.vectors
     ea, eb, weight = v * v[a, :], v * v[b, :], v[a, :] * v[b, :]
-    if runs.size < cluster.size:  # some cluster has several columns: sum each run
+    if runs.size < dec.n:  # some cluster has several columns: sum each run
         ea, eb, weight = (np.add.reduceat(x, runs, axis=-1) for x in (ea, eb, weight))
     sup = np.nonzero((np.linalg.norm(ea, axis=0) > tol) | (np.linalg.norm(eb, axis=0) > tol))[0]
     if not sup.size:
@@ -351,7 +409,7 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
         ea, eb, weight = ea[:, sup], eb[:, sup], weight[sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    support = cluster[runs[sup]]
+    support = ids[sup]
     theta = tuple(_means(values, bounds, support).tolist())
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)

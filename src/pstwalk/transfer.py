@@ -31,7 +31,7 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import SUPPORT_TOL, _amplitudes, _pair, _pair_spectrum
+from .spectral import SUPPORT_TOL, _check_phases, _near_top, _pair, _pair_spectrum
 
 __all__ = [
     "FidelitySeries",
@@ -109,10 +109,14 @@ def max_fidelity_scan(
     """Grid maximum of |F| over [0, t_max], refined by Newton steps on
     |F|^2 around the best grid point. Returns (t_star, fmax) as floats.
 
-    The grid runs over the distinct eigenvalues that support the pair (see
-    pair_spectrum), so its cost follows their number, not n. Grid points
-    within the clustering error of its top, and the refinement, are then
-    evaluated over every eigenpair of the pair's reduced problem: the Ritz
+    The grid runs over the k distinct eigenvalues that support the pair
+    (see pair_spectrum), so its cost follows their number, not n: |F| at
+    every 16th point, and between two of these only where the certified
+    bound sqrt(max^2 + M L^2 / 8), M = sum |w_r w_s| (theta_r - theta_s)^2,
+    can reach the top (spectral._near_top), so m / 16 samples plus 16 k
+    terms per such interval, not m k. Grid points within the clustering
+    error of its top, and the refinement, are then evaluated over every
+    eigenpair of the pair's reduced problem: the Ritz
     pairs of its Krylov space where that is small (see spectral._walk),
     else the whole graph's. Of the grid points whose |F| lies within the
     rounding of |F| (below) of their top, the earliest run of neighbours
@@ -146,7 +150,8 @@ def max_fidelity_scan(
         raise InvalidArgumentError("refine_iters must be non-negative")
     times = _window(g, a, b, t_max, steps)
     pair, ps, group_tol = _pair_spectrum(g, a, b)
-    coarse = _amplitudes(ps.weight, ps.theta, times, absolute=True)
+    # an overflowing theta t_max is refused first, as a kernel call on the grid would
+    _check_phases(float(np.max(np.abs(ps.theta))) * t_max)
     theta, w = pair.dec.values, pair.weight
     # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
     err = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) * (1.0 + float(np.max(np.abs(theta))) * t_max)
@@ -158,7 +163,7 @@ def max_fidelity_scan(
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
     slack = 10.0 * group_tol * (t_max + 1.0)
-    on = np.flatnonzero(coarse >= np.max(coarse) - slack)  # grid indices near the top
+    on = _near_top(ps.weight, ps.theta, times, slack, err)  # grid indices near the top
     near = times[on]
     exact = np.abs(pair.amplitude(near))
     level = np.flatnonzero(exact >= np.max(exact) - err)  # the top to rounding

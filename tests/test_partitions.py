@@ -425,6 +425,19 @@ def test_collapse_fidelity_check_needs_a_grid_of_finite_times():
             pw.collapse_fidelity_check(g, 0, 7, grid)
 
 
+def test_collapse_fidelity_check_takes_any_iterable_of_times():
+    g = pw.hypercube(3)
+    grid = np.linspace(0.0, 4 * math.pi, 500)
+    want = pw.collapse_fidelity_check(g, 0, 7, grid.tolist())
+    for same in (grid, grid.reshape(20, 25), tuple(grid), (float(t) for t in grid)):
+        assert pw.collapse_fidelity_check(g, 0, 7, same) == want
+    for scalar in (1.0, np.array(1.0)):  # list() refuses a scalar, as it always did
+        with pytest.raises(TypeError):
+            pw.collapse_fidelity_check(g, 0, 7, scalar)
+    with pytest.raises(InvalidArgumentError, match="t_grid must hold at least one time, all finite"):
+        pw.collapse_fidelity_check(g, 0, 7, np.empty((3, 0)))
+
+
 def test_collapse_fidelity_check_requires_antipodal_target():
     g = pw.hypercube(3)
     with pytest.raises(NotEquitableError):

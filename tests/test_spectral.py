@@ -487,3 +487,104 @@ def test_amplitudes_memory_is_within_twice_the_output(absolute):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the scan's coarse pass: samples, the curvature bound, the summed intervals
+# ---------------------------------------------------------------------------
+
+def _scan_terms(g, a, b, t_max, steps):
+    """The supported weights and eigenvalues, the grid, slack and err of
+    max_fidelity_scan on the pair (a, b) of g."""
+    pair, ps, group_tol = spectral._pair_spectrum(g, a, b)
+    err = 8.0 * EPS * np.sum(np.abs(pair.weight)) * (1.0 + np.max(np.abs(pair.dec.values)) * t_max)
+    slack = 10.0 * group_tol * (t_max + 1.0)
+    return ps.weight, ps.theta, np.linspace(0.0, t_max, steps), slack, err
+
+
+def _assert_near_top_as_the_full_grid(weight, theta, times, slack, err):
+    """_near_top picks every grid point that |F| on the full grid puts at or
+    above its maximum less slack, and no other, except within 1e-12 of that
+    line, where rounding may decide."""
+    full = _amplitudes(weight, theta, times, absolute=True)
+    line = np.max(full) - slack
+    got = spectral._near_top(weight, theta, times, slack, err)
+    assert np.all(np.diff(got) > 0)
+    picked = np.zeros(times.size, dtype=bool)
+    picked[got] = True
+    clear = np.abs(full - line) > 1e-12
+    assert np.array_equal(picked[clear], (full >= line)[clear])
+
+
+@pytest.mark.parametrize("t_max, steps", [(2 * math.pi, 4001), (50.0, 20001), (7.0, 2), (7.0, 18), (7.0, 33)])
+def test_near_top_classifies_every_corpus_pair_as_the_full_grid(corpus, t_max, steps):
+    for g in corpus:
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2)}):
+            try:
+                terms = _scan_terms(g, a, b, t_max, steps)
+            except AmbiguousDegeneracyError:
+                continue
+            _assert_near_top_as_the_full_grid(*terms)
+
+
+def test_near_top_classifies_the_ladders_as_the_full_grid(ladder):
+    for name, g, a, b in ladder:
+        for t_max, steps in ((2 * math.pi, 20001), (200.0, 200001)) if g.n <= 32 else ((2 * math.pi, 20001),):
+            _assert_near_top_as_the_full_grid(*_scan_terms(g, a, b, t_max, steps))
+
+
+@pytest.mark.parametrize("weight, theta", [
+    ([0.5, -0.3, 1e-6], [1.0, -2.0, 1e3]),  # an outlier eigenvalue of tiny weight
+    ([0.7], [2.3]),  # all weight on one eigenvalue: |F| is flat
+    ([0.0, 0.0], [1.0, -1.0]),  # F = 0
+], ids=["outlier", "flat", "zero"])
+@pytest.mark.parametrize("t_max, steps", [(2 * math.pi, 20001), (200.0, 200001), (7.0, 1000)])
+def test_near_top_classifies_adversarial_sums_as_the_full_grid(weight, theta, t_max, steps):
+    weight, theta = np.array(weight), np.array(theta)
+    err = 8.0 * EPS * np.sum(np.abs(weight)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    _assert_near_top_as_the_full_grid(weight, theta, np.linspace(0.0, t_max, steps), 1e-7 * (t_max + 1.0), err)
+
+
+def test_curvature_bounds_every_point_between_two_samples():
+    """|F(t)| <= sqrt(max(|F| at either end)^2 + M L^2 / 8) between two
+    times L apart, M = sum |w_r w_s| (theta_r - theta_s)^2 as _curvature
+    takes it; few terms, so that |d^2 |F|^2 / dt^2| comes near M at a peak."""
+    rng = np.random.default_rng(23)
+    fine = 16
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        weight, theta = rng.normal(size=k), rng.uniform(-5.0, 5.0, size=k)
+        m = spectral._curvature(weight, theta)
+        pairwise = np.sum(np.abs(np.outer(weight, weight)) * np.subtract.outer(theta, theta) ** 2)
+        assert m == pytest.approx(pairwise, rel=1e-12, abs=1e-12 * (np.sum(np.abs(weight)) * np.max(np.abs(theta))) ** 2)
+        span = float(rng.uniform(0.05, 1.0))
+        times = np.linspace(0.0, 40 * span, 40 * fine + 1)
+        f = np.abs(_direct(weight, theta, times)).reshape(-1)
+        ends = f[::fine]
+        hi = np.maximum(ends[:-1], ends[1:])
+        inner = f[:-1].reshape(-1, fine)[:, 1:]
+        bound = np.sqrt(hi * hi + m * span * span / 8.0) + 2.0 * _bound(weight, theta, times)
+        assert np.all(inner <= bound[:, None])
+
+
+def test_fully_summed_scan_memory_is_bounded():
+    """F = 0 on the pair puts every grid point within slack of the top, so
+    every interval is summed: _near_top holds the grid's |F| and its answer,
+    and the scan stays within eight grid-sized arrays."""
+    g = pw.empty_graph(2)
+    times = np.linspace(0.0, 200.0, 200001)
+    weight, theta = np.zeros(256), np.random.default_rng(5).normal(size=256)
+    spectral._near_top(weight, theta, times[:2000], 1e-7, 0.0)
+    pw.max_fidelity_scan(g, 0, 1, 200.0, 2001)
+    tracemalloc.start()
+    try:
+        assert pw.max_fidelity_scan(g, 0, 1, 200.0, 200001) == (0.0, 0.0)
+        scan = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        on = spectral._near_top(weight, theta, times, 1e-7, 0.0)
+        helper = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert on.size == times.size
+    assert helper <= 2.5 * times.nbytes
+    assert scan <= 8 * times.nbytes
