@@ -45,6 +45,7 @@ ORTHO_TOL = 1e-10
 SCAN_TERMS = 1 << 15
 _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
 _SAMPLE_STEP = 16  # grid steps between the samples of a scan's coarse pass
+_DIRECT_TERMS = 512  # the scan's phase tables of fewer terms take one exponential each
 # Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
 # vertices are answered on the Krylov space of e_a and e_b where it closes
 # within KRYLOV_MAX_DIM dimensions (see _walk); below the floor the dense
@@ -177,16 +178,14 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     """sum_k weight[k] exp(-i theta[k] t) at each t of times (its absolute
     value if asked; a scalar for scalar times). An even grid t0 + jh of at
     least 2B points (B = _STEP_BLOCK; each t within 4 ulp of max|t|) goes by
-    exp(-i theta (t_s + jh)) = exp(-i theta t_s) exp(-i theta jh): start
-    phases times a k x B block of weighted inner phases, one matrix product
-    per chunk. Both phase tables come from _phases: 23 k exponentials for
-    the inner phases and about 2 sqrt(q) k for a chunk of q block starts
-    (59 k for m = 20,001 points and k = 256), error <= c eps sum|weight|
-    (1 + max|theta| max|t|) against direct exponentials, c small, eps the
-    unit roundoff. Other grids take one exponential per term and time.
-    Temporaries hold about max(SCAN_TERMS, B k) terms. Raises
-    NumericFailureError where max|theta| max|t| is not finite, as no phase
-    is then defined; on an even grid max|t| is read from its two ends."""
+    _rotation in blocks of B steps: 23 k exponentials for the inner phases
+    and about 2 sqrt(q) k for a chunk of q block starts (59 k for m = 20,001
+    points and k = 256), error <= c eps sum|weight| (1 + max|theta| max|t|)
+    against direct exponentials, c small, eps the unit roundoff. Other
+    grids take one exponential per term and time. Temporaries hold about
+    max(SCAN_TERMS, B k) terms. Raises NumericFailureError where
+    max|theta| max|t| is not finite, as no phase is then defined; on an
+    even grid max|t| is read from its two ends."""
     theta = np.asarray(theta, dtype=float)
     times = np.asarray(times, dtype=float)
     t = times.ravel()
@@ -206,48 +205,88 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
         for s in range(0, m, span):
             emit(weight @ np.exp(-1j * (theta[:, None] * t[s : s + span])), out=out[s : s + span])
         return out.reshape(times.shape)[()]
-    inner = _phases(theta, 0.0, h, nb).T * np.reshape(weight, (-1, 1))
+    return _rotation(weight, theta, t, h, nb, out, emit, _phases).reshape(times.shape)[()]
+
+
+def _rotation(weight, theta: np.ndarray, t, h: float, nb: int, out: np.ndarray, emit, table) -> np.ndarray:
+    """out, filled with emit(F) at the out.size points t[j] = t[0] + jh of
+    an even grid, F = sum_k weight[k] exp(-i theta[k] t), read from t only
+    at its chunk starts: exp(-i theta (t_s + jh)) = exp(-i theta t_s)
+    exp(-i theta jh), the phases of the block starts t_s times a k x nb
+    block of weighted inner phases, one matrix product per chunk of about
+    SCAN_TERMS terms (nb k where that is more). Both phase tables come from
+    table: _phases, or the scan's _table."""
+    m = out.size
+    inner = table(theta, 0.0, h, nb).T * np.reshape(weight, (-1, 1))
     span = nb * max(1, SCAN_TERMS // (theta.size + nb))  # time points per chunk
     for s in range(0, m, span):
-        phase = _phases(theta, t[s], nb * h, -(-min(span, m - s) // nb))
+        phase = table(theta, t[s], nb * h, -(-min(span, m - s) // nb))
         emit((phase @ inner).ravel()[: m - s], out=out[s : s + span])
         del phase  # before the next block's phases are allocated
-    return out.reshape(times.shape)[()]
+    return out
 
 
-def _near_top(weight, theta, times: np.ndarray, slack: float, err: float) -> np.ndarray:
-    """The indices, ascending, of the points of the even grid times (at
-    least two) where |F|, F = sum_k weight[k] exp(-i theta[k] t) as
-    _amplitudes sums it to within err, lies within slack of its grid top.
-    |F| is taken by _amplitudes at every S-th point (S = _SAMPLE_STEP), and
-    the points between two such samples only where sqrt(max^2 + M L^2 / 8)
-    + 2 err (M from _curvature, L the samples' longest spacing) reaches the
-    top sample less slack, and past the last sample: one start phase per
-    term and interval times a shared k x (S - 1) table of weighted inner
-    phases, in chunks of about SCAN_TERMS terms. A point left out lies
-    below the top less slack, so only rounding can classify a point
-    otherwise than the full grid would; a flat |F| has every point summed."""
+@dataclass(frozen=True)
+class _Grid:
+    """The even grid np.linspace(0.0, t_max, size), size >= 2, point by
+    point: grid[j], for an index or an array of indices j, is bitwise
+    np.linspace(0.0, t_max, size)[j], taken as linspace takes it: j step
+    with step = t_max / (size - 1) ((j / (size - 1)) t_max where step
+    underflows to zero), and t_max itself at the last index. A scan reads
+    only the points it sums, so it holds no grid-sized array."""
+
+    t_max: float
+    size: int
+
+    def __getitem__(self, j):
+        div, t_max = self.size - 1, float(self.t_max)
+        step = t_max / div
+        if isinstance(j, int):  # a float, in the same double arithmetic
+            return t_max if j == div else j * step if step else j / div * t_max
+        t = np.multiply(j, step) if step else np.divide(j, div) * t_max
+        return np.where(np.equal(j, div), t_max, t)
+
+
+def _near_top(weight, theta, times, slack: float, err: float) -> np.ndarray:
+    """The indices, ascending, of the points of the grid times =
+    np.linspace(0.0, t_max, m), m >= 2 (an array, or a _Grid that makes only
+    the points read), where |F|, F = sum_k weight[k] exp(-i theta[k] t)
+    summed to within err, lies within slack of its grid top. |F| is taken
+    at every S-th point (S = _SAMPLE_STEP), p samples in all, by one
+    _rotation whose inner table has ceil(sqrt p) steps. The S points from a
+    sample on are summed only where sqrt(max^2 + M L^2 / 8) + 2 err (M from
+    _curvature, L the samples' longest spacing) reaches the top sample less
+    slack, and from the last sample: one start phase per term and interval
+    times a shared k x S table of weighted phases, in chunks of about
+    SCAN_TERMS terms; a sample that can reach the top is summed again
+    there. Both passes take their phase tables from _table. The samples and
+    those intervals are all that is held: p k terms, plus S k per summed
+    interval, and no grid-sized array unless most intervals are summed, as
+    on a flat |F|. A point left out lies below the top less slack, so only
+    rounding can classify a point otherwise than the full grid would."""
     theta = np.asarray(theta, dtype=float)
     m, s = times.size, _SAMPLE_STEP
-    samples = _amplitudes(weight, theta, times[::s], absolute=True)
+    h = float(times[1])  # the grid step, as times[0] = 0
+    at = times[s * np.arange((m - 1) // s + 1)]  # the samples' times
+    p = at.size
+    samples = _rotation(weight, theta, at, s * h, math.isqrt(p - 1) + 1, np.empty(p), np.abs, _table)
     # sqrt(hi^2 + M L^2 / 8) + 2 err >= top sample - slack, hi the larger
     # end of an interval and L the longest
     need = max(float(np.max(samples)) - slack - 2.0 * err, 0.0)
-    span = float(np.max(np.diff(times[::s]), initial=0.0))
+    span = float(np.max(np.diff(at), initial=0.0))
     floor = need * need - _curvature(weight, theta) * span * span / 8.0
     cut = math.sqrt(floor) if floor > 0.0 else -math.inf
-    rows = np.append(np.flatnonzero(np.maximum(samples[:-1], samples[1:]) >= cut), samples.size - 1)
-    q = min(s, m)  # so that the inner steps stay within the grid's span
-    h = (times[-1] - times[0]) / (m - 1)
-    inner = _phases(theta, h, h, q - 1).T * np.reshape(weight, (-1, 1))
-    coarse = np.full((samples.size, s), -np.inf)  # grid point j at [j // s, j % s]
-    coarse[:, 0] = samples
+    # a sample within slack of the top starts a summed interval, or is the last one
+    rows = np.append(np.flatnonzero(np.maximum(samples[:-1], samples[1:]) >= cut), p - 1)
+    near = np.empty((rows.size, s))  # grid point rows[i] s + j at [i, j]
+    inner = _table(theta, 0.0, h, s).T * np.reshape(weight, (-1, 1))
     chunk = max(1, SCAN_TERMS // (theta.size + s))  # intervals per chunk
     for c in range(0, rows.size, chunk):
-        r = rows[c : c + chunk]
-        coarse[r, 1:q] = np.abs(np.exp(-1j * (times[s * r, None] * theta)) @ inner)
-    coarse = coarse.ravel()[:m]  # the row past the last sample may be shorter
-    return np.flatnonzero(coarse >= np.max(coarse) - slack)
+        np.abs(np.exp(-1j * (at[rows[c : c + chunk], None] * theta)) @ inner, out=near[c : c + chunk])
+    near[-1, m - (p - 1) * s :] = -np.inf  # past the grid's last point
+    hit = near >= np.max(near) - slack
+    del near
+    return (rows[:, None] * s + np.arange(s))[hit]
 
 
 def _curvature(weight, theta) -> float:
@@ -283,6 +322,16 @@ def _phases(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
     j = s * np.arange(r)  # j0 s; the high digit takes r j1 s for j1 < ceil(q / r) <= r
     digits = np.exp(np.concatenate((o + j, r * j[: -(-q // r)]))[:, None] * (-1j * theta))
     return (digits[r:, None] * digits[:r]).reshape(-1, theta.size)[:q]
+
+
+def _table(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
+    """exp(-i theta (o + j s)) for j < q, one row per j, as _phases gives it,
+    but by one exponential per phase where the table has fewer than
+    _DIRECT_TERMS of them: there _phases' digit split saves less time than
+    its own calls take."""
+    if q * theta.size >= _DIRECT_TERMS:
+        return _phases(theta, o, s, q)
+    return np.exp(np.multiply.outer(o + s * np.arange(q), -1j * theta))
 
 
 def default_group_tol(decomp: EigenDecomposition) -> float:

@@ -12,6 +12,7 @@ guessed answer) plus advice to scan numerically.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, nan, pi, sqrt
@@ -31,7 +32,7 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import SUPPORT_TOL, _check_phases, _near_top, _pair, _pair_spectrum
+from .spectral import SUPPORT_TOL, _check_phases, _Grid, _near_top, _pair, _pair_spectrum
 
 __all__ = [
     "FidelitySeries",
@@ -84,9 +85,9 @@ class PstCertificate:
     reason: str
 
 
-def _window(g: Graph, a: int, b: int, t_max: float, steps: int) -> np.ndarray:
-    """Checked arguments of a sampled time window, vertices first: the steps
-    times spread over [0, t_max]."""
+def _window(g: Graph, a: int, b: int, t_max: float, steps: int) -> _Grid:
+    """Checked arguments of a sampled time window, vertices first: the grid
+    np.linspace(0.0, t_max, steps), made point by point (_Grid)."""
     g.check_vertex(a)
     g.check_vertex(b)
     if steps < 2:
@@ -95,11 +96,12 @@ def _window(g: Graph, a: int, b: int, t_max: float, steps: int) -> np.ndarray:
         raise InvalidArgumentError("t_max must be positive")
     if not np.isfinite(t_max):
         raise InvalidArgumentError("t_max must be finite")
-    return np.linspace(0.0, t_max, steps)
+    return _Grid(t_max, operator.index(steps))
 
 
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
-    times = _window(g, a, b, t_max, steps)
+    _window(g, a, b, t_max, steps)
+    times = np.linspace(0.0, t_max, steps)
     return FidelitySeries(times, _pair(g, a, b).amplitude(times), a, b)
 
 
@@ -109,12 +111,15 @@ def max_fidelity_scan(
     """Grid maximum of |F| over [0, t_max], refined by Newton steps on
     |F|^2 around the best grid point. Returns (t_star, fmax) as floats.
 
-    The grid runs over the k distinct eigenvalues that support the pair
-    (see pair_spectrum), so its cost follows their number, not n: |F| at
-    every 16th point, and between two of these only where the certified
-    bound sqrt(max^2 + M L^2 / 8), M = sum |w_r w_s| (theta_r - theta_s)^2,
-    can reach the top (spectral._near_top), so m / 16 samples plus 16 k
-    terms per such interval, not m k. Grid points within the clustering
+    The grid is np.linspace(0, t_max, steps), made only at the points the
+    scan reads (spectral._Grid), and runs over the k distinct eigenvalues
+    that support the pair (see pair_spectrum), so its cost follows their
+    number, not n: |F| at every 16th point, p = m / 16 samples by one
+    rotation with a ceil(sqrt p)-step inner table, and the 16 points from
+    a sample on only where the certified bound sqrt(max^2 + M L^2 / 8),
+    M = sum |w_r w_s| (theta_r - theta_s)^2, can reach the top
+    (spectral._near_top): p k plus 16 k terms per such interval, not m k,
+    and no grid-sized array where few are summed. Grid points within the clustering
     error of its top, and the refinement, are then evaluated over every
     eigenpair of the pair's reduced problem: the Ritz
     pairs of its Krylov space where that is small (see spectral._walk),
@@ -148,7 +153,7 @@ def max_fidelity_scan(
     the walk, and InvalidArgumentError on a negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
-    times = _window(g, a, b, t_max, steps)
+    grid = _window(g, a, b, t_max, steps)
     pair, ps, group_tol = _pair_spectrum(g, a, b)
     # an overflowing theta t_max is refused first, as a kernel call on the grid would
     _check_phases(float(np.max(np.abs(ps.theta))) * t_max)
@@ -163,14 +168,14 @@ def max_fidelity_scan(
     # |coarse - exact| <= sum_k |V[a,k] V[b,k]| |theta_k - theta_r| t <= 10 group_tol t;
     # the further 10 group_tol covers rounding and the clusters off the support.
     slack = 10.0 * group_tol * (t_max + 1.0)
-    on = _near_top(ps.weight, ps.theta, times, slack, err)  # grid indices near the top
-    near = times[on]
+    on = _near_top(ps.weight, ps.theta, grid, slack, err)  # grid indices near the top
+    near = grid[on]
     exact = np.abs(pair.amplitude(near))
     level = np.flatnonzero(exact >= np.max(exact) - err)  # the top to rounding
     peak = level[on[level] - on[level[0]] == np.arange(level.size)]  # its earliest run of grid neighbours
     k = int(peak[np.argmax(exact[peak])])
     best_t, best_f = float(near[k]), float(exact[k])
-    h = float(times[1] - times[0])
+    h = float(grid[1])
     lo, hi = max(0.0, best_t - h), min(t_max, best_t + h)
     if np.sum(np.abs(ps.weight)) <= err:  # |F| is zero to rounding at every t
         return best_t, best_f

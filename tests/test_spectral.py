@@ -12,7 +12,7 @@ from pstwalk import (
     NotConnectedError,
     NumericFailureError,
 )
-from pstwalk import spectral
+from pstwalk import spectral, transfer
 from pstwalk.spectral import _STEP_BLOCK, _amplitudes, _decomposition
 
 
@@ -452,7 +452,7 @@ def _reference_scan(g, a, b, t_max, steps, iters=60):
     exact = np.abs(_direct(w, dec.values, near))
     err = 8.0 * EPS * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(dec.values)) * t_max)
     top = [i for i in range(len(near)) if exact[i] >= np.max(exact) - err]
-    peak = [i for i in top if on[i] - on[top[0]] == top.index(i)]  # the earliest run of neighbours
+    peak = [i for j, i in enumerate(top) if on[i] - on[top[0]] == j]  # the earliest run of neighbours
     k = max(peak, key=lambda i: exact[i])
     best_t, best_f = float(near[k]), float(exact[k])
     h = times[1] - times[0]
@@ -588,3 +588,33 @@ def test_fully_summed_scan_memory_is_bounded():
     assert on.size == times.size
     assert helper <= 2.5 * times.nbytes
     assert scan <= 8 * times.nbytes
+
+
+@pytest.mark.parametrize("t_max", [5e-324, 1e-320, 1e-3, 2 * math.pi, 7.3, 50.0, 200.0])
+def test_scan_grid_points_are_linspace_bitwise(t_max):
+    """The scan makes its grid points on demand (spectral._Grid); each is
+    bitwise np.linspace(0, t_max, steps)[j], the last index included,
+    whether read one at a time or as an index array, also where the step
+    underflows to zero (the two subnormal windows)."""
+    for steps in (2, 17, 18, 33, 4001, 20001, 200001):
+        grid = transfer._window(pw.complete(2), 0, 1, t_max, steps)
+        want = np.linspace(0.0, t_max, steps)
+        assert grid[np.arange(steps)].tobytes() == want.tobytes()
+        for j in sorted({0, 1, steps // 3, steps - 2, steps - 1}):
+            assert float(grid[j]).hex() == float(want[j]).hex()
+
+
+def test_sharp_scan_holds_no_grid_sized_array():
+    """A 200,001-step scan of a sharp maximum sums only the intervals near
+    its top: it holds the samples and those, and no array as large as one
+    grid of floats (1.6 MB)."""
+    g = pw.hypercube(4)
+    pw.max_fidelity_scan(g, 0, 15, 200.0, 2001)
+    tracemalloc.start()
+    try:
+        fmax = pw.max_fidelity_scan(g, 0, 15, 200.0, 200001)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fmax >= transfer.NUMERIC_PST
+    assert peak < 200001 * 8

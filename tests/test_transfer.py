@@ -411,6 +411,19 @@ def test_certificate_c6_parity_obstruction():
     assert "cannot realize the sign pattern" in c.reason
 
 
+def test_certificate_takes_the_gcd_scale_where_the_smallest_gap_fails():
+    # support {5, 2, 0}: the reflection 0 <-> 2 leaves 5 on (1, 0, -1) and
+    # [[1, 1], [1, 1]] (2 and 0) on its complement. The smallest gap, 2,
+    # reduces the differences -3 and -5 to halves; their gcd, 1, to integers
+    r = 1.0 / math.sqrt(2.0)
+    g = pw.Graph([[3.0, r, -2.0], [r, 1.0, r], [-2.0, r, 3.0]])
+    c = pw.pst_certificate(g, 0, 2)
+    assert c.verdict == "yes"
+    assert c.time_exact == (1, 1, 1.0) and c.time_num == pytest.approx(math.pi)
+    assert c.support == (0, 1, 2) and c.signs == (1, 0, 0)
+    assert "integer differences [-3, -5] at scale 1;" in c.reason
+
+
 def test_certificate_unweighted_double_cone_unknown():
     # apex pair of the join of two isolated vertices with a triangle:
     # supported eigenvalues 0 and 1 +- sqrt7 share no common scale
