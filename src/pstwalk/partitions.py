@@ -13,7 +13,8 @@ state-transfer analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,21 +60,25 @@ class QuotientGraph:
     cell_map: Tuple[int, ...]
 
 
-def _normalize_cells(g: Graph, cells: Sequence[Sequence[int]]) -> Cells:
-    """The cells as sorted tuples of ints. Malformed cells raise on their first
-    fault, read cell by cell and each cell in ascending order (an empty cell,
-    a vertex out of range, a vertex seen before), and only then on a gap."""
-    out = tuple(tuple(sorted(map(int, cell))) for cell in cells)
-    flat = [v for cell in out for v in cell]
-    if (len(flat) == g.n and all(out) and min(flat) >= 0 and max(flat) < g.n
-            and np.bincount(flat, minlength=g.n).max() == 1):
-        return out
+def _input_labels(g: Graph, cells: Iterable[Iterable[int]]) -> np.ndarray:
+    """label[v]: the index of the input cell holding vertex v, each vertex
+    read through int(). Malformed cells raise on their first fault, read cell
+    by cell and each cell in ascending order (an empty cell, a vertex out of
+    range, a vertex seen before), and only then on a gap."""
+    cells = [list(map(int, cell)) for cell in cells]
+    flat = list(chain.from_iterable(cells))
+    n = g.n
+    if len(flat) == n and all(cells) and min(flat) >= 0 and max(flat) < n:
+        label = np.full(n, -1, dtype=np.intp)
+        label[np.fromiter(flat, np.intp, n)] = np.repeat(np.arange(len(cells)), list(map(len, cells)))
+        if label.min() >= 0:  # n vertices in range, none missed: none repeated
+            return label
     seen: set = set()
-    for cell in out:
+    for cell in cells:
         if not cell:
             raise InvalidArgumentError("empty cell in partition")
-        for v in cell:
-            if v < 0 or v >= g.n:
+        for v in sorted(cell):
+            if v < 0 or v >= n:
                 raise InvalidArgumentError(f"vertex {v} out of range")
             if v in seen:
                 raise InvalidArgumentError(f"vertex {v} appears in two cells")
@@ -83,17 +88,14 @@ def _normalize_cells(g: Graph, cells: Sequence[Sequence[int]]) -> Cells:
 
 class _EdgeList(NamedTuple):
     """The nonzero entries of an adjacency matrix in row-major order: weight
-    w[i] at (u[i], v[i]), each edge listed from both ends, a loop once."""
+    w[i] at (u[i], v[i]), each edge listed from both ends, a loop once; tol
+    is the equitability tolerance, 1e-10 relative to the largest |weight|."""
 
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-
-    @property
-    def tol(self) -> float:
-        """Equitability tolerance: 1e-10 relative to the largest |weight|."""
-        return 1e-10 * (1.0 + float(np.max(np.abs(self.w), initial=0.0)))
+    tol: float
 
 
 def _edge_list(g: Graph) -> _EdgeList:
@@ -101,7 +103,8 @@ def _edge_list(g: Graph) -> _EdgeList:
     def extract() -> _EdgeList:
         flat = np.flatnonzero(g.adj != 0.0)
         u, v = np.divmod(flat, g.n)
-        return _EdgeList(g.n, u, v, g.adj.ravel()[flat])
+        w = g.adj.ravel()[flat]
+        return _EdgeList(g.n, u, v, w, 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
     return g._keep(("edges",), extract)
 
 
@@ -113,12 +116,6 @@ def _equitable_tol(g: Graph) -> float:
 SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals
 
 
-def _labels(cells: Cells) -> np.ndarray:
-    """label[v]: index of the cell holding vertex v."""
-    sizes = [len(c) for c in cells]
-    return np.repeat(np.arange(len(cells)), sizes)[np.argsort(np.concatenate(cells))]
-
-
 def _cell_sums(edges: _EdgeList, label: np.ndarray) -> np.ndarray:
     """sums[u, k]: total weight from vertex u into cell k, where label[v] in
     0..m-1 is the cell of v; O(nnz + n*m)."""
@@ -128,37 +125,32 @@ def _cell_sums(edges: _EdgeList, label: np.ndarray) -> np.ndarray:
     return sums.astype(float, copy=False).reshape(n, m)
 
 
-def _cells(label: np.ndarray) -> Cells:
-    """The cells of a labelling whose labels 0..m-1 all occur: cell j holds
-    the vertices labelled j, ascending."""
-    order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), label.size]
-    flat = order.tolist()
-    return tuple(tuple(flat[i:j]) for i, j in zip(cuts, cuts[1:]))
+def _by_cell(label: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The vertices cell by cell, each cell ascending, and where each cell
+    starts among them, for labels 0..m-1 that all occur."""
+    sizes = np.bincount(label)
+    return np.argsort(label, kind="stable"), np.cumsum(sizes) - sizes
 
 
-def _equitable(edges: _EdgeList, cells: Cells, label: np.ndarray) -> Optional[EquitablePartition]:
-    """is_equitable on well-formed cells, each sorted, with label[v] the
-    index of the cell holding vertex v. The cell sums are taken with the
-    rows of the cells' smallest vertices first, in cell order, so their m
-    rows are the degree matrix and only the other vertices' rows are
-    compared with it."""
-    n, m = edges.n, len(cells)
-    first = np.fromiter((c[0] for c in cells), np.intp, m)
-    other = np.ones(n, dtype=bool)
-    other[first] = False
-    other = np.flatnonzero(other)
-    row = np.empty(n, dtype=np.intp)
-    row[first], row[other] = np.arange(m), np.arange(m, n)
-    sums = _cell_sums(edges._replace(u=row[edges.u]), label)
-    d, rest = sums[:m], sums[m:]
-    rest -= d[label[other]]
-    if np.max(np.abs(rest, out=rest), initial=0.0) > edges.tol:
-        return None
-    return EquitablePartition(cells, d)
+def _equitable(edges: _EdgeList, label: np.ndarray) -> Optional[EquitablePartition]:
+    """is_equitable on the labelling label[v] in 0..m-1, every label used:
+    cell j holds the vertices labelled j, ascending. The rows of the cells'
+    smallest vertices are the degree matrix, and every row is compared with
+    its cell's. The cell tuples are built only for an equitable partition."""
+    n = edges.n
+    order, starts = _by_cell(label)
+    m = starts.size
+    sums = _cell_sums(edges, label)
+    d = sums[order[starts]]
+    if m < n:  # else every cell is a singleton
+        sums -= d[label]
+        if np.max(np.abs(sums, out=sums)) > edges.tol:
+            return None
+    flat, cuts = order.tolist(), [*starts.tolist(), n]
+    return EquitablePartition(tuple(tuple(flat[i:j]) for i, j in zip(cuts, cuts[1:])), d)
 
 
-def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[EquitablePartition]:
+def is_equitable(g: Graph, cells: Iterable[Iterable[int]]) -> Optional[EquitablePartition]:
     """Degree matrix of the partition if it is equitable, else None.
 
     Every vertex's cell sums must match those of the smallest vertex of its
@@ -166,8 +158,7 @@ def is_equitable(g: Graph, cells: Sequence[Sequence[int]]) -> Optional[Equitable
     Malformed cell lists (overlap, gaps, out-of-range vertices) raise; a
     well-formed but non-equitable partition just returns None.
     """
-    cells = _normalize_cells(g, cells)
-    return _equitable(_edge_list(g), cells, _labels(cells))
+    return _equitable(_edge_list(g), _input_labels(g, cells))
 
 
 def distance_partition(
@@ -192,46 +183,68 @@ def _distance_partition(g: Graph, a: int) -> Optional[EquitablePartition]:
     dist = distances_from(g, a)
     if np.any(np.isinf(dist)):
         raise NotConnectedError("distance partition needs a connected graph")
-    label = dist.astype(np.intp)  # cell r holds the vertices at distance r
-    part = _equitable(_edge_list(g), _cells(label), label)
+    label, edges = dist.astype(np.intp), _edge_list(g)  # cell r: distance r
+    # a vertex's sum into cell 0 is its weight to a, which can differ only
+    # across cell 1, the neighbours of a: a spread there decides at once
+    w = g.adj[a, label == 1]
+    if w.size and np.max(np.abs(w - w[0])) > edges.tol:
+        return None
+    part = _equitable(edges, label)
     if part is not None:
         part.degrees.setflags(write=False)  # kept on g, handed to every caller
     return part
 
 
 def coarsest_equitable_refinement(
-    g: Graph, initial_cells: Sequence[Sequence[int]]
+    g: Graph, initial_cells: Iterable[Iterable[int]]
 ) -> EquitablePartition:
     """Coarsest equitable refinement of the input, cells ordered by smallest
     contained vertex. Each round splits all cells at once by their vertices'
     cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing or
-    every cell is a singleton; the result must then pass is_equitable under
-    _equitable_tol."""
-    edges, label = _edge_list(g), _labels(_normalize_cells(g, initial_cells))
-    n = g.n
-    while label.max() + 1 < n:  # singletons cannot split
-        sums = _cell_sums(edges, label)
-        np.round(sums, SIGNATURE_DECIMALS, out=sums)
-        keys = np.vstack([sums.T[::-1], label])  # np.lexsort sorts by its last row first
-        order = np.lexsort(keys)
-        keys = keys[:, order]
-        new_cell = np.any(keys[:, 1:] != keys[:, :-1], axis=0)  # vertices with equal keys share a cell
-        split = np.empty(n, dtype=np.intp)
-        split[order] = np.cumsum(np.concatenate(([False], new_cell)))
-        if split.max() == label.max():  # no cell split
-            break
-        label = split
-    # renumber the cells by smallest vertex: a stable sort puts each cell's
-    # smallest vertex first
-    order = np.argsort(label, kind="stable")
-    first = order[np.flatnonzero(np.diff(label[order], prepend=-1))]
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    label = rank[label]
-    part = _equitable(edges, _cells(label), label)
-    if part is None:  # pragma: no cover - refinement fixpoint is equitable
-        raise NotEquitableError("refinement failed to reach an equitable partition")
+    every cell is a singleton. Where that fixpoint fails is_equitable under
+    _equitable_tol (sums that round alike but differ by more), the rounds go
+    on with the unrounded sums, whose fixpoint is equitable."""
+    edges = _edge_list(g)
+    part, label = _refine(g, edges, _input_labels(g, initial_cells), SIGNATURE_DECIMALS)
+    if part is None:
+        part, _ = _refine(g, edges, label, None)
     return part
+
+
+def _refine(
+    g: Graph, edges: _EdgeList, label: np.ndarray, decimals: Optional[int]
+) -> Tuple[Optional[EquitablePartition], np.ndarray]:
+    """The rounds of coarsest_equitable_refinement from label, on cell sums
+    rounded to decimals (unrounded where None): the fixpoint's partition if
+    it is equitable, else None, and its labels by smallest vertex."""
+    n, m = g.n, int(label.max()) + 1
+    while m < n:  # singletons cannot split
+        # one row per vertex: its label, then its cell sums plus 0.0, which
+        # turns -0.0 into 0.0; vertices whose rows match byte for byte share
+        # a cell, and one sort of the rows as byte strings brings them together
+        rows = np.empty((n, m + 1))
+        rows[:, 0] = label
+        sums = _cell_sums(edges, label)
+        if decimals is not None:
+            np.round(sums, decimals, out=sums)
+        np.add(sums, 0.0, out=rows[:, 1:])
+        order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * (m + 1)))).ravel())
+        bits = rows.view(np.int64)[order]
+        new_cell = np.zeros(n, dtype=bool)
+        np.any(bits[1:] != bits[:-1], axis=1, out=new_cell[1:])
+        split = np.cumsum(new_cell)
+        if split[-1] + 1 == m:  # no cell split
+            break
+        label, m = np.empty_like(split), int(split[-1]) + 1
+        label[order] = split
+    if m == n:
+        # every cell a singleton, so equitable: the degree matrix is the
+        # adjacency, with -0.0 read as 0.0 as the cell sums read it
+        label = np.arange(n)
+        return EquitablePartition(tuple(zip(label.tolist())), g.adj + 0.0), label
+    order, starts = _by_cell(label)
+    label = np.argsort(np.argsort(order[starts]))[label]  # cells by smallest vertex
+    return _equitable(edges, label), label
 
 
 def quotient_symmetrized(g: Graph, partition: EquitablePartition) -> QuotientGraph:
@@ -252,7 +265,8 @@ def _quotient(part: EquitablePartition) -> QuotientGraph:
     # rounding leaves a near-zero pair of opposite signs
     b = np.sign(d + d.T) * np.sqrt(np.abs(d * d.T))
     np.fill_diagonal(b, np.diag(d))
-    return QuotientGraph(Graph(b), tuple(_labels(part.cells).tolist()))
+    cell_map = np.repeat(np.arange(part.m), [len(c) for c in part.cells])  # cell by cell
+    return QuotientGraph(Graph(b), tuple(cell_map[np.argsort(np.concatenate(part.cells))].tolist()))
 
 
 def _collapse(
