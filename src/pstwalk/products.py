@@ -144,6 +144,14 @@ def _spectrum_near_multiples(
     return ok, residuals
 
 
+def _report(witness: dict, *checks: Tuple[bool, str]) -> ConditionReport:
+    """The report of a sufficiency test from its (ok, problem) checks: it
+    holds when every check does, and its detail names the failed problems
+    in order."""
+    problems = [problem for ok, problem in checks if not ok]
+    return ConditionReport(not problems, witness, "; ".join(problems) or "all conditions hold")
+
+
 def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
     """Sufficiency test for transfer on the weak product G x H at time t_g.
 
@@ -154,21 +162,12 @@ def check_weak_pst_condition(g: Graph, t_g: float, h: Graph) -> ConditionReport:
     circ = is_circulant_adjacency(h)
     mu = spectrum(h)
     odd_ok = is_integral(h) and bool(np.all(np.round(mu) % 2 == 1))
-    holds = spec_ok and circ and odd_ok
-    problems = []
-    if not spec_ok:
-        problems.append("t*Spec(G) leaves Z*pi")
-    if not circ:
-        problems.append("inner graph is not circulant")
-    if not odd_ok:
-        problems.append("inner spectrum is not all odd integers")
-    detail = "all conditions hold" if holds else "; ".join(problems)
-    witness = {
-        "t_spec_mod_pi": residuals,
-        "h_circulant": circ,
-        "h_spectrum": [float(x) for x in mu],
-    }
-    return ConditionReport(holds, witness, detail)
+    return _report(
+        {"t_spec_mod_pi": residuals, "h_circulant": circ, "h_spectrum": [float(x) for x in mu]},
+        (spec_ok, "t*Spec(G) leaves Z*pi"),
+        (circ, "inner graph is not circulant"),
+        (odd_ok, "inner spectrum is not all odd integers"),
+    )
 
 
 def check_lexico_clique_condition(
@@ -180,24 +179,14 @@ def check_lexico_clique_condition(
     """
     if m is None:
         m = h.n
-    size_ok = h.n == m
     reg = regular_degree(h)
     spec_ok, residuals = _spectrum_near_multiples(spectrum(g), t, m, 2.0 * pi)
-    holds = size_ok and reg is not None and spec_ok
-    problems = []
-    if not size_ok:
-        problems.append(f"inner graph has {h.n} vertices, expected {m}")
-    if reg is None:
-        problems.append("inner graph is not regular")
-    if not spec_ok:
-        problems.append("t*m*Spec(G) leaves 2*Z*pi")
-    detail = "all conditions hold" if holds else "; ".join(problems)
-    witness = {
-        "t_m_spec_mod_2pi": residuals,
-        "h_regular_degree": reg,
-        "clique_order": m,
-    }
-    return ConditionReport(holds, witness, detail)
+    return _report(
+        {"t_m_spec_mod_2pi": residuals, "h_regular_degree": reg, "clique_order": m},
+        (h.n == m, f"inner graph has {h.n} vertices, expected {m}"),
+        (reg is not None, "inner graph is not regular"),
+        (spec_ok, "t*m*Spec(G) leaves 2*Z*pi"),
+    )
 
 
 def check_std_lexico_condition(g: Graph, h: Graph, t_h: float) -> ConditionReport:
@@ -211,7 +200,6 @@ def check_std_lexico_condition(g: Graph, h: Graph, t_h: float) -> ConditionRepor
     reg = regular_degree(h)
     lam = spectrum(g)
     spec_ok, residuals = _spectrum_near_multiples(lam, t_h, h.n, 2.0 * pi)
-    holds = reg is not None and spec_ok
     integer_form: Optional[bool] = None
     if reg is not None and is_integral(g):
         k_h = round(reg)
@@ -221,15 +209,8 @@ def check_std_lexico_condition(g: Graph, h: Graph, t_h: float) -> ConditionRepor
             integer_form = all(
                 (k_h * h.n * round(float(lk))) % 4 == 0 for lk in lam
             )
-    problems = []
-    if reg is None:
-        problems.append("inner graph is not regular")
-    if not spec_ok:
-        problems.append("t_H*|V_H|*Spec(G) leaves 2*Z*pi")
-    detail = "all conditions hold" if holds else "; ".join(problems)
-    witness = {
-        "t_n_spec_mod_2pi": residuals,
-        "h_regular_degree": reg,
-        "integer_form": integer_form,
-    }
-    return ConditionReport(holds, witness, detail)
+    return _report(
+        {"t_n_spec_mod_2pi": residuals, "h_regular_degree": reg, "integer_form": integer_form},
+        (reg is not None, "inner graph is not regular"),
+        (spec_ok, "t_H*|V_H|*Spec(G) leaves 2*Z*pi"),
+    )

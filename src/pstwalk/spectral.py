@@ -43,9 +43,9 @@ ORTHO_TOL = 1e-10
 # Eigenvalue x time-step terms per temporary. At 1 << 17 the 2 MB temporaries
 # went back to the OS and were page-faulted in again on every chunk.
 SCAN_TERMS = 1 << 15
-_STEP_BLOCK = 128  # time steps per block of inner phases on an even grid
+_STEP_BLOCK = 128  # time steps per block of inner phases on an even grid; the scan's flat-top pick reads its bits
 _SAMPLE_STEP = 16  # grid steps between the samples of a scan's coarse pass
-_DIRECT_TERMS = 512  # the scan's phase tables of fewer terms take one exponential each
+_DIRECT_TERMS = 512  # phase tables of fewer terms take one exponential each
 # Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
 # vertices are answered on the Krylov space of e_a and e_b where it closes
 # within KRYLOV_MAX_DIM dimensions (see _walk); below the floor the dense
@@ -178,8 +178,9 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     """sum_k weight[k] exp(-i theta[k] t) at each t of times (its absolute
     value if asked; a scalar for scalar times). An even grid t0 + jh of at
     least 2B points (B = _STEP_BLOCK; each t within 4 ulp of max|t|) goes by
-    _rotation in blocks of B steps: 23 k exponentials for the inner phases
-    and about 2 sqrt(q) k for a chunk of q block starts (59 k for m = 20,001
+    _rotation in blocks of B steps, its phase tables by _table: 23 k
+    exponentials for the inner phases (B k where B k < _DIRECT_TERMS) and
+    about 2 sqrt(q) k for a chunk of q block starts (59 k for m = 20,001
     points and k = 256), error <= c eps sum|weight| (1 + max|theta| max|t|)
     against direct exponentials, c small, eps the unit roundoff. Other
     grids take one exponential per term and time. Temporaries hold about
@@ -205,22 +206,22 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
         for s in range(0, m, span):
             emit(weight @ np.exp(-1j * (theta[:, None] * t[s : s + span])), out=out[s : s + span])
         return out.reshape(times.shape)[()]
-    return _rotation(weight, theta, t, h, nb, out, emit, _phases).reshape(times.shape)[()]
+    return _rotation(weight, theta, t, h, nb, out, emit).reshape(times.shape)[()]
 
 
-def _rotation(weight, theta: np.ndarray, t, h: float, nb: int, out: np.ndarray, emit, table) -> np.ndarray:
+def _rotation(weight, theta: np.ndarray, t, h: float, nb: int, out: np.ndarray, emit) -> np.ndarray:
     """out, filled with emit(F) at the out.size points t[j] = t[0] + jh of
     an even grid, F = sum_k weight[k] exp(-i theta[k] t), read from t only
     at its chunk starts: exp(-i theta (t_s + jh)) = exp(-i theta t_s)
     exp(-i theta jh), the phases of the block starts t_s times a k x nb
     block of weighted inner phases, one matrix product per chunk of about
     SCAN_TERMS terms (nb k where that is more). Both phase tables come from
-    table: _phases, or the scan's _table."""
+    _table."""
     m = out.size
-    inner = table(theta, 0.0, h, nb).T * np.reshape(weight, (-1, 1))
+    inner = _table(theta, 0.0, h, nb).T * np.reshape(weight, (-1, 1))
     span = nb * max(1, SCAN_TERMS // (theta.size + nb))  # time points per chunk
     for s in range(0, m, span):
-        phase = table(theta, t[s], nb * h, -(-min(span, m - s) // nb))
+        phase = _table(theta, t[s], nb * h, -(-min(span, m - s) // nb))
         emit((phase @ inner).ravel()[: m - s], out=out[s : s + span])
         del phase  # before the next block's phases are allocated
     return out
@@ -269,7 +270,7 @@ def _near_top(weight, theta, times, slack: float, err: float) -> np.ndarray:
     h = float(times[1])  # the grid step, as times[0] = 0
     at = times[s * np.arange((m - 1) // s + 1)]  # the samples' times
     p = at.size
-    samples = _rotation(weight, theta, at, s * h, math.isqrt(p - 1) + 1, np.empty(p), np.abs, _table)
+    samples = _rotation(weight, theta, at, s * h, math.isqrt(p - 1) + 1, np.empty(p), np.abs)
     # sqrt(hi^2 + M L^2 / 8) + 2 err >= top sample - slack, hi the larger
     # end of an interval and L the longest
     need = max(float(np.max(samples)) - slack - 2.0 * err, 0.0)
@@ -312,26 +313,20 @@ def _check_phases(top: float) -> None:
         raise NumericFailureError("the phases theta t leave the float range")
 
 
-def _phases(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
-    """exp(-i theta (o + j s)) for j < q, one row per j, from the phases of
-    each base-r digit of j (r = ceil(sqrt q)), taken by one exponential call
-    and multiplied out in one broadcast product:
-    exp(-i theta (o + (r j1 + j0) s)) = exp(-i theta r j1 s) exp(-i theta (o + j0 s));
-    about 2 sqrt(q) k exponentials in place of q k."""
+def _table(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
+    """exp(-i theta (o + j s)) for j < q, one row per j: one exponential per
+    phase where the table has fewer than _DIRECT_TERMS of them, else from
+    the phases of each base-r digit of j (r = ceil(sqrt q)), taken by one
+    exponential call and multiplied out in one broadcast product:
+    exp(-i theta (o + (r j1 + j0) s)) = exp(-i theta r j1 s) exp(-i theta (o + j0 s)),
+    about 2 sqrt(q) k exponentials in place of q k. Below _DIRECT_TERMS
+    phases the split saves less time than its own calls take."""
+    if q * theta.size < _DIRECT_TERMS:
+        return np.exp(np.multiply.outer(o + s * np.arange(q), -1j * theta))
     r = math.isqrt(q - 1) + 1
     j = s * np.arange(r)  # j0 s; the high digit takes r j1 s for j1 < ceil(q / r) <= r
     digits = np.exp(np.concatenate((o + j, r * j[: -(-q // r)]))[:, None] * (-1j * theta))
     return (digits[r:, None] * digits[:r]).reshape(-1, theta.size)[:q]
-
-
-def _table(theta: np.ndarray, o: float, s: float, q: int) -> np.ndarray:
-    """exp(-i theta (o + j s)) for j < q, one row per j, as _phases gives it,
-    but by one exponential per phase where the table has fewer than
-    _DIRECT_TERMS of them: there _phases' digit split saves less time than
-    its own calls take."""
-    if q * theta.size >= _DIRECT_TERMS:
-        return _phases(theta, o, s, q)
-    return np.exp(np.multiply.outer(o + s * np.arange(q), -1j * theta))
 
 
 def default_group_tol(decomp: EigenDecomposition) -> float:

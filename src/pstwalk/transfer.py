@@ -147,19 +147,21 @@ def max_fidelity_scan(
     The scan shares the pair that g keeps with the certificate, the series
     and the collapse check of the same pair, so one reduction serves them
     all. Raises AmbiguousDegeneracyError where the eigenvalues cannot be
-    clustered, NumericFailureError where theta t_max overflows or where the
-    rounding bound of |F| over the window, 8 eps sum|w| (1 + max|theta|
-    t_max), exceeds 1 - PRETTY_GOOD, as its float times then cannot resolve
-    the walk, and InvalidArgumentError on a negative refine_iters."""
+    clustered, NumericFailureError where max|theta| t_max overflows, theta
+    over the eigenpairs of the reduced problem, or where the rounding bound
+    of |F| over the window, 8 eps sum|w| (1 + max|theta| t_max), exceeds
+    1 - PRETTY_GOOD, as its float times then cannot resolve the walk, and
+    InvalidArgumentError on a negative refine_iters."""
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
     grid = _window(g, a, b, t_max, steps)
     pair, ps, group_tol = _pair_spectrum(g, a, b)
-    # an overflowing theta t_max is refused first, as a kernel call on the grid would
-    _check_phases(float(np.max(np.abs(ps.theta))) * t_max)
     theta, w = pair.dec.values, pair.weight
+    reach = float(np.max(np.abs(theta)))
+    # an overflowing theta t_max is refused first, as a kernel call on the grid would
+    _check_phases(reach * t_max)
     # |F| is known to err, _amplitudes' rounding bound (c = 8) over [0, t_max]
-    err = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) * (1.0 + float(np.max(np.abs(theta))) * t_max)
+    err = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(w))) * (1.0 + reach * t_max)
     if err > 1.0 - PRETTY_GOOD:
         raise NumericFailureError(
             f"the scan's rounding bound {err:.3g} exceeds {1.0 - PRETTY_GOOD:.3g}: "

@@ -206,6 +206,15 @@ def test_weak_condition_rejects_noncirculant_inner():
     assert rep.witness["h_circulant"] is False
 
 
+def test_weak_condition_names_every_failed_condition_in_order():
+    # P3 is neither circulant nor of odd integer spectrum (+-sqrt 2, 0)
+    rep = pw.check_weak_pst_condition(pw.hypercube(2), 1.0, pw.path_graph([1.0, 1.0]))
+    assert not rep.holds
+    assert rep.detail == (
+        "t*Spec(G) leaves Z*pi; inner graph is not circulant; inner spectrum is not all odd integers"
+    )
+
+
 def test_lex_clique_condition():
     rep = pw.check_lexico_clique_condition(pw.hypercube(2), pw.complete(4), math.pi / 2)
     assert rep.holds, rep.detail

@@ -390,6 +390,10 @@ def test_even_grid_is_rotated_and_uneven_grid_is_direct(monkeypatch):
     terms.clear()
     _amplitudes(weight, theta, times[: 2 * B - 1])  # too short to rotate
     assert sum(terms) >= k * (2 * B - 1)
+    terms.clear()
+    _amplitudes(weight[:3], theta[:3], times)
+    # 3 B and 3 x 32 phases, below _DIRECT_TERMS: one exponential each
+    assert sum(terms) == 3 * (B + 32)
 
 
 def test_scalar_and_array_fidelity_agree(corpus):

@@ -286,6 +286,17 @@ def test_time_windows_whose_phases_overflow_are_refused(recwarn):
     assert not recwarn.list
 
 
+def test_scan_reads_its_phase_reach_over_the_whole_reduced_problem(recwarn):
+    # K2 beside a K3 of weight 1e300: the pair's support is +-1, but theta
+    # t_max overflows on the K3's eigenvalues, which the scan also sums
+    adj = np.zeros((5, 5))
+    adj[0, 1] = adj[1, 0] = 1.0
+    adj[2:, 2:] = 1e300 * (1.0 - np.eye(3))
+    with pytest.raises(NumericFailureError, match="float range"):
+        pw.max_fidelity_scan(pw.Graph(adj), 0, 1, 1e10, 1001)
+    assert not recwarn.list
+
+
 def test_scan_refuses_windows_its_float_times_cannot_resolve(recwarn):
     # Q3's antipodes: sum|w| = 1 and max|theta| = 3, so the scan's rounding
     # bound 8 eps (1 + 3 t_max) passes 1 - PRETTY_GOOD = 1e-3 near 1.9e11
