@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 
+def _check_vertex(v: int, n: int) -> int:
+    """v as an int if it is a vertex 0..n-1, else InvalidArgumentError: the
+    range rule of every vertex, of a graph or of its eigenpairs."""
+    v = int(v)
+    if not 0 <= v < n:
+        raise InvalidArgumentError(f"vertex {v} out of range [0, {n})")
+    return v
+
+
 class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
@@ -112,10 +121,7 @@ class Graph:
         return bool(np.any(np.diag(self.adj) != 0.0))
 
     def check_vertex(self, v: int) -> int:
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise InvalidArgumentError(f"vertex {v} out of range [0, {self.n})")
-        return v
+        return _check_vertex(v, self.n)
 
     def relabelled(self, labels: Optional[Sequence[str]]) -> "Graph":
         return Graph(self.adj, labels)

@@ -109,11 +109,6 @@ def _edge_list(g: Graph) -> _EdgeList:
     return g._keep(("edges",), extract)
 
 
-def _equitable_tol(g: Graph) -> float:
-    """The tolerance is_equitable applies on g."""
-    return _edge_list(g).tol
-
-
 SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals
 
 
@@ -155,7 +150,8 @@ def is_equitable(g: Graph, cells: Iterable[Iterable[int]]) -> Optional[Equitable
     """Degree matrix of the partition if it is equitable, else None.
 
     Every vertex's cell sums must match those of the smallest vertex of its
-    cell to within _equitable_tol; that vertex's sums form the degree matrix.
+    cell to within the equitability tolerance, 1e-10 (1 + max|weight|) (the
+    tol of _edge_list); that vertex's sums form the degree matrix.
     Malformed cell lists (overlap, gaps, out-of-range vertices) raise; a
     well-formed but non-equitable partition just returns None.
     """
@@ -203,8 +199,9 @@ def coarsest_equitable_refinement(
     contained vertex. Each round splits all cells at once by their vertices'
     cell sums rounded to SIGNATURE_DECIMALS, until a round splits nothing or
     every cell is a singleton. Where that fixpoint fails is_equitable under
-    _equitable_tol (sums that round alike but differ by more), the rounds go
-    on with the unrounded sums, whose fixpoint is equitable."""
+    its tolerance, 1e-10 (1 + max|weight|) (the tol of _edge_list), as sums
+    that round alike but differ by more do, the rounds go on with the
+    unrounded sums, whose fixpoint is equitable."""
     edges = _edge_list(g)
     part, label = _refine(g, edges, _input_labels(g, initial_cells), SIGNATURE_DECIMALS)
     if part is None:
@@ -293,7 +290,7 @@ def _collapse(
     if ts.size == 0 or not np.all(np.isfinite(ts)):
         raise InvalidArgumentError("t_grid must hold at least one time, all finite")
     quot = _quotient(part)
-    f_full = np.abs(_pair(g, a, b).amplitude(ts))
+    f_full = np.abs(fidelity(_pair(g, a, b), a, b, ts))
     f_quot = np.abs(fidelity(_decomposition(quot.graph), 0, part.m - 1, ts))
     return part, quot, float(np.max(np.abs(f_full - f_quot)))
 
@@ -305,7 +302,7 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
     singleton antipodal cell (NotEquitableError otherwise) and a non-empty
     grid of finite times (InvalidArgumentError otherwise). |F_G| comes from
     the walk on the graph itself, on large graphs the Ritz pairs of a
-    Lanczos reduction from e_a and e_b (see spectral._walk), never from the
+    Lanczos reduction from e_a and e_b (see spectral._pair), never from the
     quotient or any other partition.
     """
     return _collapse(g, a, b, t_grid)[2]

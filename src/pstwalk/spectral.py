@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     NotConnectedError,
     NumericFailureError,
 )
-from .graphs import Graph, is_connected
+from .graphs import Graph, _check_vertex, is_connected
 
 __all__ = [
     "EigenDecomposition",
@@ -48,12 +48,12 @@ _SAMPLE_STEP = 16  # grid steps between the samples of a scan's coarse pass
 _DIRECT_TERMS = 512  # phase tables of fewer terms take one exponential each
 # Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
 # vertices are answered on the Krylov space of e_a and e_b where it closes
-# within KRYLOV_MAX_DIM dimensions (see _walk); below the floor the dense
+# within KRYLOV_MAX_DIM dimensions (see _pair); below the floor the dense
 # solve is cheaper, and the cut-off bounds the Lanczos steps.
 KRYLOV_MIN_N = 128
 KRYLOV_MAX_DIM = 32
 # Entry tolerance of the pair spectrum that certificates and scans read, the
-# one spectrum a graph keeps for its kept pair (_pair_spectrum).
+# one spectrum a graph keeps for its kept pair (_spectrum).
 SUPPORT_TOL = 1e-8
 
 
@@ -157,7 +157,9 @@ def _walsh_hadamard(adj: np.ndarray) -> Optional[np.ndarray]:
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
-    """State exp(-itA)|src> as a complex amplitude vector."""
+    """State exp(-itA)|src> as a complex amplitude vector; a vertex is a row
+    of decomp.vectors, checked as Graph.check_vertex checks it."""
+    src = _check_vertex(src, len(decomp.vectors))
     coeff = np.exp(-1j * t * decomp.values) * decomp.vectors[src, :]
     return decomp.vectors @ coeff
 
@@ -169,14 +171,18 @@ def propagator(decomp: EigenDecomposition, t: float) -> np.ndarray:
 
 
 def fidelity(decomp: EigenDecomposition, a: int, b: int, t) -> complex:
-    """Transfer amplitude <b| exp(-itA) |a> by _amplitudes: a numpy complex
-    (a subclass of complex) for a scalar t, a complex array for an array t."""
-    return _amplitudes(decomp.vectors[b, :] * decomp.vectors[a, :], decomp.values, t)
+    """Transfer amplitude <b| exp(-itA) |a> by _amplitudes over V[b] V[a],
+    vertices checked as evolve checks them: a numpy complex (a subclass of
+    complex) for a scalar t, a complex array for an array t. Every pair
+    amplitude of the package is this call, on the eigenpairs of _pair."""
+    v = decomp.vectors
+    a, b = _check_vertex(a, len(v)), _check_vertex(b, len(v))
+    return _amplitudes(v[b, :] * v[a, :], decomp.values, t)
 
 
-def _amplitudes(weight, theta, times, absolute: bool = False):
-    """sum_k weight[k] exp(-i theta[k] t) at each t of times (its absolute
-    value if asked; a scalar for scalar times). An even grid t0 + jh of at
+def _amplitudes(weight, theta, times):
+    """sum_k weight[k] exp(-i theta[k] t) at each t of times, a complex
+    array (a numpy complex for scalar times). An even grid t0 + jh of at
     least 2B points (B = _STEP_BLOCK; each t within 4 ulp of max|t|) goes by
     _rotation in blocks of B steps, its phase tables by _table: 23 k
     exponentials for the inner phases (B k where B k < _DIRECT_TERMS) and
@@ -192,7 +198,6 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     t = times.ravel()
     reach = float(np.abs(theta).max(initial=0.0))
     m, nb, even = t.size, _STEP_BLOCK, False
-    out, emit = (np.empty(m), np.abs) if absolute else (np.empty(m, complex), np.positive)
     if m >= 2 * nb:
         end = max(abs(float(t[0])), abs(float(t[-1])))
         _check_phases(reach * end)  # before the grid test, whose offsets could overflow
@@ -203,26 +208,28 @@ def _amplitudes(weight, theta, times, absolute: bool = False):
     if not even:
         _check_phases(reach * float(np.abs(t).max(initial=0.0)))
         span = max(1, SCAN_TERMS // max(theta.size, 1))
+        out = np.empty(m, complex)
         for s in range(0, m, span):
-            emit(weight @ np.exp(-1j * (theta[:, None] * t[s : s + span])), out=out[s : s + span])
+            out[s : s + span] = weight @ np.exp(-1j * (theta[:, None] * t[s : s + span]))
         return out.reshape(times.shape)[()]
-    return _rotation(weight, theta, t, h, nb, out, emit).reshape(times.shape)[()]
+    return _rotation(weight, theta, t, h, nb).reshape(times.shape)[()]
 
 
-def _rotation(weight, theta: np.ndarray, t, h: float, nb: int, out: np.ndarray, emit) -> np.ndarray:
-    """out, filled with emit(F) at the out.size points t[j] = t[0] + jh of
-    an even grid, F = sum_k weight[k] exp(-i theta[k] t), read from t only
+def _rotation(weight, theta: np.ndarray, t, h: float, nb: int) -> np.ndarray:
+    """The complex F = sum_k weight[k] exp(-i theta[k] t) at the t.size
+    points t[j] = t[0] + jh of an even grid, which is read from t only
     at its chunk starts: exp(-i theta (t_s + jh)) = exp(-i theta t_s)
     exp(-i theta jh), the phases of the block starts t_s times a k x nb
     block of weighted inner phases, one matrix product per chunk of about
     SCAN_TERMS terms (nb k where that is more). Both phase tables come from
     _table."""
-    m = out.size
+    m = t.size
+    out = np.empty(m, complex)
     inner = _table(theta, 0.0, h, nb).T * np.reshape(weight, (-1, 1))
     span = nb * max(1, SCAN_TERMS // (theta.size + nb))  # time points per chunk
     for s in range(0, m, span):
         phase = _table(theta, t[s], nb * h, -(-min(span, m - s) // nb))
-        emit((phase @ inner).ravel()[: m - s], out=out[s : s + span])
+        out[s : s + span] = (phase @ inner).ravel()[: m - s]
         del phase  # before the next block's phases are allocated
     return out
 
@@ -270,7 +277,7 @@ def _near_top(weight, theta, times, slack: float, err: float) -> np.ndarray:
     h = float(times[1])  # the grid step, as times[0] = 0
     at = times[s * np.arange((m - 1) // s + 1)]  # the samples' times
     p = at.size
-    samples = _rotation(weight, theta, at, s * h, math.isqrt(p - 1) + 1, np.empty(p), np.abs)
+    samples = np.abs(_rotation(weight, theta, at, s * h, math.isqrt(p - 1) + 1))
     # sqrt(hi^2 + M L^2 / 8) + 2 err >= top sample - slack, hi the larger
     # end of an interval and L the longest
     need = max(float(np.max(samples)) - slack - 2.0 * err, 0.0)
@@ -408,8 +415,10 @@ def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = SUPPO
     """The PairSpectrum of (a, b) in O(n^2) time and memory, built by
     _support like every pair's: each E_r e_a is a sum of scaled eigenvector
     columns, never a dense projector. A vector with all entries within tol
-    of zero counts as zero; a tol that is not positive, or that leaves no
-    cluster supported, raises InvalidArgumentError."""
+    of zero counts as zero. A vertex out of range (see evolve), a tol that
+    is not positive or one that leaves no cluster supported raises
+    InvalidArgumentError."""
+    a, b = (_check_vertex(v, len(decomp.vectors)) for v in (a, b))
     return _support(decomp, decomp.values, a, b, tol)[0]
 
 
@@ -461,65 +470,47 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     return PairSpectrum(tuple(support.tolist()), theta, weight, signs, broken_at), group_tol
 
 
-class _Pair(NamedTuple):
-    """A vertex pair's question reduced (see _walk): checked eigenpairs dec
-    that carry the walk between the pair, and the weight row
-    dec.vectors[b] * dec.vectors[a] over them."""
-
-    a: int
-    b: int
-    dec: EigenDecomposition
-    weight: np.ndarray
-
-    def amplitude(self, t):
-        """<b| exp(-itA) |a> of the graph; see fidelity."""
-        return _amplitudes(self.weight, self.dec.values, t)
-
-
-def _pair(g: Graph, a: int, b: int) -> _Pair:
-    """The pair (a, b) of g, vertices checked, as _walk reduces it. g keeps
-    its last pair, so one reduction serves every question on it."""
+def _pair(g: Graph, a: int, b: int) -> EigenDecomposition:
+    """Checked eigenpairs dec that carry the walk from a and from b of g
+    (fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
+    likewise from b): on a graph of at least KRYLOV_MIN_N vertices and at
+    most KRYLOV_MAX_DIM distinct degrees, the Ritz pairs of A on the Krylov
+    space K(e_a, e_b) where it closes within KRYLOV_MAX_DIM dimensions, else
+    the graph's checked decomposition. g keeps its last pair, so one
+    reduction serves every question on it."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-    return g._keep(("pair", a, b), lambda: _walk(g, a, b))
+
+    def walk() -> EigenDecomposition:
+        if g.n >= KRYLOV_MIN_N:
+            # more distinct degrees than the cut-off (a random graph has about n)
+            # leave the pair to the dense solve without a Lanczos step
+            deg = np.sort(np.round(g.degrees(), 9))
+            if np.count_nonzero(deg[1:] != deg[:-1]) < KRYLOV_MAX_DIM:
+                ritz = _lanczos(g, (a, b), KRYLOV_MAX_DIM)
+                if ritz is not None:
+                    return ritz
+        return _decomposition(g)
+
+    return g._keep(("pair", a, b), walk)
 
 
-def _pair_spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[_Pair, PairSpectrum, float]:
-    """The pair (a, b) of g as _pair gives it, its PairSpectrum at tol and
-    the graph's grouping tolerance. _support clusters the walk against the
-    graph's eigenvalues: the walk's own where it has all n eigenpairs (the
-    dense decomposition), else _eigenvalues (the Walsh-Hadamard transform
-    of row 0 on a cubelike graph, a values-only solve on any other), so
-    support, theta, group_tol and entry tolerances are the graph's on
-    either route. g keeps those values and the SUPPORT_TOL spectrum of the
-    last pair asked; as a failed build keeps nothing, a new walk is kept
-    only once its spectrum has passed _support's checks."""
+def _spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[PairSpectrum, float]:
+    """The PairSpectrum at tol of the pair (a, b) of g over _pair's
+    eigenpairs, and the graph's grouping tolerance. _support clusters them
+    against the graph's eigenvalues: their own where they are all n (the
+    dense route), else _eigenvalues (Walsh-Hadamard on a cubelike graph, a
+    values-only solve on any other), so support, theta, group_tol and entry
+    tolerances are the graph's on either route. g keeps those values and the
+    SUPPORT_TOL spectrum of the last pair asked; as a failed build keeps
+    nothing, a new walk is kept only once its spectrum passed _support."""
     a, b = g.check_vertex(a), g.check_vertex(b)
 
     def support() -> Tuple[PairSpectrum, float]:
-        dec = _pair(g, a, b).dec
+        dec = _pair(g, a, b)
         values = dec.values if dec.n == g.n else g._keep(("eigenvalues",), lambda: _eigenvalues(g))
         return _support(dec, values, a, b, tol)
 
-    ps, group_tol = g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
-    return _pair(g, a, b), ps, group_tol
-
-
-def _walk(g: Graph, a: int, b: int) -> _Pair:
-    """The pair (a, b) on eigenpairs dec that carry the walk from a and from
-    b: fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
-    likewise from b. On a graph of at least KRYLOV_MIN_N vertices and at most
-    KRYLOV_MAX_DIM distinct degrees, the Ritz pairs of A on the Krylov space
-    K(e_a, e_b) where it closes within KRYLOV_MAX_DIM dimensions; otherwise
-    the graph's checked decomposition."""
-    walk = None
-    if g.n >= KRYLOV_MIN_N:
-        # more distinct degrees than the cut-off (a random graph has about n)
-        # leave the pair to the dense solve without a Lanczos step
-        deg = np.sort(np.round(g.degrees(), 9))
-        if np.count_nonzero(deg[1:] != deg[:-1]) < KRYLOV_MAX_DIM:
-            walk = _lanczos(g, (a, b), KRYLOV_MAX_DIM)
-    dec = _decomposition(g) if walk is None else walk
-    return _Pair(a, b, dec, dec.vectors[b, :] * dec.vectors[a, :])
+    return g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
 
 
 def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:

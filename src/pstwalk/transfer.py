@@ -32,7 +32,7 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import SUPPORT_TOL, _check_phases, _Grid, _near_top, _pair, _pair_spectrum
+from .spectral import SUPPORT_TOL, _check_phases, _Grid, _near_top, _pair, _spectrum, fidelity
 
 __all__ = [
     "FidelitySeries",
@@ -102,7 +102,7 @@ def _window(g: Graph, a: int, b: int, t_max: float, steps: int) -> _Grid:
 def fidelity_series(g: Graph, a: int, b: int, t_max: float, steps: int) -> FidelitySeries:
     _window(g, a, b, t_max, steps)
     times = np.linspace(0.0, t_max, steps)
-    return FidelitySeries(times, _pair(g, a, b).amplitude(times), a, b)
+    return FidelitySeries(times, fidelity(_pair(g, a, b), a, b, times), a, b)
 
 
 def max_fidelity_scan(
@@ -122,7 +122,7 @@ def max_fidelity_scan(
     and no grid-sized array where few are summed. Grid points within the clustering
     error of its top, and the refinement, are then evaluated over every
     eigenpair of the pair's reduced problem: the Ritz
-    pairs of its Krylov space where that is small (see spectral._walk),
+    pairs of its Krylov space where that is small (see spectral._pair),
     else the whole graph's. Of the grid points whose |F| lies within the
     rounding of |F| (below) of their top, the earliest run of neighbours
     on the grid is taken, and its highest point is the best grid point: of
@@ -155,8 +155,10 @@ def max_fidelity_scan(
     if refine_iters < 0:
         raise InvalidArgumentError("refine_iters must be non-negative")
     grid = _window(g, a, b, t_max, steps)
-    pair, ps, group_tol = _pair_spectrum(g, a, b)
-    theta, w = pair.dec.values, pair.weight
+    a, b = g.check_vertex(a), g.check_vertex(b)  # as ints, to index the eigenvector rows
+    ps, group_tol = _spectrum(g, a, b)
+    dec = _pair(g, a, b)
+    theta, w = dec.values, dec.vectors[b, :] * dec.vectors[a, :]
     reach = float(np.max(np.abs(theta)))
     # an overflowing theta t_max is refused first, as a kernel call on the grid would
     _check_phases(reach * t_max)
@@ -172,7 +174,7 @@ def max_fidelity_scan(
     slack = 10.0 * group_tol * (t_max + 1.0)
     on = _near_top(ps.weight, ps.theta, grid, slack, err)  # grid indices near the top
     near = grid[on]
-    exact = np.abs(pair.amplitude(near))
+    exact = np.abs(fidelity(dec, a, b, near))
     level = np.flatnonzero(exact >= np.max(exact) - err)  # the top to rounding
     peak = level[on[level] - on[level[0]] == np.arange(level.size)]  # its earliest run of grid neighbours
     k = int(peak[np.argmax(exact[peak])])
@@ -210,7 +212,7 @@ def max_fidelity_scan(
                 break
         t = t_next
     if t_top != best_t:
-        f_ref = float(abs(pair.amplitude(t_top)))
+        f_ref = float(abs(fidelity(dec, a, b, t_top)))
         if f_ref > best_f:
             best_t, best_f = float(t_top), f_ref
     return best_t, best_f
@@ -244,7 +246,7 @@ def strong_cospectrality(
     condition for perfect transfer between a and b. A tol that is not
     positive, or that leaves no cluster supported, raises
     InvalidArgumentError."""
-    return _pair_spectrum(g, a, b, tol)[1].signs
+    return _spectrum(g, a, b, tol)[0].signs
 
 
 def _approx_gcd(values: Sequence[float], tol: float) -> float:
@@ -267,7 +269,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    pair, ps, _ = _pair_spectrum(g, a, b)
+    ps, _ = _spectrum(g, a, b)
     if ps.signs is None:
         return PstCertificate(
             "no",
@@ -317,7 +319,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
             f"{list(parities)} at any time",
         )
     t_star = float(tau) * pi / scale_r
-    confirm = abs(pair.amplitude(t_star))
+    confirm = abs(fidelity(_pair(g, a, b), a, b, t_star))
     if confirm < NUMERIC_PST:
         return PstCertificate(
             "unknown",
@@ -384,7 +386,7 @@ def _cert_verdict(g: Graph, a: int, b: int) -> _Verdict:
 def _condition_verdict(cond: ConditionReport, g: Graph, a: int, b: int) -> _Verdict:
     """A family condition, confirmed by |F| at the time it names."""
     t = cond.witness["time"]
-    f = abs(_pair(g, a, b).amplitude(t)) if t is not None else 0.0
+    f = abs(fidelity(_pair(g, a, b), a, b, t)) if t is not None else 0.0
     ok = cond.holds and f >= NUMERIC_PST
     note = f"condition {'holds' if cond.holds else 'fails'}, |F(t*)| = {f:.10f}"
     return ("yes" if ok else "no"), t, note

@@ -12,7 +12,7 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import NumericFailureError, spectral
-from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair, _pair_spectrum
+from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair, _spectrum
 
 TOL = 1e-8
 
@@ -199,13 +199,14 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
     for g in corpus:
         dec = pw.eigendecompose(g)
         for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
-            dense, (pair, ps, _) = pw.pair_spectrum(dec, a, b), _pair_spectrum(g, a, b)
-            reduced += pair.dec.n < g.n
+            dense, (ps, _) = pw.pair_spectrum(dec, a, b), _spectrum(g, a, b)
+            pair = _pair(g, a, b)
+            reduced += pair.n < g.n
             assert ps.support == dense.support and ps.signs == dense.signs
             assert (ps.broken_at is None) == (dense.broken_at is None)
             assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
             assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
-            assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times),
+            assert np.allclose(pw.fidelity(pair, a, b, times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-9)
     assert reduced > 100  # most corpus pairs have a Krylov space of fewer dimensions
 
@@ -235,13 +236,23 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
 
 def _matches_dense_route(g, a, b):
     dec = pw.eigendecompose(g)
-    (pair, ps, _), dense = _pair_spectrum(g, a, b), pw.pair_spectrum(dec, a, b)
+    (ps, _), dense = _spectrum(g, a, b), pw.pair_spectrum(dec, a, b)
+    pair = _pair(g, a, b)
     assert ps.support == dense.support and ps.signs == dense.signs
     assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
     assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
     times = np.linspace(0.0, 7.0, 29)
-    assert np.allclose(pair.amplitude(times), pw.fidelity(dec, a, b, times), rtol=0.0, atol=1e-9)
+    assert np.allclose(pw.fidelity(pair, a, b, times), pw.fidelity(dec, a, b, times), rtol=0.0, atol=1e-9)
     return pair, ps
+
+
+def test_krylov_route_gives_the_closed_form_on_q8():
+    # |<255| exp(-itA) |0>| = |sin t|^8 on Q8, whose antipodes have a
+    # 9-dimensional Krylov space, one dimension per distance from 0
+    g = pw.hypercube(8)
+    s = pw.fidelity_series(g, 0, 255, 2.0 * math.pi, 300)
+    assert np.max(np.abs(np.abs(s.amplitudes) - np.abs(np.sin(s.times)) ** 8)) <= 1e-12
+    assert _pair(g, 0, 255).n == 9 and ("eigenpairs",) not in g._kept
 
 
 def test_krylov_route_extends_past_the_first_start():
@@ -251,14 +262,14 @@ def test_krylov_route_extends_past_the_first_start():
     from_0 = _lanczos(g, 0, KRYLOV_MAX_DIM)
     assert np.linalg.norm(from_0.vectors[1]) < 0.5
     pair, ps = _matches_dense_route(g, 0, 1)
-    assert from_0.n < pair.dec.n < g.n
+    assert from_0.n < pair.n < g.n
     assert ps.signs is None and ("eigenpairs",) not in g._kept
 
 
 def test_krylov_route_of_a_vertex_with_itself():
     g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
     pair, _ = _matches_dense_route(g, 5, 5)
-    assert pair.dec.n == _lanczos(g, 5, KRYLOV_MAX_DIM).n < g.n
+    assert pair.n == _lanczos(g, 5, KRYLOV_MAX_DIM).n < g.n
 
 
 def test_krylov_support_holds_cluster_indices_of_the_graph():
@@ -270,8 +281,8 @@ def test_krylov_support_holds_cluster_indices_of_the_graph():
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
-    pair, ps, _ = _pair_spectrum(g, 0, 2 * n + 1)
-    assert pair.dec.n == 4
+    ps, _ = _spectrum(g, 0, 2 * n + 1)
+    assert _pair(g, 0, 2 * n + 1).n == 4
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
     support = ps.support
     assert support == dense.support and max(support) > 3
@@ -310,7 +321,7 @@ def test_random_graph_takes_no_lanczos_step(monkeypatch):
     # answers without a single Lanczos step
     calls = _recording_lanczos(monkeypatch)
     g = _random_weighted(KRYLOV_MIN_N, 2)
-    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
     assert calls == []
 
 
@@ -320,7 +331,7 @@ def test_krylov_route_gives_up_past_the_cut_off(monkeypatch):
     # answers
     calls = _recording_lanczos(monkeypatch)
     g = pw.path_graph([1.0] * (2 * KRYLOV_MIN_N))
-    assert _pair(g, 0, g.n - 1).dec is spectral._decomposition(g)
+    assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
     assert calls == [((0, g.n - 1), KRYLOV_MAX_DIM, True)]
 
 
@@ -448,7 +459,7 @@ def test_relabelled_cubelike_graph_gives_the_same_answers(d):
         cert, h_cert = pw.pst_certificate(g, a, b), pw.pst_certificate(h, ha, hb)
         assert (h_cert.verdict, h_cert.support, h_cert.signs, h_cert.time_exact) == (
             cert.verdict, cert.support, cert.signs, cert.time_exact), (a, b)
-        theta, h_theta = _pair_spectrum(g, a, b)[1].theta, _pair_spectrum(h, ha, hb)[1].theta
+        theta, h_theta = _spectrum(g, a, b)[0].theta, _spectrum(h, ha, hb)[0].theta
         assert np.max(np.abs(np.subtract(theta, h_theta))) <= 1e-9, (a, b)
 
 
@@ -474,7 +485,7 @@ def test_one_reduction_per_pair(monkeypatch):
     pw.strong_cospectrality(g, 2, 65)
     pw.fidelity_series(g, 2, 65, 3.0, 31)
     assert calls == [((2, 65), KRYLOV_MAX_DIM, True)]
-    assert g._kept[("pair", 2, 65)].dec is spectral._decomposition(g)
+    assert g._kept[("pair", 2, 65)] is spectral._decomposition(g)
 
 
 def _answers(g, a, b, tol):
@@ -550,7 +561,7 @@ def test_non_positive_tol_is_an_error_and_builds_nothing(tol):
     with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
         pw.strong_cospectrality(g, 0, 7, tol)
     with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
-        _pair_spectrum(g, 0, 7, tol)
+        _spectrum(g, 0, 7, tol)
     assert g._kept == {}
     with pytest.raises(pw.InvalidArgumentError, match="tol must be positive"):
         pw.pair_spectrum(pw.eigendecompose(g), 0, 7, tol)
@@ -634,7 +645,7 @@ def test_too_wide_cluster_message_names_the_first(chains):
 
 @pytest.mark.parametrize("g", [pw.complete(1), pw.Graph([[2.0]])], ids=["K1", "loop"])
 def test_one_vertex_pair_spectrum(g):
-    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _pair_spectrum(g, 0, 0)[1]):
+    for ps in (pw.pair_spectrum(pw.eigendecompose(g), 0, 0), _spectrum(g, 0, 0)[0]):
         assert ps.support == (0,) and ps.weight.tolist() == [1.0] and ps.signs == (0,)
         assert ps.theta == (float(g.adj[0, 0]),) and ps.broken_at is None
 
@@ -693,7 +704,7 @@ def test_support_matches_the_reduceat_reference_on_the_ladders(ladder):
     # each instance's pair on the route its questions take (Ritz pairs on
     # the structured graphs of n >= 128), and the dense route of a wider tol
     for name, g, a, b in ladder:
-        dec = _pair(g, a, b).dec
+        dec = _pair(g, a, b)
         values = dec.values if dec.n == g.n else spectral._eigenvalues(g)
         _assert_bitwise_reference(dec, values, a, b)
         if g.n <= 128:

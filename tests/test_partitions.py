@@ -7,7 +7,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, NotConnectedError, NotEquitableError
 from pstwalk import partitions
-from pstwalk.partitions import _equitable_tol
+from pstwalk.partitions import _edge_list
 
 
 def _characteristic_matrix(partition, n):
@@ -201,7 +201,7 @@ def test_refinement_sorts_cells_of_equitable_input():
 def _is_equitable_reference(g, cells):
     """Per-cell-pair sub-sums: (sorted cells, degree matrix) or None."""
     cs = tuple(tuple(sorted(int(v) for v in c)) for c in cells)
-    tol = _equitable_tol(g)
+    tol = _edge_list(g).tol
     d = np.zeros((len(cs), len(cs)))
     for j, cell in enumerate(cs):
         for k, other in enumerate(cs):
@@ -317,7 +317,7 @@ def test_refinement_commutes_with_relabelling(corpus):
         match = [where[frozenset(int(perm[v]) for v in c)] for c in part.cells]
         assert len(match) == h_part.m
         assert np.allclose(h_part.degrees[np.ix_(match, match)], part.degrees,
-                           rtol=0.0, atol=_equitable_tol(g))
+                           rtol=0.0, atol=_edge_list(g).tol)
 
 
 def test_partitions_hold_no_adjacency_sized_temporary():
@@ -383,7 +383,7 @@ def test_singleton_refinement_reads_negative_zero_as_zero():
 ])
 def test_refinement_splits_sums_that_round_alike_beyond_the_tolerance(leaves, want):
     # a star whose leaves' sums into the centre round alike to
-    # SIGNATURE_DECIMALS but differ by more than _equitable_tol: the rounded
+    # SIGNATURE_DECIMALS but differ by more than _edge_list(g).tol: the rounded
     # fixpoint is not equitable, so the rounds go on with the unrounded sums
     n = len(leaves) + 1
     adj = np.zeros((n, n))
@@ -401,7 +401,7 @@ def test_is_equitable_threshold_is_equitable_tol():
     g = pw.scale(pw.hypercube(3), 1.7)
     cells = [[0], [1, 2, 4], [3, 5, 6], [7]]
     assert pw.is_equitable(g, cells) is not None
-    tol = _equitable_tol(g)
+    tol = _edge_list(g).tol
     for factor, equitable in ((0.5, True), (3.0, False)):
         adj = g.adj.copy()
         adj[0, 1] += factor * tol

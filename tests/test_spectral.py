@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,32 @@ def test_fidelity_accepts_time_arrays():
     assert vec.shape == ts.shape
     for i, t in enumerate(ts):
         assert abs(vec[i] - pw.fidelity(d, 0, 2, float(t))) < 1e-12
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_decomposition_functions_check_vertices(v):
+    # as Graph.check_vertex does: -1 is not read as vertex 2 of P3, and 3
+    # raises no bare IndexError
+    g = pw.path_graph([1.0, 1.0])
+    d = pw.eigendecompose(g)
+    with pytest.raises(InvalidArgumentError) as want:
+        g.check_vertex(v)
+    message = f"^{re.escape(str(want.value))}$"
+    for call in (lambda: pw.fidelity(d, v, 0, 1.0), lambda: pw.fidelity(d, 0, v, 1.0),
+                 lambda: pw.evolve(d, 1.0, v), lambda: pw.pair_spectrum(d, v, 0),
+                 lambda: pw.pair_spectrum(d, 0, v)):
+        with pytest.raises(InvalidArgumentError, match=message):
+            call()
+
+
+def test_decomposition_vertices_are_its_rows():
+    # the Ritz pairs of Q8's antipodes: 9 eigenpairs over 256 vertices
+    walk = spectral._pair(pw.hypercube(8), 0, 255)
+    assert walk.n == 9
+    assert pw.evolve(walk, 1.0, 255).shape == (256,)
+    assert abs(pw.fidelity(walk, 0, 255, math.pi / 2.0)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InvalidArgumentError, match=r"^vertex 256 out of range \[0, 256\)$"):
+        pw.fidelity(walk, 0, 256, 1.0)
 
 
 def test_c4_antipodal_closed_form():
@@ -310,7 +337,7 @@ def test_amplitudes_match_direct_exp(steps, t0):
         ref = _direct(weight, theta, times)
         bound = _bound(weight, theta, times)
         assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= bound
-        absolute = _amplitudes(weight, theta, times, absolute=True)
+        absolute = np.abs(_amplitudes(weight, theta, times))
         assert absolute.dtype == float
         assert np.max(np.abs(absolute - np.abs(ref))) <= bound
 
@@ -334,7 +361,7 @@ def test_amplitudes_match_direct_exp_at_benchmark_shapes(k, steps, t0, t_span):
     ref = _direct(weight, theta, times)
     bound = _bound(weight, theta, times)
     assert np.max(np.abs(_amplitudes(weight, theta, times) - ref)) <= bound
-    assert np.max(np.abs(_amplitudes(weight, theta, times, absolute=True) - np.abs(ref))) <= bound
+    assert np.max(np.abs(np.abs(_amplitudes(weight, theta, times)) - np.abs(ref))) <= bound
 
 
 @pytest.mark.parametrize("times", [
@@ -477,16 +504,15 @@ def test_scan_is_identical_to_direct_exp_reference(corpus, t_max, steps):
             assert pw.max_fidelity_scan(g, a, b, t_max, steps) == want
 
 
-@pytest.mark.parametrize("absolute", [False, True], ids=["complex", "absolute"])
-def test_amplitudes_memory_is_within_twice_the_output(absolute):
+def test_amplitudes_memory_is_within_twice_the_output():
     rng = np.random.default_rng(17)
     k = 256  # the largest random graph of the benchmark ladder
     weight, theta = rng.normal(size=k), rng.normal(size=k)
     times = np.linspace(0.0, 200.0, 200001)
-    _amplitudes(weight, theta, times[:1000], absolute)
+    _amplitudes(weight, theta, times[:1000])
     tracemalloc.start()
     try:
-        out = _amplitudes(weight, theta, times, absolute)
+        out = _amplitudes(weight, theta, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,8 +526,9 @@ def test_amplitudes_memory_is_within_twice_the_output(absolute):
 def _scan_terms(g, a, b, t_max, steps):
     """The supported weights and eigenvalues, the grid, slack and err of
     max_fidelity_scan on the pair (a, b) of g."""
-    pair, ps, group_tol = spectral._pair_spectrum(g, a, b)
-    err = 8.0 * EPS * np.sum(np.abs(pair.weight)) * (1.0 + np.max(np.abs(pair.dec.values)) * t_max)
+    ps, group_tol = spectral._spectrum(g, a, b)
+    dec = spectral._pair(g, a, b)
+    err = 8.0 * EPS * np.sum(np.abs(dec.vectors[b] * dec.vectors[a])) * (1.0 + np.max(np.abs(dec.values)) * t_max)
     slack = 10.0 * group_tol * (t_max + 1.0)
     return ps.weight, ps.theta, np.linspace(0.0, t_max, steps), slack, err
 
@@ -510,7 +537,7 @@ def _assert_near_top_as_the_full_grid(weight, theta, times, slack, err):
     """_near_top picks every grid point that |F| on the full grid puts at or
     above its maximum less slack, and no other, except within 1e-12 of that
     line, where rounding may decide."""
-    full = _amplitudes(weight, theta, times, absolute=True)
+    full = np.abs(_amplitudes(weight, theta, times))
     line = np.max(full) - slack
     got = spectral._near_top(weight, theta, times, slack, err)
     assert np.all(np.diff(got) > 0)

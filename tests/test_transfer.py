@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import InvalidArgumentError, NumericFailureError, spectral
+from pstwalk import InvalidArgumentError, NumericFailureError, spectral, transfer
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +562,12 @@ def test_scan_takes_no_steps_where_the_amplitude_is_zero(g, a, b, monkeypatch):
     # the exact amplitude is evaluated on the grid only
     grid = pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 401, 0)
     calls = []
-    amplitude = spectral._Pair.amplitude
+    fidelity = transfer.fidelity
 
-    def counting(pair, t):
+    def counting(dec, a, b, t):
         calls.append(t)
-        return amplitude(pair, t)
+        return fidelity(dec, a, b, t)
 
-    monkeypatch.setattr(spectral._Pair, "amplitude", counting)
+    monkeypatch.setattr(transfer, "fidelity", counting)
     assert pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 401, 60) == grid
     assert len(calls) == 1
