@@ -7,7 +7,8 @@ symmetry is exact (bitwise equal entries), never merely approximate.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+import operator
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +41,14 @@ __all__ = [
 
 
 def _check_vertex(v: int, n: int) -> int:
-    """v as an int if it is a vertex 0..n-1, else InvalidArgumentError: the
-    range rule of every vertex, of a graph or of its eigenpairs."""
-    v = int(v)
+    """v as an int if it is an integer (operator.index: a Python or numpy
+    integer, not a float or a string) and a vertex 0..n-1, else
+    InvalidArgumentError: the rule of every vertex, of a graph or of its
+    eigenpairs."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise InvalidArgumentError(f"vertex {v!r} is not an integer") from None
     if not 0 <= v < n:
         raise InvalidArgumentError(f"vertex {v} out of range [0, {n})")
     return v
@@ -51,7 +57,9 @@ def _check_vertex(v: int, n: int) -> int:
 class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
-    Equality compares adjacency matrices exactly (labels are cosmetic).
+    adj is a read-only row-major (C order) copy of the adjacency given, in
+    whatever layout it came. Equality compares adjacency matrices exactly
+    (labels are cosmetic).
     What _keep keeps, derived from the graph, sits in one private slot
     outside equality, hashing, repr and serialization.
     """
@@ -59,7 +67,7 @@ class Graph:
     __slots__ = ("adj", "labels", "_kept")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
-        a = np.array(adj, dtype=float)
+        a = np.array(adj, dtype=float, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidArgumentError("adjacency must be a square matrix")
         if a.shape[0] < 1:
@@ -137,6 +145,32 @@ class Graph:
     def __repr__(self):
         kind = "weighted" if not self.is_unweighted() else "unweighted"
         return f"Graph(n={self.n}, {kind}, edges={int(np.count_nonzero(np.triu(self.adj)))})"
+
+
+class _EdgeList(NamedTuple):
+    """The nonzero entries of an adjacency matrix in row-major order: weight
+    w[i] at (u[i], v[i]), each edge listed from both ends, a loop once; tol
+    is the equitability tolerance, 1e-10 relative to the largest |weight|."""
+
+    n: int
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    tol: float
+
+
+def _edge_list(g: Graph) -> _EdgeList:
+    """g's edge list, extracted on first use and kept on g (Graph._keep):
+    the partition questions, the Lanczos products and the cubelike test
+    read it in O(nnz). The extraction holds one n x n boolean mask and
+    O(nnz) besides, as g.adj is row-major and its ravel a view."""
+    def extract() -> _EdgeList:
+        flat = np.flatnonzero(g.adj != 0.0)
+        u = flat // g.n
+        v = flat - u * g.n  # flat % g.n: one product and one difference cost less than np.divmod
+        w = g.adj.ravel()[flat]
+        return _EdgeList(g.n, u, v, w, 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
+    return g._keep(("edges",), extract)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
-from .graphs import Graph, distances_from
+from .graphs import Graph, _EdgeList, _edge_list, distances_from
 from .spectral import _decomposition, _pair, fidelity
 
 __all__ = [
@@ -84,29 +84,6 @@ def _input_labels(g: Graph, cells: Iterable[Iterable[int]]) -> np.ndarray:
                 raise InvalidArgumentError(f"vertex {v} appears in two cells")
             seen.add(v)
     raise InvalidArgumentError("cells do not cover every vertex")
-
-
-class _EdgeList(NamedTuple):
-    """The nonzero entries of an adjacency matrix in row-major order: weight
-    w[i] at (u[i], v[i]), each edge listed from both ends, a loop once; tol
-    is the equitability tolerance, 1e-10 relative to the largest |weight|."""
-
-    n: int
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    tol: float
-
-
-def _edge_list(g: Graph) -> _EdgeList:
-    """g's edge list, extracted on first use and kept on g (Graph._keep)."""
-    def extract() -> _EdgeList:
-        flat = np.flatnonzero(g.adj != 0.0)
-        u = flat // g.n
-        v = flat - u * g.n  # flat % g.n: one product and one difference cost less than np.divmod
-        w = g.adj.ravel()[flat]
-        return _EdgeList(g.n, u, v, w, 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
-    return g._keep(("edges",), extract)
 
 
 SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals

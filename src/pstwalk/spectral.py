@@ -20,7 +20,7 @@ from .errors import (
     NotConnectedError,
     NumericFailureError,
 )
-from .graphs import Graph, _check_vertex, is_connected
+from .graphs import Graph, _check_vertex, _edge_list, is_connected
 
 __all__ = [
     "EigenDecomposition",
@@ -118,12 +118,14 @@ def _eigenvalues(g: Graph) -> np.ndarray:
     """The eigenvalues of g, descending: the Walsh-Hadamard transform of row
     0 where g is cubelike (see _walsh_hadamard), else a values-only solve
     (eigvalsh). Either way they must be finite, and their sum and sum of
-    squares must match tr A and ||A||_F^2."""
-    w = _walsh_hadamard(g.adj)
+    squares must match tr A and ||A||_F^2 (the squared weights of the edge
+    list)."""
+    w = _walsh_hadamard(g)
     w = (np.linalg.eigvalsh(g.adj) if w is None else np.sort(w))[::-1].copy()
     if not np.all(np.isfinite(w)):
         raise NumericFailureError("eigenvalues overflowed to non-finite values")
-    fro2 = float(np.vdot(g.adj, g.adj))
+    weights = _edge_list(g).w
+    fro2 = float(weights @ weights)
     tol = RECON_TOL * g.n * max(1.0, fro2)
     if not (abs(float(np.sum(w)) - float(np.trace(g.adj))) <= tol
             and abs(float(np.dot(w, w)) - fro2) <= tol):
@@ -132,27 +134,28 @@ def _eigenvalues(g: Graph) -> np.ndarray:
     return w
 
 
-def _walsh_hadamard(adj: np.ndarray) -> Optional[np.ndarray]:
-    """The eigenvalues, unsorted, of a cubelike adjacency: one with n = 2^d
-    and adj[i, j] == adj[0, i ^ j] exactly for every i, j (a Cayley graph
-    on Z_2^d), whose eigenvalues are the Walsh-Hadamard transform of row 0
+def _walsh_hadamard(g: Graph) -> Optional[np.ndarray]:
+    """The eigenvalues, unsorted, of a cubelike graph: one with n = 2^d and
+    A[i, j] == A[0, i ^ j] exactly for every i, j (a Cayley graph on
+    Z_2^d), whose eigenvalues are the Walsh-Hadamard transform of row 0
     (Bernasconi, Godsil and Severini 2008); exact integers for integer
-    weights. None for any other adjacency. The check runs level by level
-    on the top rows: rows [h, 2h) are rows [0, h) with columns XOR h, so
-    each 2h x 2h block of the top 2h rows is [[B, C], [C, B]]. That is
-    about n^2 comparisons on views, and no n x n temporary."""
-    n = adj.shape[0]
+    weights. None for any other graph. The check reads the edge list,
+    O(nnz): each listed entry w at (u, v) must equal A[0, u ^ v], which maps
+    every row's nonzeros one to one into row 0's, and the list must hold n
+    times row 0's count of nonzeros, which makes every map onto, so each
+    zero entry is zero in row 0 as well (-0.0 reads as zero on both sides).
+    The transform is one butterfly per bit, on reshapes, in O(n log n)."""
+    n, row = g.n, g.adj[0]
     d = n.bit_length() - 1
     if n != 1 << d:
         return None
-    for h in (1 << k for k in range(d)):
-        top, low = (adj[s : s + h].reshape(h, -1, 2, h) for s in (0, h))
-        if not (np.array_equal(top[:, :, 0], low[:, :, 1]) and np.array_equal(top[:, :, 1], low[:, :, 0])):
-            return None
-    w = adj[0].reshape((2,) * d)
-    for k in range(d):  # one butterfly per bit: O(n log n)
-        x0, x1 = np.moveaxis(w, k, 0)
-        w = np.stack((x0 + x1, x0 - x1), axis=k)
+    edges = _edge_list(g)
+    if not (edges.w.size == n * np.count_nonzero(row) and np.array_equal(row[edges.u ^ edges.v], edges.w)):
+        return None
+    w = row
+    for k in range(d):  # the highest bit first
+        x = w.reshape(1 << k, 2, -1)
+        w = np.stack((x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]), axis=1)
     return w.ravel()
 
 
@@ -519,10 +522,11 @@ def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:
     Lanczos with full reorthogonalisation. Where the space of one start
     closes, the next start vector, orthogonalised against the basis, carries
     on; one already in the span adds nothing. None where no invariant space
-    of at most max_dim dimensions is reached. The Ritz residual
+    of at most max_dim dimensions is reached. Each product A q_j is one
+    np.bincount over the graph's edge list, O(nnz). The Ritz residual
     A Q S - Q S Theta and Q^T Q - I are checked, each in O(n k^2)."""
-    n = g.n
-    amax = max(1.0, float(g.adj.max()), float(-g.adj.min()))
+    n, edges = g.n, _edge_list(g)
+    amax = max(1.0, float(np.max(np.abs(edges.w), initial=0.0)))
     q = np.zeros((n, max_dim))
     aq = np.zeros((n, max_dim))  # A q_j, kept for the residual check
     k = 0
@@ -537,8 +541,9 @@ def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:
                 break
             if k == max_dim:
                 return None
-            q[:, k] = r / beta
-            aq[:, k] = g.adj @ q[:, k]
+            x = r / beta  # contiguous, so the gather below reads it faster than q[:, k]
+            q[:, k] = x
+            aq[:, k] = np.bincount(edges.u, weights=edges.w * x[edges.v], minlength=n)
             r, scale, k = aq[:, k].copy(), amax, k + 1
     q, aq = q[:, :k], aq[:, :k]
     t = q.T @ aq

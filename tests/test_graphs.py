@@ -119,6 +119,27 @@ def test_hypercube_matches_the_entry_loop():
         assert g.labels == tuple(format(i, f"0{d}b") for i in range(m))
 
 
+@pytest.mark.parametrize("v", [0.9, 7.5, "3", 3.0, None])
+def test_vertices_must_be_integers(v):
+    # read through operator.index: a float or a string is refused, not
+    # truncated or parsed into another vertex
+    g = pw.hypercube(3)
+    with pytest.raises(InvalidArgumentError, match=r"^vertex .* is not an integer$"):
+        g.check_vertex(v)
+    for call in (lambda: pw.pst_certificate(g, v, 7), lambda: pw.pst_certificate(g, 0, v),
+                 lambda: pw.distance_partition(g, v)):
+        with pytest.raises(InvalidArgumentError, match="is not an integer"):
+            call()
+    assert g._kept == {}
+
+
+def test_numpy_integer_vertices_are_accepted():
+    g = pw.hypercube(3)
+    v = g.check_vertex(np.int64(3))
+    assert v == 3 and type(v) is int
+    assert pw.pst_certificate(g, np.int64(0), np.int32(7)) == pw.pst_certificate(g, 0, 7)
+
+
 def test_layered_places_blocks_and_mirrors_links():
     blocks = [[[5.0]], [[0.0, 4.0], [4.0, 0.0]], np.full((3, 3), 6.0)]
     a = _layered(blocks, {(0, 1): -0.0, (0, 2): [[1.0, 2.0, 3.0]], (1, 2): 7.0})

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import NumericFailureError, spectral
+from pstwalk import NumericFailureError, graphs, spectral
 from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair, _spectrum
 
 TOL = 1e-8
@@ -381,7 +381,7 @@ CUBELIKE = {
 @pytest.mark.parametrize("name", CUBELIKE)
 def test_walsh_hadamard_transform_gives_the_eigenvalues(name):
     g = CUBELIKE[name]()
-    assert spectral._walsh_hadamard(g.adj) is not None
+    assert spectral._walsh_hadamard(g) is not None
     w, ref = spectral._eigenvalues(g), np.linalg.eigvalsh(g.adj)[::-1]
     assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
@@ -394,29 +394,161 @@ def test_hypercube_eigenvalues_are_exact_integers(d):
 
 
 def test_walsh_hadamard_transform_takes_only_cubelike_graphs():
-    assert spectral._walsh_hadamard(pw.complete(6).adj) is None  # n not a power of two
-    assert spectral._walsh_hadamard(pw.cycle(8).adj) is None  # a Cayley graph on Z_8 only
+    assert spectral._walsh_hadamard(pw.complete(6)) is None  # n not a power of two
+    assert spectral._walsh_hadamard(pw.cycle(8)) is None  # a Cayley graph on Z_8 only
     q = pw.hypercube(5).adj
     for i, j, x in ((0, 1, 0.5), (3, 9, 1.0), (30, 31, 2.0), (0, 31, 1.0), (17, 17, 1.0)):
         adj = q.copy()
         adj[i, j] = adj[j, i] = x  # one symmetric entry changed
-        assert spectral._walsh_hadamard(adj) is None, (i, j)
+        assert spectral._walsh_hadamard(pw.Graph(adj)) is None, (i, j)
     # what the check reads of a relabelled cubelike graph differs
     perm = np.random.default_rng(0).permutation(32)
-    assert spectral._walsh_hadamard(q[np.ix_(perm, perm)]) is None
+    assert spectral._walsh_hadamard(pw.Graph(q[np.ix_(perm, perm)])) is None
+
+
+def _cubelike_by_levels(adj):
+    """The reference rule: n = 2^d and, level by level on the top rows, rows
+    [h, 2h) are rows [0, h) with columns XOR h, so each 2h x 2h block of
+    the top 2h rows is [[B, C], [C, B]]."""
+    n = adj.shape[0]
+    d = n.bit_length() - 1
+    if n != 1 << d:
+        return False
+    for h in (1 << k for k in range(d)):
+        top, low = (adj[s : s + h].reshape(h, -1, 2, h) for s in (0, h))
+        if not (np.array_equal(top[:, :, 0], low[:, :, 1]) and np.array_equal(top[:, :, 1], low[:, :, 0])):
+            return False
+    return True
+
+
+def _butterfly_by_moveaxis(row):
+    """The reference transform: one moveaxis butterfly per bit of the index."""
+    d = row.size.bit_length() - 1
+    w = row.reshape((2,) * d)
+    for k in range(d):
+        x0, x1 = np.moveaxis(w, k, 0)
+        w = np.stack((x0 + x1, x0 - x1), axis=k)
+    return w.ravel()
+
+
+def _changed(adj, *entries):
+    adj = adj.copy()
+    for i, j, x in entries:
+        adj[i, j] = adj[j, i] = x
+    return adj
+
+
+def _cubelike_cases():
+    rng = np.random.default_rng(5)
+    q5 = pw.hypercube(5).adj
+    f = rng.uniform(-2.0, 2.0, 32) * (rng.uniform(size=32) < 0.5)  # negative weights, zeros
+    weighted = _xor_cayley(f).adj
+    signed_zero = _xor_cayley(np.where(f == 0.0, -0.0, f)).adj  # every zero of row 0 is -0.0
+    directions = _xor_cayley(np.bincount(1 << np.arange(5), [1.5, -2.0, 0.5, 3.0, -1.0], 32)).adj
+    cases = {"Q5": q5, "weighted": weighted, "signed-zero": signed_zero,
+             "Q5-zeros-negated": np.where(q5 == 0.0, -0.0, q5),
+             "Q5-one-zero-negated": _changed(q5, (3, 12, -0.0)),
+             "Q5-row0-zero-negated": _changed(q5, (0, 3, -0.0)),
+             "Q5-scaled": pw.scale(pw.hypercube(5), -math.sqrt(2.0)).adj, "directions": directions,
+             "K6": pw.complete(6).adj, "C6": pw.cycle(6).adj, "C8": pw.cycle(8).adj,
+             "K1": pw.complete(1).adj, "loop-K1": np.array([[2.0]]), "K2": pw.complete(2).adj}
+    for k in range(5):  # one off-pattern symmetric pair at every level of the reference rule
+        # row h = 2^k is first compared at level k, and so is a pair (h, j), j >= h
+        h = 1 << k
+        on, off = h ^ (1 << (k + 1) % 5), 31  # an edge of Q5 and a non-edge, both >= h
+        for name, adj in (("Q5", q5), ("directions", directions)):
+            cases[f"{name}-level{k}-weight"] = _changed(adj, (h, on, 2.5))
+            cases[f"{name}-level{k}-added"] = _changed(adj, (h, off, 1.0))
+            cases[f"{name}-level{k}-removed"] = _changed(adj, (h, on, 0.0))
+            cases[f"{name}-level{k}-moved"] = _changed(adj, (h, on, 0.0), (h, off, adj[h, on]))
+    for name, adj in (("Q5", q5), ("weighted", weighted), ("shifted", q5 + 1.5 * np.eye(32))):
+        for i in (0, 1, 17):  # one loop changed
+            cases[f"{name}-loop{i}"] = _changed(adj, (i, i, adj[i, i] + 0.75))
+    for d in (4, 5, 6):  # relabelled and weighted Q_d
+        perm = np.random.default_rng(d).permutation(1 << d)
+        for name, adj in (("Q", pw.hypercube(d).adj), ("wQ", _xor_cayley(rng.uniform(-1.0, 3.0, 1 << d)).adj)):
+            cases[f"{name}{d}-relabelled"] = adj[np.ix_(perm, perm)]
+    return cases
+
+
+CUBELIKE_CASES = _cubelike_cases()
+
+
+@pytest.mark.parametrize("name", CUBELIKE_CASES)
+def test_cubelike_check_matches_the_level_rule(name):
+    adj = CUBELIKE_CASES[name]
+    g = pw.Graph(adj)
+    want = _cubelike_by_levels(adj)
+    got = spectral._walsh_hadamard(g)
+    assert (got is not None) == want
+    if want:
+        assert got.tobytes() == _butterfly_by_moveaxis(adj[0]).tobytes()
+
+
+def test_cubelike_cases_cover_both_answers():
+    answers = {name: _cubelike_by_levels(adj) for name, adj in CUBELIKE_CASES.items()}
+    assert sum(answers.values()) >= 10 and len(answers) - sum(answers.values()) >= 40
+    assert answers["Q5-zeros-negated"] and answers["signed-zero"] and answers["Q5-one-zero-negated"]
+    assert not any(answers[f"{name}-level{k}-{how}"] for name in ("Q5", "directions") for k in range(5)
+                   for how in ("weight", "added", "removed", "moved"))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_butterfly_is_bitwise_the_moveaxis_form(d):
+    rng = np.random.default_rng(d)
+    for f in (rng.standard_normal(1 << d), rng.uniform(-1.0, 1.0, 1 << d) * 1e-3 + 1e3):
+        assert spectral._walsh_hadamard(_xor_cayley(f)).tobytes() == _butterfly_by_moveaxis(f).tobytes()
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_cubelike_check_allocates_no_square_array(layout):
     n = 512
-    good = np.asarray(pw.hypercube(9).adj, order=layout)
-    bad = good.copy(order=layout)
-    bad[n - 1, n - 2] = bad[n - 2, n - 1] = 2.0  # read only at the last level
-    for adj, cubelike in ((good, True), (bad, False)):
-        assert (spectral._walsh_hadamard(adj) is not None) == cubelike
-        # an n x n float array is 8 n^2 bytes; the check's temporaries are
-        # an n/2 x n/2 boolean and numpy's fixed-size ufunc buffers
-        assert _traced_peak(lambda: spectral._walsh_hadamard(adj)) <= n * n
+    q = pw.hypercube(9).adj
+    bad = _changed(q, (n - 1, n - 2, 2.0))  # at the last level of the reference rule
+    for adj, cubelike in ((q, True), (bad, False)):
+        given = np.asarray(adj, order=layout)
+        assert given.flags[f"{layout}_CONTIGUOUS"]
+        g = pw.Graph(given)
+        assert g.adj.flags.c_contiguous  # so a ravel of it is a view
+        # the extraction holds one n x n boolean mask and a few nnz-sized
+        # arrays; an n x n float array is 8 n^2 bytes, a second mask n^2
+        nnz = np.count_nonzero(adj)
+        assert _traced_peak(lambda: graphs._edge_list(g)) <= n * n + 32 * nnz
+        # on the kept edge list the check and the transform hold O(nnz + n)
+        assert (spectral._walsh_hadamard(g) is not None) == cubelike
+        assert _traced_peak(lambda: spectral._walsh_hadamard(g)) <= n * n
+
+
+def _glued_cones(index):
+    n, k, gamma = pw.glued_cone_family(index)
+    half = pw.circulant(n, range(1, k // 2 + 1))
+    return pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1))), [(0, 2 * n + 1)]
+
+
+KRYLOV_CASES = {  # graphs and pairs whose Krylov space is smaller than n
+    **{f"Q{d}": (lambda d=d: (pw.hypercube(d), [(0, (1 << d) - 1), (0, 1), (1, (1 << d) - 1)]))
+       for d in range(6, 10)},
+    **{f"gluedcone{i}": (lambda i=i: _glued_cones(i)) for i in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", KRYLOV_CASES)
+def test_krylov_route_matches_the_dense_answers(name, monkeypatch):
+    # the Lanczos products read the edge list; below the floor as well, so
+    # that Q6 and the glued cones take the Krylov route too
+    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 1)
+    g, pairs = KRYLOV_CASES[name]()
+    dec = pw.eigendecompose(g)
+    times = np.linspace(0.0, 10.0, 41)
+    for a_, b_ in pairs:
+        pair, (ps, _) = _pair(g, a_, b_), _spectrum(g, a_, b_)
+        dense = pw.pair_spectrum(dec, a_, b_)
+        assert pair.n < g.n and ("eigenpairs",) not in g._kept
+        assert ps.support == dense.support and ps.signs == dense.signs
+        assert np.max(np.abs(np.subtract(ps.theta, dense.theta))) <= 1e-12
+        assert np.max(np.abs(ps.weight - dense.weight)) <= 1e-12
+        for c in (a_, b_, g.n // 3):
+            assert np.max(np.abs(pw.fidelity(pair, a_, c, times) - pw.fidelity(dec, a_, c, times))) <= 1e-12
 
 
 def test_cubelike_graph_answers_without_a_values_only_solve(monkeypatch):
@@ -453,7 +585,7 @@ def test_relabelled_cubelike_graph_gives_the_same_answers(d):
     perm = np.random.default_rng(d).permutation(g.n)  # vertex v of g is vertex perm[v] of h
     inv = np.argsort(perm)
     h = pw.Graph(g.adj[np.ix_(inv, inv)])
-    assert spectral._walsh_hadamard(h.adj) is None
+    assert spectral._walsh_hadamard(h) is None
     for a, b in ((0, g.n - 1), (0, 1), (0, 3), (5, 6)):
         ha, hb = int(perm[a]), int(perm[b])
         cert, h_cert = pw.pst_certificate(g, a, b), pw.pst_certificate(h, ha, hb)
@@ -496,7 +628,7 @@ def _answers(g, a, b, tol):
 
 
 def _kept_pair(g):
-    return set(g._kept) - {("eigenpairs",), ("eigenvalues",)}
+    return set(g._kept) - {("eigenpairs",), ("eigenvalues",), ("edges",)}
 
 
 @pytest.mark.parametrize("build, a, b, c", [
@@ -531,7 +663,7 @@ def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
     g = pw.hypercube(7)
     pw.strong_cospectrality(g, 0, 1)
     kept = g._kept
-    assert set(kept) == {("eigenvalues",), ("pair", 0, 1), ("pair spectrum", 0, 1)}
+    assert set(kept) == {("edges",), ("eigenvalues",), ("pair", 0, 1), ("pair spectrum", 0, 1)}
     _detune_lanczos(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(g, 0, 127)

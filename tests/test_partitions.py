@@ -6,8 +6,8 @@ import pytest
 
 import pstwalk as pw
 from pstwalk import InvalidArgumentError, NotConnectedError, NotEquitableError
-from pstwalk import partitions
-from pstwalk.partitions import _edge_list
+from pstwalk import graphs, partitions
+from pstwalk.graphs import _edge_list
 
 
 def _characteristic_matrix(partition, n):
@@ -148,7 +148,7 @@ def test_distance_partition_of_a_disconnected_graph_keeps_nothing():
 
 def test_collapse_reuses_the_distance_partition_and_edge_list(monkeypatch):
     searches, extracted = [], []
-    distances_from, edge_list = partitions.distances_from, partitions._EdgeList
+    distances_from, edge_list = partitions.distances_from, graphs._EdgeList
 
     def searching(g, a):
         searches.append(a)
@@ -159,7 +159,7 @@ def test_collapse_reuses_the_distance_partition_and_edge_list(monkeypatch):
         return edge_list(*args)
 
     monkeypatch.setattr(partitions, "distances_from", searching)
-    monkeypatch.setattr(partitions, "_EdgeList", extracting)
+    monkeypatch.setattr(graphs, "_EdgeList", extracting)
     g = pw.hypercube(7)
     part = pw.distance_partition(g, 0)
     refined = pw.coarsest_equitable_refinement(g, [[0], [127], list(range(1, 127))])

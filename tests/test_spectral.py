@@ -147,10 +147,10 @@ def test_fidelity_accepts_time_arrays():
         assert abs(vec[i] - pw.fidelity(d, 0, 2, float(t))) < 1e-12
 
 
-@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("v", [-1, 3, 0.9, "1"])
 def test_decomposition_functions_check_vertices(v):
-    # as Graph.check_vertex does: -1 is not read as vertex 2 of P3, and 3
-    # raises no bare IndexError
+    # as Graph.check_vertex does: -1 is not read as vertex 2 of P3, 3
+    # raises no bare IndexError, and 0.9 and "1" are not read as 0 and 1
     g = pw.path_graph([1.0, 1.0])
     d = pw.eigendecompose(g)
     with pytest.raises(InvalidArgumentError) as want:
