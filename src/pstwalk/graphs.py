@@ -161,9 +161,9 @@ class _EdgeList(NamedTuple):
 
 def _edge_list(g: Graph) -> _EdgeList:
     """g's edge list, extracted on first use and kept on g (Graph._keep):
-    the partition questions, the Lanczos products and the cubelike test
-    read it in O(nnz). The extraction holds one n x n boolean mask and
-    O(nnz) besides, as g.adj is row-major and its ravel a view."""
+    the partition questions, the quotient residual and the cubelike and
+    circulant tests read it in O(nnz). The extraction holds one n x n boolean
+    mask and O(nnz) besides, as g.adj is row-major and its ravel a view."""
     def extract() -> _EdgeList:
         flat = np.flatnonzero(g.adj != 0.0)
         u = flat // g.n

@@ -12,15 +12,17 @@ state-transfer analysis.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError
+from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError, NumericFailureError
 from .graphs import Graph, _EdgeList, _edge_list, distances_from
-from .spectral import _decomposition, _pair, fidelity
+from .spectral import (ORTHO_TOL, RECON_TOL, SUPPORT_TOL, EigenDecomposition, PairSpectrum, _decomposition,
+                       _eigenvalues, _support, eigendecompose, fidelity)
 
 __all__ = [
     "EquitablePartition",
@@ -34,6 +36,12 @@ __all__ = [
 ]
 
 Cells = Tuple[Tuple[int, ...], ...]
+
+# The floor and the cap of the quotient route of pair questions (see _pair):
+# below the floor the dense solve is cheaper, and the cap bounds the rounds.
+QUOTIENT_MIN_N = 128
+QUOTIENT_MAX_CELLS = 32
+_LIFT_TERMS = 1 << 16  # edge x column entries per temporary of the lifted residual (512 KB)
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,10 @@ def _input_labels(g: Graph, cells: Iterable[Iterable[int]]) -> np.ndarray:
 
 
 SIGNATURE_DECIMALS = 9  # refinement groups cell sums rounded to this many decimals
+
+
+class _TooManyCells(Exception):
+    """A capped refinement gave up: a round left more cells than its cap."""
 
 
 def _cell_sums(edges: _EdgeList, label: np.ndarray) -> np.ndarray:
@@ -178,20 +190,32 @@ def coarsest_equitable_refinement(
     every cell is a singleton. Where that fixpoint fails is_equitable under
     its tolerance, 1e-10 (1 + max|weight|) (the tol of _edge_list), as sums
     that round alike but differ by more do, the rounds go on with the
-    unrounded sums, whose fixpoint is equitable."""
-    edges = _edge_list(g)
-    part, label = _refine(g, edges, _input_labels(g, initial_cells), SIGNATURE_DECIMALS)
-    if part is None:
-        part, _ = _refine(g, edges, label, None)
-    return part
+    unrounded sums, whose fixpoint is equitable; kept on g, degrees read-only."""
+    return _refinement(g, _input_labels(g, initial_cells), g.n)
+
+
+def _refinement(g: Graph, label: np.ndarray, max_cells: int) -> EquitablePartition:
+    """coarsest_equitable_refinement of the input labelling label, kept on g
+    under it (Graph._keep). _TooManyCells, keeping nothing, where a round
+    leaves more than max_cells cells."""
+    def build() -> EquitablePartition:
+        edges = _edge_list(g)
+        part, fixed = _refine(g, edges, label, SIGNATURE_DECIMALS, max_cells)
+        if part is None:
+            part, _ = _refine(g, edges, fixed, None, max_cells)
+        part.degrees.setflags(write=False)  # kept on g, handed to every caller
+        return part
+
+    return g._keep(("refinement", label.tobytes()), build)
 
 
 def _refine(
-    g: Graph, edges: _EdgeList, label: np.ndarray, decimals: Optional[int]
+    g: Graph, edges: _EdgeList, label: np.ndarray, decimals: Optional[int], max_cells: int
 ) -> Tuple[Optional[EquitablePartition], np.ndarray]:
     """The rounds of coarsest_equitable_refinement from label, on cell sums
     rounded to decimals (unrounded where None): the fixpoint's partition if
-    it is equitable, else None, and its labels by smallest vertex."""
+    it is equitable, else None, and its labels by smallest vertex.
+    _TooManyCells where a round leaves more than max_cells cells."""
     n, m = g.n, int(label.max()) + 1
     while m < n:  # singletons cannot split
         # one row per vertex: its label, then its cell sums plus 0.0, which
@@ -211,6 +235,8 @@ def _refine(
         if split[-1] + 1 == m:  # no cell split
             break
         label, m = np.empty_like(split), int(split[-1]) + 1
+        if m > max_cells:
+            raise _TooManyCells
         label[order] = split
     if m == n:
         # every cell a singleton, so equitable: the degree matrix is the
@@ -278,11 +304,82 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
     Requires the distance partition from a to be equitable with b as its
     singleton antipodal cell (NotEquitableError otherwise) and a non-empty
     grid of finite times (InvalidArgumentError otherwise). |F_G| comes from
-    the walk on the graph itself, on large graphs the Ritz pairs of a
-    Lanczos reduction from e_a and e_b (see spectral._pair), never from the
-    quotient or any other partition.
+    the pair's eigenpairs (see _pair), whose residual against A itself is
+    checked where they come from a quotient, so a faulty quotient cannot
+    agree with itself.
     """
     return _collapse(g, a, b, t_grid)[2]
+
+
+def _pair(g: Graph, a: int, b: int) -> EigenDecomposition:
+    """Checked eigenpairs dec that carry the walk from a and from b of g
+    (fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
+    likewise from b): on a graph of at least QUOTIENT_MIN_N vertices and at
+    most QUOTIENT_MAX_CELLS distinct degrees, those of A on the cell space
+    of the kept refinement of {a}, {b}, rest (_lifted) where it has at most
+    QUOTIENT_MAX_CELLS cells, else the graph's checked decomposition. Built
+    here, the refinement gives up at the cap, and a kept one past it goes
+    dense too, so the route depends only on the graph and the pair. g keeps
+    its last pair, so one reduction serves every question on it."""
+    a, b = g.check_vertex(a), g.check_vertex(b)
+
+    def walk() -> EigenDecomposition:
+        # more distinct degrees than the cap mean more cells (a random graph has about n)
+        if g.n >= QUOTIENT_MIN_N and np.unique(np.round(g.degrees(), 9)).size <= QUOTIENT_MAX_CELLS:
+            ends = [a] if a == b else [a, b]  # the labelling of [[a], [b], rest]
+            label = np.full(g.n, len(ends), dtype=np.intp)
+            label[ends] = np.arange(len(ends))
+            with suppress(_TooManyCells):
+                part = _refinement(g, label, QUOTIENT_MAX_CELLS)
+                if part.m <= QUOTIENT_MAX_CELLS:
+                    return _lifted(g, part)
+        return _decomposition(g)
+
+    return g._keep(("pair", a, b), walk)
+
+
+def _lifted(g: Graph, part: EquitablePartition) -> EigenDecomposition:
+    """The eigenpairs of A on the cell space of the equitable partition
+    part: the checked eigenpairs (Theta, S) of its symmetrized quotient,
+    lifted to the rows V[v] = S[j] / sqrt(|C_j|), v in cell j. The residual
+    A V - V Theta, by np.add.reduceat over the kept edge list in O(nnz m)
+    time, a block of columns at a time, and V^T V - I are checked."""
+    quot = _quotient(part)
+    dec = eigendecompose(quot.graph)
+    cell = np.array(quot.cell_map)
+    v = dec.vectors[cell] / np.sqrt(np.bincount(cell))[cell, None]
+    n, edges = g.n, _edge_list(g)
+    amax = max(1.0, float(np.max(np.abs(edges.w), initial=0.0)))
+    av = np.zeros_like(v)
+    rows = np.flatnonzero(np.diff(edges.u, prepend=-1))  # where each listed row starts
+    step = max(1, _LIFT_TERMS // max(edges.w.size, 1))
+    for k in range(0, part.m, step):
+        av[edges.u[rows], k : k + step] = np.add.reduceat(v[edges.v, k : k + step] * edges.w[:, None], rows)
+    if not np.max(np.abs(av - v * dec.values)) <= RECON_TOL * n * amax:
+        raise NumericFailureError("lifted quotient residual out of tolerance")
+    if not np.max(np.abs(v.T @ v - np.eye(part.m))) <= ORTHO_TOL * n:
+        raise NumericFailureError("lifted quotient orthonormality out of tolerance")
+    v.setflags(write=False)
+    return EigenDecomposition(dec.values, v)
+
+
+def _spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[PairSpectrum, float]:
+    """The PairSpectrum at tol of the pair (a, b) of g over _pair's
+    eigenpairs, and the graph's grouping tolerance. _support clusters them
+    against the graph's eigenvalues: their own where they are all n (the
+    dense route), else _eigenvalues (Walsh-Hadamard on a cubelike graph, a
+    values-only solve on any other), so support, theta, group_tol and entry
+    tolerances are the graph's on either route. g keeps those values and the
+    SUPPORT_TOL spectrum of the last pair asked; as a failed build keeps
+    nothing, a new walk is kept only once its spectrum passed _support."""
+    a, b = g.check_vertex(a), g.check_vertex(b)
+
+    def support() -> Tuple[PairSpectrum, float]:
+        dec = _pair(g, a, b)
+        values = dec.values if dec.n == g.n else g._keep(("eigenvalues",), lambda: _eigenvalues(g))
+        return _support(dec, values, a, b, tol)
+
+    return g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
 
 
 def format_cells(partition: EquitablePartition) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
-from .graphs import Graph, regular_degree
+from .graphs import Graph, _edge_list, regular_degree
 from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
@@ -105,18 +105,13 @@ def generalized_lexicographic_spectrum(g: Graph, c: Graph, h: Graph) -> np.ndarr
 
 def is_circulant_adjacency(g: Graph) -> bool:
     """True when A[j,k] equals A[0][(k-j) mod n] exactly, with 0/1 entries and
-    a zero diagonal — a literal circulant pattern, not an isomorphism test."""
-    a = g.adj
-    n = g.n
-    row0 = a[0]
-    if row0[0] != 0.0:
-        return False
-    if not np.all((a == 0.0) | (a == 1.0)):
-        return False
-    for j in range(1, n):
-        if not np.array_equal(a[j], np.roll(row0, j)):
-            return False
-    return True
+    a zero diagonal — a literal circulant pattern, not an isomorphism test.
+    Read off the kept edge list as the cubelike test reads it: each entry at
+    (u, v) must equal A[0, (v - u) mod n], and there must be n nnz(A[0])."""
+    row0, edges = g.adj[0], _edge_list(g)
+    return bool(row0[0] == 0.0 and np.all(edges.w == 1.0)  # a zero diagonal, 0/1 entries
+                and edges.w.size == g.n * np.count_nonzero(row0)
+                and np.array_equal(row0[(edges.v - edges.u) % g.n], edges.w))
 
 
 def _spectrum_near_multiples(

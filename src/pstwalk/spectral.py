@@ -46,14 +46,8 @@ SCAN_TERMS = 1 << 15
 _STEP_BLOCK = 128  # time steps per block of inner phases on an even grid; the scan's flat-top pick reads its bits
 _SAMPLE_STEP = 16  # grid steps between the samples of a scan's coarse pass
 _DIRECT_TERMS = 512  # phase tables of fewer terms take one exponential each
-# Pair questions and collapse checks on graphs of at least KRYLOV_MIN_N
-# vertices are answered on the Krylov space of e_a and e_b where it closes
-# within KRYLOV_MAX_DIM dimensions (see _pair); below the floor the dense
-# solve is cheaper, and the cut-off bounds the Lanczos steps.
-KRYLOV_MIN_N = 128
-KRYLOV_MAX_DIM = 32
 # Entry tolerance of the pair spectrum that certificates and scans read, the
-# one spectrum a graph keeps for its kept pair (_spectrum).
+# one spectrum a graph keeps for its kept pair (partitions._spectrum).
 SUPPORT_TOL = 1e-8
 
 
@@ -177,7 +171,7 @@ def fidelity(decomp: EigenDecomposition, a: int, b: int, t) -> complex:
     """Transfer amplitude <b| exp(-itA) |a> by _amplitudes over V[b] V[a],
     vertices checked as evolve checks them: a numpy complex (a subclass of
     complex) for a scalar t, a complex array for an array t. Every pair
-    amplitude of the package is this call, on the eigenpairs of _pair."""
+    amplitude of the package is this call, on partitions._pair's eigenpairs."""
     v = decomp.vectors
     a, b = _check_vertex(a, len(v)), _check_vertex(b, len(v))
     return _amplitudes(v[b, :] * v[a, :], decomp.values, t)
@@ -450,7 +444,7 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
         lo = np.maximum(hi - 1, 0)
         nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
         if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
-            raise NumericFailureError("Ritz value is not an eigenvalue of the graph")
+            raise NumericFailureError("quotient eigenvalue is not an eigenvalue of the graph")
         cluster = np.searchsorted(bounds, nearest, side="right") - 1
         runs = np.flatnonzero(np.diff(cluster, prepend=-1))
         ids = cluster[runs]  # the cluster of each run
@@ -471,94 +465,6 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
     broken_at = theta[broken[0]] if broken.size else None
     return PairSpectrum(tuple(support.tolist()), theta, weight, signs, broken_at), group_tol
-
-
-def _pair(g: Graph, a: int, b: int) -> EigenDecomposition:
-    """Checked eigenpairs dec that carry the walk from a and from b of g
-    (fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
-    likewise from b): on a graph of at least KRYLOV_MIN_N vertices and at
-    most KRYLOV_MAX_DIM distinct degrees, the Ritz pairs of A on the Krylov
-    space K(e_a, e_b) where it closes within KRYLOV_MAX_DIM dimensions, else
-    the graph's checked decomposition. g keeps its last pair, so one
-    reduction serves every question on it."""
-    a, b = g.check_vertex(a), g.check_vertex(b)
-
-    def walk() -> EigenDecomposition:
-        if g.n >= KRYLOV_MIN_N:
-            # more distinct degrees than the cut-off (a random graph has about n)
-            # leave the pair to the dense solve without a Lanczos step
-            deg = np.sort(np.round(g.degrees(), 9))
-            if np.count_nonzero(deg[1:] != deg[:-1]) < KRYLOV_MAX_DIM:
-                ritz = _lanczos(g, (a, b), KRYLOV_MAX_DIM)
-                if ritz is not None:
-                    return ritz
-        return _decomposition(g)
-
-    return g._keep(("pair", a, b), walk)
-
-
-def _spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[PairSpectrum, float]:
-    """The PairSpectrum at tol of the pair (a, b) of g over _pair's
-    eigenpairs, and the graph's grouping tolerance. _support clusters them
-    against the graph's eigenvalues: their own where they are all n (the
-    dense route), else _eigenvalues (Walsh-Hadamard on a cubelike graph, a
-    values-only solve on any other), so support, theta, group_tol and entry
-    tolerances are the graph's on either route. g keeps those values and the
-    SUPPORT_TOL spectrum of the last pair asked; as a failed build keeps
-    nothing, a new walk is kept only once its spectrum passed _support."""
-    a, b = g.check_vertex(a), g.check_vertex(b)
-
-    def support() -> Tuple[PairSpectrum, float]:
-        dec = _pair(g, a, b)
-        values = dec.values if dec.n == g.n else g._keep(("eigenvalues",), lambda: _eigenvalues(g))
-        return _support(dec, values, a, b, tol)
-
-    return g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
-
-
-def _lanczos(g: Graph, starts, max_dim: int) -> Optional[EigenDecomposition]:
-    """Ritz pairs of A on the Krylov space of the unit vectors e_s, s in
-    starts (one vertex or several; vectors n x k, values descending), by
-    Lanczos with full reorthogonalisation. Where the space of one start
-    closes, the next start vector, orthogonalised against the basis, carries
-    on; one already in the span adds nothing. None where no invariant space
-    of at most max_dim dimensions is reached. Each product A q_j is one
-    np.bincount over the graph's edge list, O(nnz). The Ritz residual
-    A Q S - Q S Theta and Q^T Q - I are checked, each in O(n k^2)."""
-    n, edges = g.n, _edge_list(g)
-    amax = max(1.0, float(np.max(np.abs(edges.w), initial=0.0)))
-    q = np.zeros((n, max_dim))
-    aq = np.zeros((n, max_dim))  # A q_j, kept for the residual check
-    k = 0
-    for v in np.atleast_1d(starts):
-        r, scale = np.zeros(n), 1.0  # a start vector has norm 1, A q_j up to amax
-        r[v] = 1.0
-        while True:
-            for _ in range(2):  # Gram-Schmidt twice keeps q orthonormal to rounding
-                r -= q[:, :k] @ (q[:, :k].T @ r)
-            beta = float(np.linalg.norm(r))
-            if beta <= RECON_TOL * scale:
-                break
-            if k == max_dim:
-                return None
-            x = r / beta  # contiguous, so the gather below reads it faster than q[:, k]
-            q[:, k] = x
-            aq[:, k] = np.bincount(edges.u, weights=edges.w * x[edges.v], minlength=n)
-            r, scale, k = aq[:, k].copy(), amax, k + 1
-    q, aq = q[:, :k], aq[:, :k]
-    t = q.T @ aq
-    theta, s = np.linalg.eigh(0.5 * (t + t.T))
-    theta, s = theta[::-1].copy(), s[:, ::-1]
-    ritz = q @ s
-    if not np.max(np.abs(aq @ s - ritz * theta)) <= RECON_TOL * n * amax:
-        raise NumericFailureError("Lanczos Ritz residual out of tolerance")
-    ortho = q.T @ q
-    ortho.flat[:: k + 1] -= 1.0
-    if not np.max(np.abs(ortho)) <= ORTHO_TOL * n:
-        raise NumericFailureError("Lanczos basis orthonormality out of tolerance")
-    theta.setflags(write=False)
-    ritz.setflags(write=False)
-    return EigenDecomposition(theta, ritz)
 
 
 def spectrum(g: Graph) -> np.ndarray:

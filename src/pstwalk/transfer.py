@@ -30,9 +30,10 @@ from .conditions import (
 from .cones import cylindrical_cone, double_cone, glued_double_cone
 from .errors import InvalidArgumentError, NumericFailureError
 from .graphs import Graph, circulant, complete, empty_graph, hypercube, path_graph, scale
+from .partitions import _pair, _spectrum
 from .products import lexicographic_product, weak_product
 from .rationals import minimal_phase_alignment, rational_reconstruct
-from .spectral import SUPPORT_TOL, _check_phases, _Grid, _near_top, _pair, _spectrum, fidelity
+from .spectral import SUPPORT_TOL, _check_phases, _Grid, _near_top, fidelity
 
 __all__ = [
     "FidelitySeries",
@@ -121,9 +122,9 @@ def max_fidelity_scan(
     (spectral._near_top): p k plus 16 k terms per such interval, not m k,
     and no grid-sized array where few are summed. Grid points within the clustering
     error of its top, and the refinement, are then evaluated over every
-    eigenpair of the pair's reduced problem: the Ritz
-    pairs of its Krylov space where that is small (see spectral._pair),
-    else the whole graph's. Of the grid points whose |F| lies within the
+    eigenpair of the pair's reduced problem: the lifted quotient of the
+    refinement of {a}, {b}, rest where that has few cells (see
+    partitions._pair), else the whole graph's. Of the grid points whose |F| lies within the
     rounding of |F| (below) of their top, the earliest run of neighbours
     on the grid is taken, and its highest point is the best grid point: of
     equal maxima the earliest is taken, whichever way they round, and a

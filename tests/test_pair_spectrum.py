@@ -1,6 +1,6 @@
 """The pair spectrum and the single-source BFS against the per-eigenvalue,
 per-projector and all-pairs computations they replace, memory bounds on
-the certificate and scan paths, and the Krylov route of pair questions
+the certificate and scan paths, and the quotient route of pair questions
 against the dense route."""
 
 import math
@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import NumericFailureError, graphs, spectral
-from pstwalk.spectral import KRYLOV_MAX_DIM, KRYLOV_MIN_N, _lanczos, _pair, _spectrum
+from pstwalk import NumericFailureError, graphs, partitions, spectral
+from pstwalk.partitions import QUOTIENT_MAX_CELLS, QUOTIENT_MIN_N, _pair, _spectrum
 
 TOL = 1e-8
 
@@ -188,12 +188,25 @@ def test_certificate_and_scan_memory_is_quadratic(name):
     assert _traced_peak(call) <= 16 * 8 * n * n
 
 
+def test_quotient_route_memory_is_bounded_by_the_adjacency():
+    # lex(P16, K32): n = 512, 46,592 edge entries, 18 cells; the residual's
+    # edge x column gathers come a block of columns at a time, so the pair
+    # holds less than one n x n float array (a whole gather took 13 MB)
+    adj = pw.lexicographic_product(pw.path_graph([1.0] * 15), pw.complete(32)).adj
+    n = len(adj)
+    for g in (pw.Graph(adj), pw.Graph(adj)):  # the first also warms numpy's own first-call allocations
+        graphs._edge_list(g)
+        peak = _traced_peak(lambda: _pair(g, 0, n - 1))
+    assert peak <= 8 * n * n
+    assert _pair(g, 0, n - 1).n == 18 and ("eigenpairs",) not in g._kept
+
+
 # ---------------------------------------------------------------------------
-# pair questions on the Krylov space of the pair
+# pair questions on the quotient of the refinement of {a}, {b}, rest
 # ---------------------------------------------------------------------------
 
 def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
-    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 1)
+    monkeypatch.setattr(partitions, "QUOTIENT_MIN_N", 1)
     times = np.linspace(0.0, 7.0, 9)
     reduced = 0
     for g in corpus:
@@ -208,14 +221,14 @@ def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
             assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
             assert np.allclose(pw.fidelity(pair, a, b, times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-9)
-    assert reduced > 100  # most corpus pairs have a Krylov space of fewer dimensions
+    assert reduced > 100  # most corpus pairs have a refinement of fewer cells than n
 
 
 def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
-    # Q8 is above the floor and its pair's Krylov space has 9 dimensions: no question
+    # Q8 is above the floor and its pair's refinement has 9 cells: no question
     # solves or keeps the 256 x 256 eigendecomposition, and each answer is
     # the one given on a graph whose decomposition was solved first
-    assert pw.hypercube(8).n >= KRYLOV_MIN_N
+    assert pw.hypercube(8).n >= QUOTIENT_MIN_N
     grid = np.linspace(0.0, 2.0 * math.pi, 300)
     questions = (
         lambda g: pw.pst_certificate(g, 0, 255),
@@ -247,8 +260,8 @@ def _matches_dense_route(g, a, b):
 
 
 def test_krylov_route_gives_the_closed_form_on_q8():
-    # |<255| exp(-itA) |0>| = |sin t|^8 on Q8, whose antipodes have a
-    # 9-dimensional Krylov space, one dimension per distance from 0
+    # |<255| exp(-itA) |0>| = |sin t|^8 on Q8, whose antipodes refine to 9
+    # cells, one per distance from 0
     g = pw.hypercube(8)
     s = pw.fidelity_series(g, 0, 255, 2.0 * math.pi, 300)
     assert np.max(np.abs(np.abs(s.amplitudes) - np.abs(np.sin(s.times)) ** 8)) <= 1e-12
@@ -256,83 +269,95 @@ def test_krylov_route_gives_the_closed_form_on_q8():
 
 
 def test_krylov_route_extends_past_the_first_start():
-    # e_1 is not in K(e_0) on Q7 (8 dimensions, one per distance from 0):
-    # the second start vector extends the space, which stays below n
+    # on Q7 the refinement of {0}, rest is the distance partition from 0 (8
+    # cells), where 1 shares a cell with the other neighbours of 0: the pair
+    # (0, 1) takes the finer refinement of {0}, {1}, rest, which stays below n
     g = pw.hypercube(7)
-    from_0 = _lanczos(g, 0, KRYLOV_MAX_DIM)
-    assert np.linalg.norm(from_0.vectors[1]) < 0.5
+    from_0 = pw.coarsest_equitable_refinement(g, [[0], range(1, g.n)])
+    assert from_0.m == 8 and len(from_0.cells[1]) == 7
     pair, ps = _matches_dense_route(g, 0, 1)
-    assert from_0.n < pair.n < g.n
+    assert from_0.m < pair.n < g.n
     assert ps.signs is None and ("eigenpairs",) not in g._kept
 
 
 def test_krylov_route_of_a_vertex_with_itself():
+    # the pair (5, 5) refines {5}, rest, and keeps the refinement that the
+    # public call with those cells answers with, without a second build
     g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
     pair, _ = _matches_dense_route(g, 5, 5)
-    assert pair.n == _lanczos(g, 5, KRYLOV_MAX_DIM).n < g.n
+    kept = g._kept
+    part = pw.coarsest_equitable_refinement(g, [[5], [v for v in range(g.n) if v != 5]])
+    assert g._kept is kept and pair.n == part.m == 18 < g.n
 
 
 def test_krylov_support_holds_cluster_indices_of_the_graph():
     # two disjoint copies of the glued cones of family member 3 (n = 244):
-    # 4 Ritz pairs, fewer than the 6 cells of the coarsest equitable
-    # refinement of {a}, {b}, rest, and 46 distinct eigenvalues of the
-    # graph; support indexes the graph's clusters, not the Ritz values
+    # 6 cells in the coarsest equitable refinement of {a}, {b}, rest, so 6
+    # lifted quotient pairs, and 46 distinct eigenvalues of the graph;
+    # support indexes the graph's clusters, not the quotient's values
     n, k, gamma = pw.glued_cone_family(3)
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
     ps, _ = _spectrum(g, 0, 2 * n + 1)
-    assert _pair(g, 0, 2 * n + 1).n == 4
+    assert _pair(g, 0, 2 * n + 1).n == 6
     dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
     support = ps.support
     assert support == dense.support and max(support) > 3
 
 
-def _detune_lanczos(monkeypatch):
-    real = spectral._lanczos
+def _detune_lift(monkeypatch):
+    real = partitions._lifted
 
-    def detuned(g, starts, max_dim):
-        walk = real(g, starts, max_dim)
+    def detuned(g, part):
+        walk = real(g, part)
         return pw.EigenDecomposition(walk.values * 1.001, walk.vectors)
 
-    monkeypatch.setattr(spectral, "_lanczos", detuned)
+    monkeypatch.setattr(partitions, "_lifted", detuned)
 
 
 def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
-    _detune_lanczos(monkeypatch)
+    _detune_lift(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(pw.hypercube(7), 0, 127)
 
 
-def _recording_lanczos(monkeypatch):
-    calls, real = [], spectral._lanczos
+def _recording_refinement(monkeypatch):
+    """Each refinement _pair asks for, as (cap, cells), cells None where it
+    gave up."""
+    calls, real = [], partitions._refinement
 
-    def recording(g, starts, max_dim):
-        walk = real(g, starts, max_dim)
-        calls.append((tuple(starts), max_dim, walk is None))
-        return walk
+    def recording(g, label, max_cells):
+        try:
+            part = real(g, label, max_cells)
+        except partitions._TooManyCells:
+            calls.append((max_cells, None))
+            raise
+        calls.append((max_cells, part.m))
+        return part
 
-    monkeypatch.setattr(spectral, "_lanczos", recording)
+    monkeypatch.setattr(partitions, "_refinement", recording)
     return calls
 
 
-def test_random_graph_takes_no_lanczos_step(monkeypatch):
+def test_random_graph_takes_no_refinement_round(monkeypatch):
     # a random weighted graph has about n distinct degrees: the dense route
-    # answers without a single Lanczos step
-    calls = _recording_lanczos(monkeypatch)
-    g = _random_weighted(KRYLOV_MIN_N, 2)
+    # answers without a single refinement round
+    calls = _recording_refinement(monkeypatch)
+    g = _random_weighted(QUOTIENT_MIN_N, 2)
     assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
     assert calls == []
 
 
 def test_krylov_route_gives_up_past_the_cut_off(monkeypatch):
-    # a path has 2 distinct degrees, but K(e_0) already spans all n
-    # dimensions: the reduction stops at the cut-off and the dense route
-    # answers
-    calls = _recording_lanczos(monkeypatch)
-    g = pw.path_graph([1.0] * (2 * KRYLOV_MIN_N))
+    # a path has 2 distinct degrees, but its ends refine it to singletons:
+    # the refinement gives up once a round passes the cap, keeps nothing,
+    # and the dense route answers
+    calls = _recording_refinement(monkeypatch)
+    g = pw.path_graph([1.0] * (2 * QUOTIENT_MIN_N))
     assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
-    assert calls == [((0, g.n - 1), KRYLOV_MAX_DIM, True)]
+    assert calls == [(QUOTIENT_MAX_CELLS, None)]
+    assert set(g._kept) == {("eigenpairs",), ("pair", 0, g.n - 1)}
 
 
 def _perturbed_values_fail_and_keep_nothing(monkeypatch, g, a, b, owner, name, signs):
@@ -348,7 +373,7 @@ def _perturbed_values_fail_and_keep_nothing(monkeypatch, g, a, b, owner, name, s
 
 
 def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
-    # C16 x K8 is on the Krylov route and not cubelike: its values come from eigvalsh
+    # C16 x K8 is on the quotient route and not cubelike: its values come from eigvalsh
     g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
     signs = (0, 1) * 4 + (0,) + (0, 1) * 4 + (0,)
     _perturbed_values_fail_and_keep_nothing(monkeypatch, g, 0, 64, np.linalg, "eigvalsh", signs)
@@ -360,7 +385,7 @@ def test_walsh_hadamard_transform_is_checked_and_failures_keep_nothing(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the graph eigenvalues on the Krylov route: the Walsh-Hadamard transform of
+# the graph eigenvalues on the quotient route: the Walsh-Hadamard transform of
 # row 0 on a cubelike graph, a values-only solve on any other
 # ---------------------------------------------------------------------------
 
@@ -525,7 +550,7 @@ def _glued_cones(index):
     return pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1))), [(0, 2 * n + 1)]
 
 
-KRYLOV_CASES = {  # graphs and pairs whose Krylov space is smaller than n
+KRYLOV_CASES = {  # graphs and pairs whose refinement has fewer cells than n
     **{f"Q{d}": (lambda d=d: (pw.hypercube(d), [(0, (1 << d) - 1), (0, 1), (1, (1 << d) - 1)]))
        for d in range(6, 10)},
     **{f"gluedcone{i}": (lambda i=i: _glued_cones(i)) for i in (2, 3)},
@@ -534,9 +559,9 @@ KRYLOV_CASES = {  # graphs and pairs whose Krylov space is smaller than n
 
 @pytest.mark.parametrize("name", KRYLOV_CASES)
 def test_krylov_route_matches_the_dense_answers(name, monkeypatch):
-    # the Lanczos products read the edge list; below the floor as well, so
-    # that Q6 and the glued cones take the Krylov route too
-    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", 1)
+    # below the floor as well, so that Q6 and the glued cones take the
+    # quotient route too
+    monkeypatch.setattr(partitions, "QUOTIENT_MIN_N", 1)
     g, pairs = KRYLOV_CASES[name]()
     dec = pw.eigendecompose(g)
     times = np.linspace(0.0, 10.0, 41)
@@ -600,23 +625,23 @@ def test_relabelled_cubelike_graph_gives_the_same_answers(d):
 # ---------------------------------------------------------------------------
 
 def test_one_reduction_per_pair(monkeypatch):
-    calls = _recording_lanczos(monkeypatch)
+    calls = _recording_refinement(monkeypatch)
     g = pw.hypercube(8)
     pw.pst_certificate(g, 0, 255)
     pw.max_fidelity_scan(g, 0, 255, 2.0 * math.pi, 2001)
     pw.collapse_fidelity_check(g, 0, 255, np.linspace(0.0, 2.0 * math.pi, 300))
     pw.strong_cospectrality(g, 0, 255)
     pw.fidelity_series(g, 0, 255, 3.0, 31)
-    assert calls == [((0, 255), KRYLOV_MAX_DIM, False)]
-    # n = 128 and 3 distinct degrees, but K(e_2, e_65) does not close within
-    # the cut-off: the failed reduction runs once, and the dense route answers
+    assert calls == [(QUOTIENT_MAX_CELLS, 9)]
+    # n = 128 and 3 distinct degrees, but the refinement of {2}, {65}, rest
+    # passes the cap: the capped refinement runs once, and the dense route answers
     calls.clear()
     g = pw.double_cone(pw.circulant(126, [1, 2, 3]), 0, 1.0)
     pw.pst_certificate(g, 2, 65)
     pw.max_fidelity_scan(g, 2, 65, 2.0 * math.pi, 2001)
     pw.strong_cospectrality(g, 2, 65)
     pw.fidelity_series(g, 2, 65, 3.0, 31)
-    assert calls == [((2, 65), KRYLOV_MAX_DIM, True)]
+    assert calls == [(QUOTIENT_MAX_CELLS, None)]
     assert g._kept[("pair", 2, 65)] is spectral._decomposition(g)
 
 
@@ -628,11 +653,11 @@ def _answers(g, a, b, tol):
 
 
 def _kept_pair(g):
-    return set(g._kept) - {("eigenpairs",), ("eigenvalues",), ("edges",)}
+    return {k for k in g._kept if k[0] not in ("eigenpairs", "eigenvalues", "edges", "refinement")}
 
 
 @pytest.mark.parametrize("build, a, b, c", [
-    (lambda: pw.hypercube(7), 0, 127, 1),  # the Krylov route
+    (lambda: pw.hypercube(7), 0, 127, 1),  # the quotient route
     (lambda: pw.path_graph([1.0, 2.0, 2.0, 1.0]), 0, 4, 3),  # the dense route
 ], ids=["Q7", "P5"])
 def test_kept_pair_is_keyed_on_the_pair(build, a, b, c):
@@ -663,8 +688,9 @@ def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
     g = pw.hypercube(7)
     pw.strong_cospectrality(g, 0, 1)
     kept = g._kept
-    assert set(kept) == {("edges",), ("eigenvalues",), ("pair", 0, 1), ("pair spectrum", 0, 1)}
-    _detune_lanczos(monkeypatch)
+    assert {k[0] for k in kept} == {"edges", "eigenvalues", "refinement", "pair", "pair spectrum"}
+    assert _kept_pair(g) == {("pair", 0, 1), ("pair spectrum", 0, 1)}
+    _detune_lift(monkeypatch)
     with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
         pw.pst_certificate(g, 0, 127)
     assert g._kept is kept
@@ -700,33 +726,79 @@ def test_non_positive_tol_is_an_error_and_builds_nothing(tol):
     assert pw.strong_cospectrality(g, 0, 7) == (0, 1, 0, 1)
 
 
-def test_lanczos_reduction_matches_dense_amplitudes():
+def test_quotient_reduction_matches_dense_amplitudes():
+    # the walk from a on the lifted quotient of {a}, rest reaches every vertex
     times = np.linspace(0.0, 10.0, 41)
     for g, a in ((pw.hypercube(7), 0), (pw.cartesian_product(pw.cycle(16), pw.complete(8)), 5)):
-        walk = _lanczos(g, a, KRYLOV_MAX_DIM)
-        assert walk is not None and walk.n < g.n
+        part = pw.coarsest_equitable_refinement(g, [[a], [v for v in range(g.n) if v != a]])
+        walk = partitions._lifted(g, part)
+        assert walk.n == part.m < g.n
         dec = pw.eigendecompose(g)
         for b in (0, g.n // 3, g.n - 1):
             assert np.allclose(pw.fidelity(walk, a, b, times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-12)
-    # a random graph's Krylov space reaches past the cut-off: no reduction
-    assert _lanczos(_random_weighted(KRYLOV_MIN_N, 1), 0, KRYLOV_MAX_DIM) is None
 
 
-def test_lanczos_checks_its_ritz_pairs(monkeypatch):
+@pytest.mark.parametrize("build", [lambda: pw.path_graph([1.0] * 255), lambda: _random_weighted(QUOTIENT_MIN_N, 1)],
+                         ids=["P256", "random"])
+def test_capped_refinement_gives_up_and_keeps_nothing(build):
+    # both refine {0}, {n - 1}, rest to singletons, past the cap
+    g = build()
+    label = np.full(g.n, 2, dtype=np.intp)  # the labelling of [[0], [n - 1], rest]
+    label[[0, g.n - 1]] = [0, 1]
+    for _ in range(2):
+        with pytest.raises(partitions._TooManyCells):
+            partitions._refinement(g, label, QUOTIENT_MAX_CELLS)
+        assert g._kept == {}
+    # uncapped, the same labelling refines and is kept
+    part = pw.coarsest_equitable_refinement(g, [[0], [g.n - 1], range(1, g.n - 1)])
+    assert part.m == g.n and partitions._refinement(g, label, QUOTIENT_MAX_CELLS) is part
+
+
+@pytest.mark.parametrize("build, a, b, cells", [(lambda: pw.hypercube(8), 0, 255, 9),
+                                                (lambda: pw.path_graph([1.0] * 255), 0, 255, 256)],
+                         ids=["Q8", "P256"])
+def test_pair_route_and_refinement_share_one_kept_partition(build, a, b, cells):
+    # asked before or after the pair questions, the refinement of {a}, {b},
+    # rest is built once and answers alike; past the cap (P256) the pair
+    # goes dense in both orders
+    def ask(g, refine_first):
+        refine = lambda: pw.coarsest_equitable_refinement(g, [[a], [b], [v for v in range(g.n) if v not in (a, b)]])
+        first = refine() if refine_first else None
+        cert, scan = pw.pst_certificate(g, a, b), pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 2001)
+        part = refine()
+        assert first is None or first is part
+        kept = [k for k in g._kept if k[0] == "refinement"]
+        assert len(kept) == 1 and g._kept[kept[0]] is part and refine() is part
+        assert part.m == cells and not part.degrees.flags.writeable
+        assert (_pair(g, a, b) is g._kept.get(("eigenpairs",))) == (cells > QUOTIENT_MAX_CELLS)
+        return part.cells, part.degrees.tobytes(), cert, scan
+
+    assert ask(build(), True) == ask(build(), False)
+
+
+def test_quotient_route_checks_its_lifted_pairs(monkeypatch):
     # on a graph that keeps no pair yet, so that each call runs a reduction
     grid = np.linspace(0.0, 3.0, 31)
     assert pw.collapse_fidelity_check(pw.hypercube(7), 0, 127, grid) < 1e-12
     g = pw.hypercube(7)
-    monkeypatch.setattr(spectral, "ORTHO_TOL", -1.0)
-    with pytest.raises(NumericFailureError, match="Lanczos basis orthonormality"):
+    monkeypatch.setattr(partitions, "ORTHO_TOL", -1.0)
+    with pytest.raises(NumericFailureError, match="lifted quotient orthonormality"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
     monkeypatch.undo()
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
-    with pytest.raises(NumericFailureError, match="Lanczos Ritz residual"):
+    # a quotient off by a factor passes its own eigendecomposition's checks,
+    # and the collapse check would compare it with itself: the lift against
+    # A refuses it
+    quotient = partitions._quotient
+
+    def scaled(part):
+        quot = quotient(part)
+        return partitions.QuotientGraph(pw.scale(quot.graph, 1.001), quot.cell_map)
+
+    monkeypatch.setattr(partitions, "_quotient", scaled)
+    with pytest.raises(NumericFailureError, match="lifted quotient residual"):
         pw.collapse_fidelity_check(g, 0, 127, grid)
-    # nothing spectral is kept after the failed checks
+    # nothing spectral is kept after the failed checks, nor the refinement
     assert set(g._kept) == {("edges",), ("distance partition", 0)}
 
 
@@ -833,8 +905,8 @@ def test_support_matches_the_reduceat_reference_on_every_corpus_pair(corpus):
 
 
 def test_support_matches_the_reduceat_reference_on_the_ladders(ladder):
-    # each instance's pair on the route its questions take (Ritz pairs on
-    # the structured graphs of n >= 128), and the dense route of a wider tol
+    # each instance's pair on the route its questions take (lifted quotient
+    # pairs on the structured graphs of n >= 128), and the dense route of a wider tol
     for name, g, a, b in ladder:
         dec = _pair(g, a, b)
         values = dec.values if dec.n == g.n else spectral._eigenvalues(g)

@@ -153,6 +153,57 @@ def test_weak_fidelity_factorizes(oracle_amp):
             assert abs(double_sum - oracle_amp(prod, a, b, t)) < 1e-9
 
 
+def _circulant_by_rolls(g):
+    """The reference rule: 0/1 entries, a zero diagonal, and row j equal to
+    row 0 rolled by j."""
+    a, row0 = g.adj, g.adj[0]
+    if row0[0] != 0.0 or not np.all((a == 0.0) | (a == 1.0)):
+        return False
+    return all(np.array_equal(a[j], np.roll(row0, j)) for j in range(1, g.n))
+
+
+def _circulant_cases():
+    rng = np.random.default_rng(11)
+    cases = {"K1": pw.complete(1), "Kbar4": pw.empty_graph(4), "K2": pw.complete(2), "K6": pw.complete(6),
+             "P3": pw.path_graph([1.0, 1.0]), "Q3": pw.hypercube(3), "I3": pw.Graph(np.eye(3)),
+             "2C4": pw.scale(pw.cycle(4), 2.0), "C8-loop": pw.Graph(pw.cycle(8).adj + np.eye(8)),
+             "K33": pw.join(pw.empty_graph(3), pw.empty_graph(3))}
+    for n, jumps in ((5, [1]), (7, [1, 2]), (8, [1, 4]), (12, [1, 5]), (16, [1, 2, 3, 8]), (30, [2, 7, 15])):
+        adj = pw.circulant(n, jumps).adj
+        name = f"C{n}{jumps}"
+        cases[name] = pw.Graph(adj)
+        perm = rng.permutation(n)
+        cases[f"{name}-relabelled"] = pw.Graph(adj[np.ix_(perm, perm)])
+        mult = (np.arange(n) * next(k for k in range(2, n) if math.gcd(k, n) == 1)) % n
+        cases[f"{name}-multiplied"] = pw.Graph(adj[np.ix_(mult, mult)])  # relabelled, still circulant
+        cases[f"{name}-negative-zeros"] = pw.Graph(np.where(adj == 0.0, -0.0, adj))
+        removed, j = adj.copy(), jumps[0]
+        removed[3, (3 + j) % n] = removed[(3 + j) % n, 3] = 0.0
+        cases[f"{name}-removed"] = pw.Graph(removed)  # every entry left fits row 0; the count does not
+        free = next(k for k in range(1, n) if adj[3, (3 + k) % n] == 0.0 and k != n - j)
+        moved = removed.copy()
+        moved[3, (3 + free) % n] = moved[(3 + free) % n, 3] = 1.0
+        cases[f"{name}-moved"] = pw.Graph(moved)  # the count holds; two entries do not fit
+        added = adj.copy()
+        added[0, free] = added[free, 0] = 1.0
+        cases[f"{name}-added"] = pw.Graph(added)
+    return cases
+
+
+CIRCULANT_CASES = _circulant_cases()
+
+
+@pytest.mark.parametrize("name", CIRCULANT_CASES)
+def test_circulant_check_matches_the_roll_rule(name):
+    g = CIRCULANT_CASES[name]
+    assert pw.is_circulant_adjacency(g) == _circulant_by_rolls(g)
+
+
+def test_circulant_cases_cover_both_answers():
+    answers = [_circulant_by_rolls(g) for g in CIRCULANT_CASES.values()]
+    assert sum(answers) >= 20 and len(answers) - sum(answers) >= 20
+
+
 def test_is_circulant_adjacency():
     assert pw.is_circulant_adjacency(pw.circulant(7, [1, 2]))
     assert pw.is_circulant_adjacency(pw.complete(4))

@@ -13,7 +13,7 @@ from pstwalk import (
     NotConnectedError,
     NumericFailureError,
 )
-from pstwalk import spectral, transfer
+from pstwalk import partitions, spectral, transfer
 from pstwalk.spectral import _STEP_BLOCK, _amplitudes, _decomposition
 
 
@@ -164,8 +164,8 @@ def test_decomposition_functions_check_vertices(v):
 
 
 def test_decomposition_vertices_are_its_rows():
-    # the Ritz pairs of Q8's antipodes: 9 eigenpairs over 256 vertices
-    walk = spectral._pair(pw.hypercube(8), 0, 255)
+    # the lifted quotient pairs of Q8's antipodes: 9 eigenpairs over 256 vertices
+    walk = partitions._pair(pw.hypercube(8), 0, 255)
     assert walk.n == 9
     assert pw.evolve(walk, 1.0, 255).shape == (256,)
     assert abs(pw.fidelity(walk, 0, 255, math.pi / 2.0)) == pytest.approx(1.0, abs=1e-12)
@@ -526,8 +526,8 @@ def test_amplitudes_memory_is_within_twice_the_output():
 def _scan_terms(g, a, b, t_max, steps):
     """The supported weights and eigenvalues, the grid, slack and err of
     max_fidelity_scan on the pair (a, b) of g."""
-    ps, group_tol = spectral._spectrum(g, a, b)
-    dec = spectral._pair(g, a, b)
+    ps, group_tol = partitions._spectrum(g, a, b)
+    dec = partitions._pair(g, a, b)
     err = 8.0 * EPS * np.sum(np.abs(dec.vectors[b] * dec.vectors[a])) * (1.0 + np.max(np.abs(dec.values)) * t_max)
     slack = 10.0 * group_tol * (t_max + 1.0)
     return ps.weight, ps.theta, np.linspace(0.0, t_max, steps), slack, err

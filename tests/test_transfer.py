@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pstwalk as pw
-from pstwalk import InvalidArgumentError, NumericFailureError, spectral, transfer
+from pstwalk import InvalidArgumentError, NumericFailureError, partitions, spectral, transfer
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +127,11 @@ def test_scan_c6_frozen_maximum():
 
 
 def test_scan_takes_the_earliest_of_equal_maxima_on_both_routes(monkeypatch):
-    # Q8 97 -> 125 has equal maxima at t and 3pi - t; the Krylov route and
+    # Q8 97 -> 125 has equal maxima at t and 3pi - t; the quotient route and
     # the dense route round them differently, and both take t < 3pi/2
     g, steps = pw.hypercube(8), 4001
     krylov = [pw.max_fidelity_scan(g, 97, 125, 3.0 * math.pi, steps, iters) for iters in (0, 60)]
-    monkeypatch.setattr(spectral, "KRYLOV_MIN_N", g.n + 1)
+    monkeypatch.setattr(partitions, "QUOTIENT_MIN_N", g.n + 1)
     g = pw.hypercube(8)
     dense = [pw.max_fidelity_scan(g, 97, 125, 3.0 * math.pi, steps, iters) for iters in (0, 60)]
     assert krylov[0][0] == dense[0][0] == np.linspace(0.0, 3.0 * math.pi, steps)[1613]
