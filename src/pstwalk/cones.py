@@ -33,7 +33,7 @@ from .conditions import (
     p4_pst_condition,
 )
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError
-from .graphs import Graph, _layered, path_graph, regular_degree
+from .graphs import Graph, _layered, _own, path_graph, regular_degree
 from .spectral import _amplitudes, perron_vector
 
 __all__ = [
@@ -70,7 +70,7 @@ def double_cone(base: Graph, b: int, alpha: float) -> Graph:
     labels = None
     if base.labels is not None:
         labels = ("A", "B") + base.labels
-    return Graph(adj, labels=labels)
+    return _own(adj, labels)
 
 
 def _double_cone_parts(lam0: float, b: int, alpha: float):
@@ -128,7 +128,7 @@ def glued_double_cone(
         if np.max(np.abs(conn @ a - a @ conn)) > 1e-10:
             raise NonCommutingError("connection matrix must commute with both adjacencies")
     apex = [[0.0]]
-    return Graph(_layered([apex, g1.adj, g2.adj, apex], {(0, 1): 1.0, (1, 2): conn, (2, 3): 1.0}))
+    return _own(_layered([apex, g1.adj, g2.adj, apex], {(0, 1): 1.0, (1, 2): conn, (2, 3): 1.0}))
 
 
 def glued_cone_apexes(g: Graph) -> Tuple[int, int]:
@@ -177,7 +177,7 @@ def cylindrical_cone(g1: Graph, middle: Graph, g2: Graph) -> Graph:
     joined with weight-1 edges. Layer blocks keep their own adjacency."""
     apex = [[0.0]]
     blocks = [apex, g1.adj, middle.adj, g2.adj, apex]
-    return Graph(_layered(blocks, {(i, i + 1): 1.0 for i in range(4)}))
+    return _own(_layered(blocks, {(i, i + 1): 1.0 for i in range(4)}))
 
 
 def cylindrical_apexes(g: Graph) -> Tuple[int, int]:

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_SYMMETRY_BLOCK = 64  # rows per block of the symmetry check
+
+
 def _check_vertex(v: int, n: int) -> int:
     """v as an int if it is an integer (operator.index: a Python or numpy
     integer, not a float or a string) and a vertex 0..n-1, else
@@ -58,8 +61,11 @@ class Graph:
     """Immutable weighted graph on vertices 0..n-1.
 
     adj is a read-only row-major (C order) copy of the adjacency given, in
-    whatever layout it came. Equality compares adjacency matrices exactly
-    (labels are cosmetic).
+    whatever layout it came. The builders of this package hand the fresh
+    arrays they make over through _own, which checks them by the same rules
+    and copies nothing; an all-singleton equitable refinement takes adj
+    itself as its degree matrix where adj holds no -0.0. Equality compares
+    adjacency matrices exactly (labels are cosmetic).
     What _keep keeps, derived from the graph, sits in one private slot
     outside equality, hashing, repr and serialization.
     """
@@ -67,15 +73,23 @@ class Graph:
     __slots__ = ("adj", "labels", "_kept")
 
     def __init__(self, adj, labels: Optional[Sequence[str]] = None):
-        a = np.array(adj, dtype=float, order="C")
+        self._hold(np.array(adj, dtype=float, order="C"), labels)
+
+    def _hold(self, a: np.ndarray, labels: Optional[Sequence[str]]) -> None:
+        """Take a, a float array no one else writes to, as the adjacency:
+        square, at least one vertex, finite and exactly symmetric, else the
+        error naming what fails; then read-only."""
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidArgumentError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise InvalidSizeError("graphs need at least one vertex")
         if not np.all(np.isfinite(a)):
             raise InvalidArgumentError("adjacency entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise InvalidArgumentError("adjacency must be exactly symmetric")
+        # row blocks of the upper triangle against their mirrored column
+        # blocks: no n x n temporary, and == reads -0.0 as 0.0 as before
+        for i in range(0, a.shape[0], _SYMMETRY_BLOCK):
+            if not np.array_equal(a[i:i + _SYMMETRY_BLOCK, i:], a[i:, i:i + _SYMMETRY_BLOCK].T):
+                raise InvalidArgumentError("adjacency must be exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "adj", a)
         if labels is not None:
@@ -147,6 +161,15 @@ class Graph:
         return f"Graph(n={self.n}, {kind}, edges={int(np.count_nonzero(np.triu(self.adj)))})"
 
 
+def _own(a: np.ndarray, labels: Optional[Sequence[str]] = None) -> Graph:
+    """Graph(a, labels) on a itself, not a copy: the rule by which a builder
+    hands over the fresh row-major float array it made. Checked as Graph
+    checks its copy, and read-only from then on."""
+    g = object.__new__(Graph)
+    g._hold(a, labels)
+    return g
+
+
 class _EdgeList(NamedTuple):
     """The nonzero entries of an adjacency matrix in row-major order: weight
     w[i] at (u[i], v[i]), each edge listed from both ends, a loop once; tol
@@ -197,15 +220,16 @@ def complete(n: int) -> Graph:
     """K_n: all distinct vertex pairs adjacent with weight 1."""
     if n < 1:
         raise InvalidSizeError("complete(n) needs n >= 1")
-    a = np.ones((n, n)) - np.eye(n)
-    return Graph(a)
+    a = np.ones((n, n))
+    np.fill_diagonal(a, 0.0)
+    return _own(a)
 
 
 def empty_graph(n: int) -> Graph:
     """K̄_n: n isolated vertices."""
     if n < 1:
         raise InvalidSizeError("empty_graph(n) needs n >= 1")
-    return Graph(np.zeros((n, n)))
+    return _own(np.zeros((n, n)))
 
 
 def path_graph(weights: Sequence[float], loops=None) -> Graph:
@@ -227,7 +251,7 @@ def path_graph(weights: Sequence[float], loops=None) -> Graph:
                 f"got {len(w)} edge weights (path on {n} vertices) but {len(lo)} loop weights"
             )
     links = {(i, i + 1): x for i, x in enumerate(w)}
-    return Graph(_layered([[[x]] for x in lo], links))
+    return _own(_layered([[[x]] for x in lo], links))
 
 
 def cycle(n: int) -> Graph:
@@ -254,7 +278,7 @@ def circulant(n: int, jumps: Iterable[int]) -> Graph:
             raise InvalidArgumentError(f"connection {s} outside 1..{n - 1}")
         k = (j + s) % n
         a[j, k] = a[k, j] = 1.0
-    return Graph(a)
+    return _own(a)
 
 
 def hypercube(d: int) -> Graph:
@@ -265,16 +289,19 @@ def hypercube(d: int) -> Graph:
     a = np.zeros((m, m))
     rows = np.arange(m)[:, None]
     a[rows, rows ^ (1 << np.arange(d))] = 1.0
-    labels = [format(i, f"0{d}b") for i in range(m)]
-    return Graph(a, labels)
+    # bit d-1-k of each vertex in column k, as ASCII '0'/'1': one d-byte string a row
+    bits = (rows >> np.arange(d - 1, -1, -1)) & 1
+    labels = (bits.astype(np.uint8) + ord("0")).view(f"S{d}").ravel().astype(f"U{d}")
+    return _own(a, labels.tolist())
 
 
 def complement(g: Graph) -> Graph:
     """Complement of an unweighted loop-free graph."""
     if not g.is_unweighted() or g.has_loops():
         raise UnsupportedGraphError("complement is defined for unweighted loop-free graphs")
-    a = np.ones((g.n, g.n)) - np.eye(g.n) - g.adj
-    return Graph(a)
+    a = 1.0 - g.adj
+    np.fill_diagonal(a, 0.0)
+    return _own(a)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -285,7 +312,7 @@ def join(g: Graph, h: Graph) -> Graph:
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = list(g.labels) + list(h.labels)
-    return Graph(_layered([g.adj, h.adj], {(0, 1): 1.0}), labels)
+    return _own(_layered([g.adj, h.adj], {(0, 1): 1.0}), labels)
 
 
 def scale(g: Graph, c: float) -> Graph:
@@ -295,7 +322,7 @@ def scale(g: Graph, c: float) -> Graph:
         raise InvalidArgumentError("scale factor must be finite")
     with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
         adj = g.adj * c
-    return Graph(adj, g.labels)
+    return _own(adj, g.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -422,4 +449,4 @@ def parse_graph(text: str) -> Graph:
     lab = None
     if labels:
         lab = [labels.get(i, str(i)) for i in range(n)]
-    return Graph(a, lab)
+    return _own(a, lab)

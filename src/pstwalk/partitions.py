@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError, NumericFailureError
-from .graphs import Graph, _EdgeList, _edge_list, distances_from
+from .graphs import Graph, _EdgeList, _edge_list, _own, distances_from
 from .spectral import (ORTHO_TOL, RECON_TOL, SUPPORT_TOL, EigenDecomposition, PairSpectrum, _decomposition,
                        _eigenvalues, _support, eigendecompose, fidelity)
 
@@ -240,9 +240,13 @@ def _refine(
         label[order] = split
     if m == n:
         # every cell a singleton, so equitable: the degree matrix is the
-        # adjacency, with -0.0 read as 0.0 as the cell sums read it
-        label = np.arange(n)
-        return EquitablePartition(tuple(zip(label.tolist())), g.adj + 0.0), label
+        # adjacency, with -0.0 read as 0.0 as the cell sums read it: the
+        # read-only adjacency itself unless it has more sign bits set than
+        # its listed (nonzero) entries, that is unless it holds a -0.0
+        label, adj = np.arange(n), g.adj
+        if np.count_nonzero(np.signbit(adj)) > np.count_nonzero(np.signbit(edges.w)):
+            adj = adj + 0.0
+        return EquitablePartition(tuple(zip(label.tolist())), adj), label
     order, starts = _by_cell(label)
     label = np.argsort(np.argsort(order[starts]))[label]  # cells by smallest vertex
     return _equitable(edges, label), label
@@ -267,7 +271,7 @@ def _quotient(part: EquitablePartition) -> QuotientGraph:
     b = np.sign(d + d.T) * np.sqrt(np.abs(d * d.T))
     np.fill_diagonal(b, np.diag(d))
     cell_map = np.repeat(np.arange(part.m), [len(c) for c in part.cells])  # cell by cell
-    return QuotientGraph(Graph(b), tuple(cell_map[np.argsort(np.concatenate(part.cells))].tolist()))
+    return QuotientGraph(_own(b), tuple(cell_map[np.argsort(np.concatenate(part.cells))].tolist()))
 
 
 def _collapse(

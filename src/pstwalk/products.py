@@ -14,7 +14,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
-from .graphs import Graph, _edge_list, regular_degree
+from .graphs import Graph, _edge_list, _own, regular_degree
 from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
@@ -40,19 +40,19 @@ def _product_labels(g: Graph, h: Graph) -> Optional[Tuple[str, ...]]:
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """G_I[H]: each vertex of a copy of H linked to its twin in every adjacent copy."""
-    return generalized_lexicographic_product(g, Graph(np.eye(h.n)), h)
+    return generalized_lexicographic_product(g, _own(np.eye(h.n)), h)
 
 
 def weak_product(g: Graph, h: Graph) -> Graph:
     # one kron, not G_C[H]: adding I (x) A_H's zeros would turn -0.0 into +0.0
     with np.errstate(over="ignore"):
         adj = np.kron(g.adj, h.adj)
-    return Graph(adj, labels=_product_labels(g, h))
+    return _own(adj, _product_labels(g, h))
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
     """G_J[H]: each vertex of a copy of H linked to all of every adjacent copy."""
-    return generalized_lexicographic_product(g, Graph(np.ones((h.n, h.n))), h)
+    return generalized_lexicographic_product(g, _own(np.ones((h.n, h.n))), h)
 
 
 def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
@@ -64,8 +64,15 @@ def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
             f"connection graph has {c.n} vertices but inner graph has {h.n}"
         )
     with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
-        adj = np.kron(g.adj, c.adj) + np.kron(np.eye(g.n), h.adj)
-    return Graph(adj, labels=_product_labels(g, h))
+        adj = np.kron(g.adj, c.adj)
+        # add kron(I, A_H) in place, with no second n x n array: 0 * A_H into
+        # every block (the signs of the sum's zeros come from it), then A_H
+        # into the diagonal blocks, as (x + 0 * y) + y == x + y bit for bit
+        blocks = adj.reshape(g.n, h.n, g.n, h.n)
+        blocks += 0.0 * h.adj[:, None, :]
+        for i in range(0, g.n * h.n, h.n):
+            adj[i:i + h.n, i:i + h.n] += h.adj
+    return _own(adj, _product_labels(g, h))
 
 
 def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:

@@ -2,7 +2,9 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from pstwalk import (
     SelfLoopError,
     UnsupportedGraphError,
 )
-from pstwalk.graphs import _layered
+from pstwalk.graphs import _layered, _own
 
 
 def test_complete_graph_basics():
@@ -226,6 +228,132 @@ def test_graph_pickles_and_copies(clone):
     assert not back.adj.flags.writeable
     # neither the kept eigendecomposition nor the kept pair is carried
     assert back._kept == {}
+
+
+def _symmetric(n, seed=0):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-2.0, 2.0, size=(n, n)))
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("build", [Graph, lambda a: _own(a.copy()),
+                                   lambda a: pw.scale(SimpleNamespace(adj=a, labels=None), 2.0)],
+                         ids=["Graph", "_own", "scale"])
+@pytest.mark.parametrize("i, j", [(63, 64), (64, 63), (0, 129), (129, 128), (127, 128)])
+def test_symmetry_check_refuses_a_mirror_pair_at_every_block_edge(build, i, j):
+    # 130 vertices: row blocks 0-63, 64-127 and 128-129 of the check
+    a = _symmetric(130)
+    build(a)
+    a[i, j] = a[j, i] + 1.0
+    with pytest.raises(InvalidArgumentError, match="^adjacency must be exactly symmetric$"):
+        build(a)
+
+
+@pytest.mark.parametrize("build", [Graph, lambda a: _own(a.copy())], ids=["Graph", "_own"])
+def test_symmetry_check_reads_negative_zero_as_zero(build):
+    a = _symmetric(130)
+    for i, j in [(3, 100), (64, 63), (129, 0), (128, 128)]:
+        a[i, j], a[j, i] = -0.0, 0.0
+    g = build(a)
+    assert g.adj.tobytes() == a.tobytes() and np.signbit(g.adj[3, 100]) and not np.signbit(g.adj[100, 3])
+
+
+def test_graph_copies_what_it_is_given():
+    a = _symmetric(130)
+    for given in (a, np.asfortranarray(a)):
+        g = Graph(given)
+        assert not np.shares_memory(g.adj, given) and g.adj.flags.c_contiguous
+        given[0, 1] = given[1, 0] = 99.0
+        assert g.adj[0, 1] != 99.0 and given.flags.writeable
+    g = pw.hypercube(3)
+    for copied in (g.relabelled(None), pickle.loads(pickle.dumps(g))):
+        assert copied == g and not np.shares_memory(copied.adj, g.adj)
+
+
+def _peak_bytes(build, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build, args", [
+    (pw.hypercube, (9,)),
+    (pw.complete, (512,)),
+    (pw.circulant, (512, [1, 2])),
+    (pw.weak_product, (pw.hypercube(4), pw.complete(32))),
+    (pw.scale, (pw.hypercube(9), 2.0)),
+    (pw.lexicographic_product, (pw.path_graph([1.0] * 15), pw.complete(32))),
+], ids=["hypercube", "complete", "circulant", "weak_product", "scale", "lexicographic_product"])
+def test_builders_hold_one_adjacency(build, args):
+    # the builder's array is the graph's: no copy, and no n x n temporary in the checks
+    assert _peak_bytes(build, *args) < 1.5 * 512 * 512 * 8
+
+
+def _signed():
+    # weights of both signs, -0.0 entries off the diagonal and a -0.0 loop
+    return pw.scale(pw.path_graph([1.0, 0.0, 2.5], loops=(0.0, 1.5, 0.0, -2.0)), -1.0)
+
+
+def _block(*rows):
+    return np.block([[np.atleast_2d(np.asarray(x, dtype=float)) for x in row] for row in rows])
+
+
+def _parent_rules():
+    """(graph from a builder, its adjacency by the rule the builders used
+    before they handed their arrays over without a copy)."""
+    s, q, k = _signed(), pw.hypercube(2), pw.complete(4)
+    unweighted = Graph(np.where(pw.cycle(4).adj == 1.0, 1.0, -0.0))  # -0.0 on the diagonal too
+    base = Graph([[0.0, 1.0, -0.0], [1.0, 0.0, 2.0], [-0.0, 2.0, 0.0]])  # connected, nonnegative
+    spoke = 1.5 * pw.perron_vector(base)[1][None, :]
+    ones, zero = np.ones, np.zeros((1, 1))
+    path = np.zeros((4, 4))
+    for i, w in enumerate([3.0, -0.0, 1.0]):
+        path[i, i + 1] = path[i + 1, i] = w
+    np.fill_diagonal(path, [0.5, -0.0, 0.0, 2.0])
+    text = "pstgraph 1\nn 3\nlabel 1 b\nedge 0 1 -0.0\nedge 2 2 -1.5\nedge 1 2 2\n"
+    parsed = np.zeros((3, 3))
+    parsed[0, 1] = parsed[1, 0] = -0.0
+    parsed[2, 2], parsed[1, 2], parsed[2, 1] = -1.5, 2.0, 2.0
+    return [
+        (pw.complete(5), np.ones((5, 5)) - np.eye(5)),
+        (pw.empty_graph(3), np.zeros((3, 3))),
+        (pw.path_graph([3.0, -0.0, 1.0], (0.5, -0.0, 0.0, 2.0)), path),
+        (pw.complement(unweighted), np.ones((4, 4)) - np.eye(4) - unweighted.adj),
+        (pw.join(s, q), _block([s.adj, ones((4, 4))], [ones((4, 4)), q.adj])),
+        (pw.scale(s, -2.0), s.adj * -2.0),
+        (pw.scale(q, 0.0), q.adj * 0.0),
+        (pw.parse_graph(text), parsed),
+        (pw.weak_product(s, q), np.kron(s.adj, q.adj)),
+        (pw.weak_product(q, s), np.kron(q.adj, s.adj)),
+        (pw.cartesian_product(s, q), np.kron(s.adj, np.eye(4)) + np.kron(np.eye(4), q.adj)),
+        (pw.cartesian_product(q, s), np.kron(q.adj, np.eye(4)) + np.kron(np.eye(4), s.adj)),
+        (pw.lexicographic_product(s, s), np.kron(s.adj, ones((4, 4))) + np.kron(np.eye(4), s.adj)),
+        (pw.generalized_lexicographic_product(q, s, s), np.kron(q.adj, s.adj) + np.kron(np.eye(4), s.adj)),
+        (pw.double_cone(base, 1, 1.5), _block([zero, 1.0, spoke], [1.0, zero, spoke], [spoke.T, spoke.T, base.adj])),
+        (pw.glued_double_cone(k, k, np.eye(4)),
+         _block([zero, ones((1, 4)), np.zeros((1, 4)), zero], [ones((4, 1)), k.adj, np.eye(4), np.zeros((4, 1))],
+                [np.zeros((4, 1)), np.eye(4), k.adj, ones((4, 1))], [zero, np.zeros((1, 4)), ones((1, 4)), zero])),
+        (pw.cylindrical_cone(q, s, k), _block(
+            [zero, ones((1, 4)), np.zeros((1, 4)), np.zeros((1, 4)), zero],
+            [ones((4, 1)), q.adj, ones((4, 4)), np.zeros((4, 4)), np.zeros((4, 1))],
+            [np.zeros((4, 1)), ones((4, 4)), s.adj, ones((4, 4)), np.zeros((4, 1))],
+            [np.zeros((4, 1)), np.zeros((4, 4)), ones((4, 4)), k.adj, ones((4, 1))],
+            [zero, np.zeros((1, 4)), np.zeros((1, 4)), ones((1, 4)), zero])),
+    ]
+
+
+def test_builders_match_the_copying_rules_bit_for_bit():
+    for g, want in _parent_rules():
+        assert g.adj.tobytes() == want.tobytes(), repr(g)
+        assert g.adj.dtype == np.float64 and g.adj.flags.c_contiguous and not g.adj.flags.writeable
+    # the rules above do hold -0.0 entries where the builders keep them
+    assert all(np.signbit(g.adj[np.asarray(g.adj) == 0.0]).any() for g, _ in _parent_rules()[8:10])
+    q = pw.quotient_symmetrized(pw.hypercube(3), pw.distance_partition(pw.hypercube(3), 0))
+    assert not q.graph.adj.flags.writeable and q.graph.adj.flags.c_contiguous
 
 
 def test_adjacency_symmetry_is_bitwise(corpus):

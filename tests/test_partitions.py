@@ -377,6 +377,19 @@ def test_singleton_refinement_reads_negative_zero_as_zero():
     assert part.degrees.tobytes() == (adj + 0.0).tobytes() and not np.signbit(part.degrees).any()
 
 
+def test_singleton_refinement_shares_the_adjacency_where_it_holds_no_negative_zero():
+    # P3 with weights 1 and -2: its negative entries are all edges, so the
+    # degree matrix is the read-only adjacency itself, not a second n x n array
+    adj = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -2.0], [0.0, -2.0, 0.0]])
+    g = pw.Graph(adj)
+    part = pw.coarsest_equitable_refinement(g, [[0, 1, 2]])
+    assert part.cells == ((0,), (1,), (2,)) and part.degrees is g.adj
+    adj[0, 2] = adj[2, 0] = -0.0
+    g = pw.Graph(adj)
+    part = pw.coarsest_equitable_refinement(g, [[0, 1, 2]])
+    assert not np.shares_memory(part.degrees, g.adj) and not part.degrees.flags.writeable
+
+
 @pytest.mark.parametrize("leaves, want", [
     ((1.0000000001, 1.0000000004), ((0,), (1,), (2,))),
     ((1.0000000001, 1.0000000004, 1.0000000001, 1.0000000004), ((0,), (1, 3), (2, 4))),

@@ -92,6 +92,22 @@ def test_generalized_lexicographic_reduces_to_standard():
     assert not np.array_equal(loop_free.adj, pw.lexicographic_product(g, h).adj)
 
 
+def _signed_graph(rng, n):
+    upper = np.triu(rng.choice([-3.0, -1.0, -0.0, 0.0, 1.0, 2.5], size=(n, n)))
+    return pw.Graph(upper + np.triu(upper, 1).T * 1.0)  # * 1.0 keeps the mirrored -0.0
+
+
+def test_generalized_lexicographic_adds_the_inner_blocks_bit_for_bit():
+    # the kernel adds I (x) A_H in place; the sum's signed zeros must be those
+    # of A_G (x) A_C + I (x) A_H computed whole
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        gn, hn = rng.integers(1, 6, size=2)
+        g, c, h = _signed_graph(rng, gn), _signed_graph(rng, hn), _signed_graph(rng, hn)
+        want = np.kron(g.adj, c.adj) + np.kron(np.eye(gn), h.adj)
+        assert pw.generalized_lexicographic_product(g, c, h).adj.tobytes() == want.tobytes()
+
+
 def test_generalized_lexicographic_spectrum_matches_matrix():
     g = pw.hypercube(2)
     h = pw.hypercube(2)
