@@ -14,7 +14,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
-from .graphs import Graph, _edge_list, _own, regular_degree
+from .graphs import Graph, _edge_list, _own, _row0_determines, regular_degree
 from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
@@ -112,13 +112,10 @@ def generalized_lexicographic_spectrum(g: Graph, c: Graph, h: Graph) -> np.ndarr
 
 def is_circulant_adjacency(g: Graph) -> bool:
     """True when A[j,k] equals A[0][(k-j) mod n] exactly, with 0/1 entries and
-    a zero diagonal — a literal circulant pattern, not an isomorphism test.
-    Read off the kept edge list as the cubelike test reads it: each entry at
-    (u, v) must equal A[0, (v - u) mod n], and there must be n nnz(A[0])."""
-    row0, edges = g.adj[0], _edge_list(g)
-    return bool(row0[0] == 0.0 and np.all(edges.w == 1.0)  # a zero diagonal, 0/1 entries
-                and edges.w.size == g.n * np.count_nonzero(row0)
-                and np.array_equal(row0[(edges.v - edges.u) % g.n], edges.w))
+    a zero diagonal — a literal circulant pattern, not an isomorphism test:
+    the row-0 test (graphs._row0_determines) with index (v - u) mod n."""
+    return bool(g.adj[0, 0] == 0.0 and np.all(_edge_list(g).w == 1.0)  # a zero diagonal, 0/1 entries
+                and _row0_determines(g, lambda u, v: (v - u) % g.n))
 
 
 def _spectrum_near_multiples(

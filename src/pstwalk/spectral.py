@@ -20,7 +20,7 @@ from .errors import (
     NotConnectedError,
     NumericFailureError,
 )
-from .graphs import Graph, _check_vertex, _edge_list, is_connected
+from .graphs import Graph, _check_vertex, _edge_list, _row0_determines, is_connected
 
 __all__ = [
     "EigenDecomposition",
@@ -133,20 +133,13 @@ def _walsh_hadamard(g: Graph) -> Optional[np.ndarray]:
     A[i, j] == A[0, i ^ j] exactly for every i, j (a Cayley graph on
     Z_2^d), whose eigenvalues are the Walsh-Hadamard transform of row 0
     (Bernasconi, Godsil and Severini 2008); exact integers for integer
-    weights. None for any other graph. The check reads the edge list,
-    O(nnz): each listed entry w at (u, v) must equal A[0, u ^ v], which maps
-    every row's nonzeros one to one into row 0's, and the list must hold n
-    times row 0's count of nonzeros, which makes every map onto, so each
-    zero entry is zero in row 0 as well (-0.0 reads as zero on both sides).
-    The transform is one butterfly per bit, on reshapes, in O(n log n)."""
-    n, row = g.n, g.adj[0]
-    d = n.bit_length() - 1
-    if n != 1 << d:
+    weights. None for any other graph. The check is the row-0 test with
+    index u ^ v (graphs._row0_determines). The transform is one butterfly
+    per bit, on reshapes, in O(n log n)."""
+    d = g.n.bit_length() - 1
+    if g.n != 1 << d or not _row0_determines(g, np.bitwise_xor):
         return None
-    edges = _edge_list(g)
-    if not (edges.w.size == n * np.count_nonzero(row) and np.array_equal(row[edges.u ^ edges.v], edges.w)):
-        return None
-    w = row
+    w = g.adj[0]
     for k in range(d):  # the highest bit first
         x = w.reshape(1 << k, 2, -1)
         w = np.stack((x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]), axis=1)

@@ -1,6 +1,8 @@
 """Shared fixtures: an independent matrix-exponential oracle and a
 seed-pinned randomized graph corpus."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -18,6 +20,40 @@ def expm_amplitude(g, a, b, t):
 @pytest.fixture(scope="session")
 def oracle_amp():
     return expm_amplitude
+
+
+def newton_max(sums, err, t, lo, hi, iters):
+    """max_fidelity_scan's bracketed Newton steps on g = |F|^2 from t within
+    (lo, hi), where sums(t) gives F, F' and F'' at t and err bounds their
+    rounding: a step that loses more than err of the top |F| halves the
+    bracket instead. Returns the time of the top |F| reached."""
+    t_top, top = t, -np.inf
+    for _ in range(iters):
+        f, f1, f2 = sums(t)
+        if abs(f) < top - err:
+            lo, hi = (lo, t) if t > t_top else (t, hi)
+            t_next = math.nan
+        else:
+            t_top, top = t, abs(f)
+            d1 = 2.0 * (f.conjugate() * f1).real
+            d2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
+            if abs(f) <= err:
+                lo, hi = (lo, t) if t - lo > hi - t else (t, hi)
+            elif d1 > 0.0:
+                lo = t
+            elif d1 < 0.0:
+                hi = t
+            else:
+                break
+            t_next = t - d1 / d2 if d2 < 0.0 else math.nan
+            if t_next == t:
+                break
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+            if not lo < t_next < hi:
+                break
+        t = t_next
+    return t_top
 
 
 def _random_graph(rng) -> pw.Graph:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -512,6 +514,61 @@ def test_cli_scan_non_cospectral_pair_stays_low(capsys):
     assert rc == 0
     assert payload["fmax"] == pytest.approx(0.5, abs=1e-9)
     assert payload["band"] == "no numeric PST"
+
+
+@pytest.mark.parametrize("argv, t_star, fmax", [
+    (["weak(Q:2,K:4)", "0", "12", "--tmax", "6.2832", "--refine", "0"], 1.5708, None),  # the grid point
+    (["cylcone(K:3;Kbar:2;K:3)", "0", "9", "--tmax", "2", "--pi-units", "--steps", "20001"],
+     math.pi, None),  # a flat top: its highest point
+    (["P:5", "0", "4", "--tmax", "200", "--steps", "200001"],
+     47.14133575163999, 0.9998478117284203),  # the table's P5 scan
+], ids=["refine-0", "flat-top", "P5"])
+def test_cli_scan_answers_exactly(capsys, argv, t_star, fmax):
+    expr, a, b, *rest = argv
+    rc, payload = _run_json(capsys, ["scan", "--expr", expr, "--from", a, "--to", b, *rest])
+    assert rc == 0
+    assert payload["t_star"] == t_star
+    assert fmax is None or payload["fmax"] == fmax
+
+
+def test_cli_fidelity_on_a_rotated_grid_is_the_closed_form(capsys):
+    # a rotated grid whose 3 x 128 inner phases are direct exponentials:
+    # |F| = (1 - cos(sqrt(2) t)) / 2 between the ends of P3
+    assert main(["fidelity", "--expr", "P:3", "--from", "0", "--to", "2", "--tmax", "2",
+                 "--pi-units", "--steps", "300"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 300
+    assert max(abs(float(r["abs"]) - (1 - math.cos(math.sqrt(2) * float(r["t"]))) / 2) for r in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("expr, a, b, verdict, time_exact, support", [
+    ("Q:8", 0, 255, "yes", (1, 2), 9),  # n = 256: the quotient route
+    ("Q:9", 0, 511, "yes", (1, 2), 10),  # the lift's residual and the cubelike test at n = 512
+    # 1 shares a cell with 0's other neighbours in {0}, rest: a finer refinement
+    ("Q:8", 0, 1, "no", None, 0),
+    ("scale(Q:7;2)", 0, 127, "yes", (1, 4), 8),  # cubelike: Walsh-Hadamard eigenvalues
+    ("cart(C:16,K:8)", 0, 64, "unknown", None, 18),  # not cubelike: eigvalsh
+    ("P:256", 0, 255, "unknown", None, 256),  # the refinement passes 32 cells and gives up: the dense route
+])
+def test_cli_certify_at_n_128_and_above(capsys, expr, a, b, verdict, time_exact, support):
+    rc, payload = _run_json(capsys, ["certify", "--expr", expr, "--from", str(a), "--to", str(b)])
+    assert rc == 0 and payload["verdict"] == verdict and len(payload["support"]) == support
+    t = payload["time_exact"]
+    assert (t and (t["a"], t["b"])) == time_exact
+
+
+@pytest.mark.parametrize("expr, line", [
+    ("doublecone(scale(K:3;1.5);b=0;alpha=2)", None),
+    ("p4(w=2)", None),
+    ("Q:4", "label 13 1101"),  # labels built by array operations
+    ("Q:10", None),  # n = 1,024: the symmetry check's 16 row blocks
+])
+def test_cli_build_writes_the_graph_it_evaluates(capsys, expr, line):
+    assert main(["build", "--expr", expr]) == 0
+    text = capsys.readouterr().out
+    g, want = pw.parse_graph(text), eval_expr(parse_expr(expr))
+    assert np.array_equal(g.adj, want.adj) and g.labels == want.labels
+    assert line is None or line in text.splitlines()
 
 
 def test_cli_certify_yes(capsys):

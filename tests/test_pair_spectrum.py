@@ -13,6 +13,7 @@ import pytest
 import pstwalk as pw
 from pstwalk import NumericFailureError, graphs, partitions, spectral
 from pstwalk.partitions import QUOTIENT_MAX_CELLS, QUOTIENT_MIN_N, _pair, _spectrum
+from conftest import newton_max
 
 TOL = 1e-8
 
@@ -25,40 +26,6 @@ def _pairs(g):
 # references computed here, over every eigenvalue or from dense projectors
 # ---------------------------------------------------------------------------
 
-def _newton_max(theta, w, t, lo, hi, t_max, iters):
-    """Bracketed Newton steps on g = |F|^2 for F = sum w exp(-i theta t):
-    g' and g'' from F, F' and F'' summed per eigenvalue."""
-    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
-    t_top, top = t, -np.inf
-    for _ in range(iters):
-        phase = np.exp(-1j * theta * t)
-        f, f1, f2 = (w * phase).sum(), (-1j * theta * w * phase).sum(), (-theta**2 * w * phase).sum()
-        if abs(f) < top - err:
-            lo, hi = (lo, t) if t > t_top else (t, hi)
-            t_next = math.nan
-        else:
-            t_top, top = t, abs(f)
-            d1 = 2.0 * (f.conjugate() * f1).real
-            d2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
-            if abs(f) <= err:
-                lo, hi = (lo, t) if t - lo > hi - t else (t, hi)
-            elif d1 > 0.0:
-                lo = t
-            elif d1 < 0.0:
-                hi = t
-            else:
-                break
-            t_next = t - d1 / d2 if d2 < 0.0 else math.nan
-            if t_next == t:
-                break
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
-            if not lo < t_next < hi:
-                break
-        t = t_next
-    return t_top
-
-
 def _reference_scan(g, a, b, t_max, steps, iters=60):
     """Grid over all n eigenvalues in one product, then Newton steps."""
     dec = pw.eigendecompose(g)
@@ -68,7 +35,14 @@ def _reference_scan(g, a, b, t_max, steps, iters=60):
     k = int(np.argmax(vals))
     best_t, best_f = float(times[k]), float(vals[k])
     h = times[1] - times[0]
-    t_ref = _newton_max(dec.values, w_ab, best_t, max(0.0, best_t - h), min(t_max, best_t + h), t_max, iters)
+    theta = dec.values
+
+    def sums(t):  # F, F' and F'' summed per eigenvalue
+        phase = np.exp(-1j * theta * t)
+        return (w_ab * phase).sum(), (-1j * theta * w_ab * phase).sum(), (-theta**2 * w_ab * phase).sum()
+
+    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w_ab)) * (1.0 + np.max(np.abs(theta)) * t_max)
+    t_ref = newton_max(sums, err, best_t, max(0.0, best_t - h), min(t_max, best_t + h), iters)
     f_ref = abs(pw.fidelity(dec, a, b, t_ref))
     return (t_ref, f_ref) if f_ref > best_f else (best_t, best_f)
 
@@ -189,9 +163,9 @@ def test_certificate_and_scan_memory_is_quadratic(name):
 
 
 def test_quotient_route_memory_is_bounded_by_the_adjacency():
-    # lex(P16, K32): n = 512, 46,592 edge entries, 18 cells; the residual's
-    # edge x column gathers come a block of columns at a time, so the pair
-    # holds less than one n x n float array (a whole gather took 13 MB)
+    # lex(P16, K32): n = 512, 46,592 edge entries, 18 cells; the residual
+    # is one n x 18 product A V, so the pair holds less than one n x n
+    # float array
     adj = pw.lexicographic_product(pw.path_graph([1.0] * 15), pw.complete(32)).adj
     n = len(adj)
     for g in (pw.Graph(adj), pw.Graph(adj)):  # the first also warms numpy's own first-call allocations

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from contextlib import suppress
 
 import numpy as np
 import pytest
@@ -568,3 +569,28 @@ def test_refinement_matches_loop_reference_on_the_ladders(ladder):
         assert _same_answer(part, _refinement_reference(g, cells)), name
         if name.startswith("random"):
             assert part.m == g.n
+
+
+def test_refinement_from_a_singleton_antipode_is_the_distance_partition(corpus, ladder):
+    # path collapsing (Christandl et al. 2005): where b is alone in the last
+    # cell of the equitable distance partition from a, the coarsest equitable
+    # refinement of {a}, {b}, rest has the same cells, so the pair's lifted
+    # quotient is the distance partition's
+    pairs = []
+    for g in corpus:
+        for a in range(g.n):
+            with suppress(NotConnectedError):
+                part = pw.distance_partition(g, a, require_antipode=True)
+                if part is not None:
+                    pairs.append((g, a, part))
+    assert len(pairs) == 108  # of 15,582 ordered corpus pairs of distinct vertices
+    for _, g, a, b in ladder:
+        part = pw.distance_partition(g, a, require_antipode=True)
+        if part is not None and part.cells[-1] == (b,):
+            pairs.append((g, a, part))
+    assert len(pairs) == 108 + 8  # and 8 of the 9 structured ladder pairs
+    for g, a, part in pairs:
+        b = part.cells[-1][0]
+        cells = [[a], [b], [v for v in range(g.n) if v not in (a, b)]]
+        refined = pw.coarsest_equitable_refinement(g, [cell for cell in cells if cell])
+        assert set(refined.cells) == set(part.cells)

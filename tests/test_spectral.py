@@ -15,6 +15,7 @@ from pstwalk import (
 )
 from pstwalk import partitions, spectral, transfer
 from pstwalk.spectral import _STEP_BLOCK, _amplitudes, _decomposition
+from conftest import newton_max
 
 
 def test_eigendecompose_reconstructs_matrix(corpus):
@@ -433,41 +434,6 @@ def test_scalar_and_array_fidelity_agree(corpus):
         assert np.max(np.abs(vec - ref)) <= _bound(d.vectors[b] * d.vectors[0], d.values, times)
 
 
-def _newton_max(dec, a, b, t, lo, hi, t_max, iters):
-    """max_fidelity_scan's bracketed Newton steps on |F|^2 with F, F' and
-    F'' summed by _direct."""
-    theta, w = dec.values, dec.vectors[b, :] * dec.vectors[a, :]
-    rows = np.stack((w, -1j * theta * w, -theta * theta * w))
-    err = 8.0 * np.finfo(float).eps * np.sum(np.abs(w)) * (1.0 + np.max(np.abs(theta)) * t_max)
-    t_top, top = t, -np.inf
-    for _ in range(iters):
-        f, f1, f2 = _direct(rows, theta, np.array([t]))[:, 0]
-        if abs(f) < top - err:
-            lo, hi = (lo, t) if t > t_top else (t, hi)
-            t_next = math.nan
-        else:
-            t_top, top = t, abs(f)
-            d1 = 2.0 * (f.conjugate() * f1).real
-            d2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
-            if abs(f) <= err:
-                lo, hi = (lo, t) if t - lo > hi - t else (t, hi)
-            elif d1 > 0.0:
-                lo = t
-            elif d1 < 0.0:
-                hi = t
-            else:
-                break
-            t_next = t - d1 / d2 if d2 < 0.0 else math.nan
-            if t_next == t:
-                break
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
-            if not lo < t_next < hi:
-                break
-        t = t_next
-    return t_top, abs(_direct(w, theta, np.array([t_top]))[0])
-
-
 def _reference_scan(g, a, b, t_max, steps, iters=60):
     """max_fidelity_scan with its sums taken by _direct: the grid over the
     pair's support, then every eigenvalue near the top, whose earliest
@@ -487,7 +453,10 @@ def _reference_scan(g, a, b, t_max, steps, iters=60):
     k = max(peak, key=lambda i: exact[i])
     best_t, best_f = float(near[k]), float(exact[k])
     h = times[1] - times[0]
-    t_ref, f_ref = _newton_max(dec, a, b, best_t, max(0.0, best_t - h), min(t_max, best_t + h), t_max, iters)
+    rows = np.stack((w, -1j * dec.values * w, -dec.values * dec.values * w))  # F, F' and F'' by _direct
+    t_ref = newton_max(lambda t: _direct(rows, dec.values, np.array([t]))[:, 0], err,
+                       best_t, max(0.0, best_t - h), min(t_max, best_t + h), iters)
+    f_ref = abs(_direct(w, dec.values, np.array([t_ref]))[0])
     return (float(t_ref), float(f_ref)) if f_ref > best_f else (best_t, best_f)
 
 
