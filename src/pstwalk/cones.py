@@ -33,7 +33,7 @@ from .conditions import (
     p4_pst_condition,
 )
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError
-from .graphs import Graph, _layered, _own, path_graph, regular_degree
+from .graphs import Graph, _commute, _layered, _own, path_graph, regular_degree
 from .spectral import _amplitudes, perron_vector
 
 __all__ = [
@@ -102,33 +102,24 @@ def glued_double_cone(
     """Apex + G1 + G2 + apex on 2n+2 vertices.
 
     Vertex 0 joins every vertex of G1; vertex 2n+1 joins every vertex of G2;
-    the 0/1 connection matrix C (constant row sum, commuting with both
-    adjacencies) links vertex i of G1 to vertex j of G2 whenever C[i,j]=1.
-    C's diagonal entries are ordinary cross edges, so C=I is the perfect
-    matching between the copies.
+    the 0/1 regular graph C, commuting with both layers by graphs._commute,
+    links vertex i of G1 to vertex j of G2 whenever C[i,j]=1; the layers
+    share one degree by regular_degree's rule. C's diagonal entries are
+    ordinary cross edges, so C=I is the perfect matching between the copies.
     """
     conn = connection.adj if isinstance(connection, Graph) else np.asarray(connection, dtype=float)
     n = g1.n
-    if g2.n != n:
-        raise InvalidSizeError("the two glued graphs must have the same order")
-    if conn.shape != (n, n):
-        raise InvalidSizeError("connection matrix shape must match the glued graphs")
-    if not np.array_equal(conn, conn.T):
-        raise InvalidArgumentError("connection matrix must be symmetric")
-    if not np.all((conn == 0.0) | (conn == 1.0)):
-        raise InvalidArgumentError("connection matrix entries must be 0 or 1")
-    row_sums = conn.sum(axis=1)
-    if not np.all(row_sums == row_sums[0]):
-        raise InvalidArgumentError("connection matrix must have constant row sums")
-    k1 = regular_degree(g1)
-    k2 = regular_degree(g2)
-    if k1 is None or k2 is None or abs(k1 - k2) > 1e-12:
+    if g2.n != n or conn.shape != (n, n):
+        raise InvalidSizeError("the glued graphs and the connection matrix must have one order")
+    c = connection if isinstance(connection, Graph) else Graph(conn)
+    if not c.is_unweighted() or regular_degree(c) is None:
+        raise InvalidArgumentError("connection matrix must be 0/1 with constant row sums")
+    if regular_degree(g1, g2) is None:
         raise InvalidArgumentError("glued graphs must be regular with equal degree")
-    for a in (g1.adj, g2.adj):
-        if np.max(np.abs(conn @ a - a @ conn)) > 1e-10:
-            raise NonCommutingError("connection matrix must commute with both adjacencies")
+    if not (_commute(c, g1) and _commute(c, g2)):
+        raise NonCommutingError("connection matrix must commute with both adjacencies")
     apex = [[0.0]]
-    return _own(_layered([apex, g1.adj, g2.adj, apex], {(0, 1): 1.0, (1, 2): conn, (2, 3): 1.0}))
+    return _own(_layered([apex, g1.adj, g2.adj, apex], {(0, 1): 1.0, (1, 2): c.adj, (2, 3): 1.0}))
 
 
 def glued_cone_apexes(g: Graph) -> Tuple[int, int]:

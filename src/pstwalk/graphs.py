@@ -130,7 +130,7 @@ class Graph:
         return self.adj.shape[0]
 
     def weight(self, u: int, v: int) -> float:
-        return float(self.adj[u, v])
+        return float(self.adj[self.check_vertex(u), self.check_vertex(v)])
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees: row sums (a loop contributes its weight once)."""
@@ -339,13 +339,21 @@ def scale(g: Graph, c: float) -> Graph:
 # queries
 
 
-def regular_degree(g: Graph) -> Optional[float]:
-    """The common weighted degree if g is regular, else None."""
-    d = g.degrees()
-    tol = 1e-12 * g.n * (1.0 + float(np.max(np.abs(g.adj))))
-    if np.max(d) - np.min(d) <= tol:
-        return float(d[0])
-    return None
+def regular_degree(g: Graph, *others: Graph) -> Optional[float]:
+    """The common weighted degree of every vertex of g and of the graphs
+    others, within 1e-12 n (1 + max|weight|) over them all, else None."""
+    gs = (g, *others)
+    d = np.concatenate([h.degrees() for h in gs])
+    spread = float(np.max(d) - np.min(d))
+    top = max(float(np.abs(h.adj).max()) for h in gs) if spread else 0.0  # 0: no pass over the weights
+    return float(d[0]) if spread <= 1e-12 * max(h.n for h in gs) * (1.0 + top) else None
+
+
+def _commute(a: Graph, b: Graph) -> bool:
+    """A B == B A within 1e-10 n (1 + max|A| max|B|), a and b of order n."""
+    err = float(np.max(np.abs(a.adj @ b.adj - b.adj @ a.adj)))
+    top = float(np.abs(a.adj).max()) * float(np.abs(b.adj).max()) if err else 0.0  # likewise
+    return err <= 1e-10 * a.n * (1.0 + top)
 
 
 def distances_from(g: Graph, source: int) -> np.ndarray:

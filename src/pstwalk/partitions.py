@@ -69,10 +69,21 @@ class QuotientGraph:
 
 def _input_labels(g: Graph, cells: Iterable[Iterable[int]]) -> np.ndarray:
     """label[v]: the index of the input cell holding vertex v, each vertex
-    read through int(). Malformed cells raise on their first fault, read cell
-    by cell and each cell in ascending order (an empty cell, a vertex out of
-    range, a vertex seen before), and only then on a gap."""
-    cells = [list(map(int, cell)) for cell in cells]
+    read through int(), which must read it back equal to itself (3.0 is
+    vertex 3; 0.7, 'a' and None are refused, the first in input order).
+    Other malformed cells raise on their first fault, read cell by cell and
+    each cell in ascending order (an empty cell, a vertex out of range, a
+    vertex seen before), and only then on a gap."""
+    given = [list(cell) for cell in cells]
+    cells = None
+    with suppress(TypeError, ValueError, OverflowError):
+        cells = [list(map(int, cell)) for cell in given]
+    if cells != given:  # one comparison in C; then the first entry at fault
+        for v in chain.from_iterable(given):
+            with suppress(TypeError, ValueError, OverflowError):
+                if int(v) == v:
+                    continue
+            raise InvalidArgumentError(f"vertex {v!r} is not an integer")
     flat = list(chain.from_iterable(cells))
     n = g.n
     if len(flat) == n and all(cells) and min(flat) >= 0 and max(flat) < n:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
-from .graphs import Graph, _edge_list, _own, _row0_determines, regular_degree
+from .graphs import Graph, _commute, _edge_list, _own, _row0_determines, regular_degree
 from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
@@ -55,14 +55,17 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     return generalized_lexicographic_product(g, _own(np.ones((h.n, h.n))), h)
 
 
+def _check_order(c: Graph, h: Graph) -> None:
+    """G_C[H] needs C of H's order, else InvalidSizeError."""
+    if c.n != h.n:
+        raise InvalidSizeError(f"connection graph has {c.n} vertices but inner graph has {h.n}")
+
+
 def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
     """Adjacency A_G (x) A_C + I (x) A_H; C prescribes the connection pattern
     between copies of H, so it must have the same order as H. Every product
     but the weak one is built here."""
-    if c.n != h.n:
-        raise InvalidSizeError(
-            f"connection graph has {c.n} vertices but inner graph has {h.n}"
-        )
+    _check_order(c, h)
     with np.errstate(over="ignore"):  # Graph reports an overflow as non-finite
         adj = np.kron(g.adj, c.adj)
         # add kron(I, A_H) in place, with no second n x n array: 0 * A_H into
@@ -76,11 +79,10 @@ def generalized_lexicographic_product(g: Graph, c: Graph, h: Graph) -> Graph:
 
 
 def _commuting_eigenpairs(h: Graph, c: Graph) -> List[Tuple[float, float]]:
-    """Joint eigenvalues (mu_l, gamma_l) of commuting symmetric A_H, A_C, from
-    the shared checked eigendecomposition of H clustered as everywhere else."""
-    comm = h.adj @ c.adj - c.adj @ h.adj
-    scale = 1.0 + float(np.max(np.abs(h.adj))) * float(np.max(np.abs(c.adj)))
-    if np.max(np.abs(comm)) > 1e-10 * h.n * scale:
+    """Joint eigenvalues (mu_l, gamma_l) of symmetric A_H, A_C that commute
+    by graphs._commute, from the shared checked eigendecomposition of H
+    clustered as everywhere else."""
+    if not _commute(h, c):
         raise NonCommutingError("inner and connection adjacencies do not commute")
     dec = _decomposition(h)
     bounds, _ = _clusters(dec.values, None)
@@ -100,10 +102,7 @@ def generalized_lexicographic_spectrum(g: Graph, c: Graph, h: Graph) -> np.ndarr
     AmbiguousDegeneracyError when an eigenvalue cluster of H is too wide to
     group (see spectral_projectors).
     """
-    if c.n != h.n:
-        raise InvalidSizeError(
-            f"connection graph has {c.n} vertices but inner graph has {h.n}"
-        )
+    _check_order(c, h)
     pairs = _commuting_eigenpairs(h, c)
     lam = spectrum(g)
     vals = [lk * gamma + mu for lk in lam for (mu, gamma) in pairs]

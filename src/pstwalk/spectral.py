@@ -150,14 +150,18 @@ def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
     """State exp(-itA)|src> as a complex amplitude vector; a vertex is a row
     of decomp.vectors, checked as Graph.check_vertex checks it."""
     src = _check_vertex(src, len(decomp.vectors))
-    coeff = np.exp(-1j * t * decomp.values) * decomp.vectors[src, :]
-    return decomp.vectors @ coeff
+    return decomp.vectors @ (_phases(decomp.values, t) * decomp.vectors[src, :])
 
 
 def propagator(decomp: EigenDecomposition, t: float) -> np.ndarray:
     """Full unitary exp(-itA)."""
-    phase = np.exp(-1j * t * decomp.values)
-    return (decomp.vectors * phase) @ decomp.vectors.T
+    return (decomp.vectors * _phases(decomp.values, t)) @ decomp.vectors.T
+
+
+def _phases(values: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t values), t refused by _check_phases as fidelity refuses it."""
+    _check_phases(float(np.abs(values).max(initial=0.0)) * abs(t))
+    return np.exp(-1j * t * values)
 
 
 def fidelity(decomp: EigenDecomposition, a: int, b: int, t) -> complex:
@@ -331,7 +335,8 @@ def default_group_tol(decomp: EigenDecomposition) -> float:
 
 
 def _group_tol(values: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.max(np.abs(values))))
+    """1e-8 max|lambda|, 1e-8 for an all-zero spectrum: weights scaled by c group alike."""
+    return 1e-8 * (float(np.max(np.abs(values))) or 1.0)
 
 
 def _clusters(w: np.ndarray, group_tol: Optional[float]):

@@ -180,6 +180,42 @@ def test_glued_cone_rejects_noncommuting_connection():
         pw.glued_double_cone(g1, g1, swap)
 
 
+def _weighted_circulant(n, weights, jumps):
+    return pw.Graph(sum(w * pw.circulant(n, [j]).adj for w, j in zip(weights, jumps)))
+
+
+@pytest.mark.parametrize("s", [1e6, 1e8])
+def test_glued_cone_takes_commuting_layers_at_any_weight_scale(s):
+    # circulants commute exactly; CA - AC reads rounding that grows with the
+    # weights (1.9e-9 at 1e6), which a scale-relative rule forgives
+    g = _weighted_circulant(7, (math.sqrt(2.0) * s, math.pi * s, math.e * s), (1, 2, 3))
+    conn = pw.circulant(7, [1, 3])
+    cone = pw.glued_double_cone(g, g, conn)
+    assert np.array_equal(cone.adj[1:8, 1:8], g.adj) and np.array_equal(cone.adj[1:8, 8:15], conn.adj)
+
+
+def test_glued_cone_takes_layers_whose_degrees_differ_by_rounding():
+    # both layers have degree 2e5; their row sums differ by 2.9e-11
+    weights = (1e5 / 3, 1e5 / 7, 11e5 / 21)
+    g1, g2 = _weighted_circulant(9, weights, (1, 2, 3)), _weighted_circulant(9, weights, (3, 2, 1))
+    assert pw.regular_degree(g1) != pw.regular_degree(g2)
+    cone = pw.glued_double_cone(g1, g2, pw.circulant(9, [1, 2, 3]))
+    assert np.array_equal(cone.adj[10:19, 10:19], g2.adj)
+
+
+def test_glued_cone_reads_the_connection_as_a_graph():
+    g1 = pw.cycle(4)
+    for conn in (np.ones((3, 4)), np.eye(5), pw.complete(5)):
+        with pytest.raises(InvalidSizeError):
+            pw.glued_double_cone(g1, g1, conn)
+    asym = np.eye(4)
+    asym[0, 1] = 1.0
+    for conn, message in ((np.full((4, 4), np.nan), "finite"), (asym, "symmetric")):
+        with pytest.raises(InvalidArgumentError, match=message):
+            pw.glued_double_cone(g1, g1, conn)
+    assert pw.glued_double_cone(g1, g1, pw.Graph(np.eye(4))) == pw.glued_double_cone(g1, g1, np.eye(4))
+
+
 def test_glued_cone_condition_flagship_instance():
     rep = pw.glued_cone_pst_condition(15, 6, 8)
     assert rep.holds, rep.detail

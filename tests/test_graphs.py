@@ -142,6 +142,25 @@ def test_numpy_integer_vertices_are_accepted():
     assert pw.pst_certificate(g, np.int64(0), np.int32(7)) == pw.pst_certificate(g, 0, 7)
 
 
+def test_regular_degree_of_several_graphs_is_one_decision():
+    assert pw.regular_degree(pw.cycle(4), pw.complete(3), pw.hypercube(2)) == 2.0
+    assert pw.regular_degree(pw.cycle(4), pw.complete(4)) is None
+    assert pw.regular_degree(pw.cycle(4), pw.path_graph([1.0, 1.0])) is None
+
+
+@pytest.mark.parametrize("v", [-1, 3, 1.0, "1"])
+def test_weight_checks_both_vertices(v):
+    # as check_vertex does: -1 is not read as the last vertex, 3 raises no
+    # bare IndexError and 1.0 is not read as vertex 1
+    g = pw.path_graph([1.0, 2.0])
+    with pytest.raises(InvalidArgumentError) as want:
+        g.check_vertex(v)
+    for call in (lambda: g.weight(v, 0), lambda: g.weight(0, v)):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(want.value))}$"):
+            call()
+    assert g.weight(np.int64(1), 2) == 2.0
+
+
 def test_layered_places_blocks_and_mirrors_links():
     blocks = [[[5.0]], [[0.0, 4.0], [4.0, 0.0]], np.full((3, 3), 6.0)]
     a = _layered(blocks, {(0, 1): -0.0, (0, 2): [[1.0, 2.0, 3.0]], (1, 2): 7.0})

@@ -154,3 +154,24 @@ def test_identity_shift_keeps_fidelity_and_verdict(cases, s):
         assert _same_scan_max(h, a, b, h_scan, scan), where
         assert _close(h_dev, dev), where
     assert moves <= UNKNOWN_MOVES, sorted(moves - UNKNOWN_MOVES)
+
+
+@pytest.mark.parametrize("c", (1e-9, 1e6))
+def test_scaling_far_from_one_keeps_every_verdict(corpus, c):
+    # eigenvalues group by a tolerance relative to the spectral radius, so
+    # no scale merges clusters that scale 1 keeps apart
+    for i, g in enumerate(corpus):
+        h = pw.scale(g, c)
+        for a, b in sorted({(0, g.n - 1), (0, g.n // 2), (1, g.n - 1)}):
+            if a == b:
+                continue
+            cert, h_cert = pw.pst_certificate(g, a, b), pw.pst_certificate(h, a, b)
+            assert h_cert.verdict == cert.verdict, (i, a, b)
+            if cert.verdict == "yes":
+                assert _close(h_cert.time_num * c, cert.time_num), (i, a, b)
+
+
+def test_tiny_weights_keep_the_cube_transfer():
+    cert = pw.pst_certificate(pw.scale(pw.hypercube(3), 1e-9), 0, 7)
+    assert cert.verdict == "yes"
+    assert math.isclose(cert.time_num, 0.5 * math.pi * 1e9, rel_tol=1e-12)

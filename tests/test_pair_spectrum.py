@@ -783,7 +783,7 @@ def test_quotient_route_checks_its_lifted_pairs(monkeypatch):
 def _grouped_clusters(w, group_tol=None):
     """np.split groups of the indices of w, each group's mean and diameter."""
     if group_tol is None:
-        group_tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
+        group_tol = 1e-8 * (float(np.max(np.abs(w))) or 1.0)
     groups = np.split(np.arange(len(w)), np.nonzero(w[:-1] - w[1:] > group_tol)[0] + 1)
     for idx in groups:
         diam = float(w[idx[0]] - w[idx[-1]])

@@ -75,6 +75,18 @@ def test_malformed_cells_raise_their_first_fault(cells, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("v", [0.7, 3.5, "a", None, math.nan, math.inf, np.float64(1.5)])
+@pytest.mark.parametrize("wrap", [list, tuple])
+def test_cells_refuse_entries_int_does_not_read_back(v, wrap):
+    # int() would truncate 0.7 to vertex 0; every entry int() does not read
+    # back equal to itself is refused by name, the first in input order
+    g = pw.cycle(4)
+    for call in (pw.is_equitable, pw.coarsest_equitable_refinement):
+        with pytest.raises(InvalidArgumentError) as err:
+            call(g, [wrap([1, 2, 3]), wrap([v, 0]), wrap([0.5])])
+        assert str(err.value) == f"vertex {v!r} is not an integer"
+
+
 def test_cells_are_read_as_sorted_python_ints():
     part = pw.is_equitable(pw.cycle(4), [np.array([3, 1]), (2.0, np.int64(0))])
     assert part.cells == ((1, 3), (0, 2))

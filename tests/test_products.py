@@ -81,6 +81,11 @@ def test_generalized_lexicographic_needs_matching_sizes():
         pw.generalized_lexicographic_product(pw.complete(2), pw.complete(3), pw.complete(4))
 
 
+def test_generalized_lexicographic_spectrum_needs_matching_sizes():
+    with pytest.raises(InvalidSizeError):
+        pw.generalized_lexicographic_spectrum(pw.complete(2), pw.complete(3), pw.complete(4))
+
+
 def test_generalized_lexicographic_reduces_to_standard():
     # the standard product corresponds to C = all-ones (loops included);
     # a loop-free complete C misses the same-inner-vertex cross edges
@@ -128,8 +133,8 @@ def test_generalized_lexicographic_spectrum_circulant_pair():
 
 
 def test_generalized_lexicographic_spectrum_rejects_wide_clusters():
-    # inner eigenvalues 0.9e-8 apart chain into one cluster 30x the tolerance
-    h = pw.Graph(np.diag(np.arange(30) * 0.9e-8))
+    # inner eigenvalues 0.9e-8 apart near 1 chain into one cluster 30x the tolerance
+    h = pw.Graph(np.diag(1.0 + np.arange(30) * 0.9e-8))
     with pytest.raises(AmbiguousDegeneracyError):
         pw.generalized_lexicographic_spectrum(pw.complete(2), pw.empty_graph(30), h)
 

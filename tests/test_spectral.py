@@ -164,6 +164,17 @@ def test_decomposition_functions_check_vertices(v):
             call()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+def test_evolution_refuses_phases_beyond_the_float_range(t):
+    # as fidelity does: no NaN state and no overflow warning
+    d = pw.eigendecompose(pw.cycle(4))
+    for call in (lambda: pw.fidelity(d, 0, 2, t), lambda: pw.evolve(d, t, 0),
+                 lambda: pw.propagator(d, t)):
+        with pytest.raises(NumericFailureError, match="float range"):
+            call()
+
+
 def test_decomposition_vertices_are_its_rows():
     # the lifted quotient pairs of Q8's antipodes: 9 eigenpairs over 256 vertices
     walk = partitions._pair(pw.hypercube(8), 0, 255)
