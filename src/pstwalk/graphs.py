@@ -8,7 +8,7 @@ symmetry is exact (bitwise equal entries), never merely approximate.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -184,9 +184,10 @@ class _EdgeList(NamedTuple):
 
 def _edge_list(g: Graph) -> _EdgeList:
     """g's edge list, extracted on first use and kept on g (Graph._keep) for
-    the reads where O(nnz) beats a dense pass: cell sums, the row-0 test,
-    max|w| and ||A||_F^2. The extraction holds one n x n boolean mask and
-    O(nnz) besides, as g.adj is row-major and its ravel a view."""
+    the reads where O(nnz) beats a dense pass: cell sums, the circulant
+    test, max|w| and the sign of every weight. The extraction holds one
+    n x n boolean mask and O(nnz) besides, as g.adj is row-major and its
+    ravel a view."""
     def extract() -> _EdgeList:
         flat = np.flatnonzero(g.adj != 0.0)
         u = flat // g.n
@@ -194,16 +195,6 @@ def _edge_list(g: Graph) -> _EdgeList:
         w = g.adj.ravel()[flat]
         return _EdgeList(g.n, u, v, w, 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0))))
     return g._keep(("edges",), extract)
-
-
-def _row0_determines(g: Graph, index: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> bool:
-    """A[u, v] == A[0, index(u, v)] exactly for all u, v, for an index that
-    permutes each row's columns (u ^ v, (v - u) mod n), in O(nnz): each
-    listed entry must equal its row-0 entry, which maps each row's nonzeros
-    one to one into row 0's, and the list must hold n nnz(row 0) entries,
-    which makes every map onto (-0.0 reads as zero on both sides)."""
-    row, edges = g.adj[0], _edge_list(g)
-    return bool(edges.w.size == g.n * np.count_nonzero(row) and np.array_equal(row[index(edges.u, edges.v)], edges.w))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NotConnectedError, NotEquitableError, NumericFailureError
 from .graphs import Graph, _EdgeList, _edge_list, _own, distances_from
 from .spectral import (ORTHO_TOL, RECON_TOL, SUPPORT_TOL, EigenDecomposition, PairSpectrum, _decomposition,
-                       _eigenvalues, _support, eigendecompose, fidelity)
+                       _support, eigendecompose, fidelity)
 
 __all__ = [
     "EquitablePartition",
@@ -329,18 +329,23 @@ def collapse_fidelity_check(g: Graph, a: int, b: int, t_grid: Sequence[float]) -
 def _pair(g: Graph, a: int, b: int) -> EigenDecomposition:
     """Checked eigenpairs dec that carry the walk from a and from b of g
     (fidelity(dec, a, c, t) is <c| exp(-itA) |a> for every vertex c, and
-    likewise from b): on a graph of at least QUOTIENT_MIN_N vertices and at
-    most QUOTIENT_MAX_CELLS distinct degrees, those of A on the cell space
-    of the kept refinement of {a}, {b}, rest (_lifted) where it has at most
-    QUOTIENT_MAX_CELLS cells, else the graph's checked decomposition. Built
-    here, the refinement gives up at the cap, and a kept one past it goes
-    dense too, so the route depends only on the graph and the pair. g keeps
-    its last pair, so one reduction serves every question on it."""
+    likewise from b): on a graph of at least QUOTIENT_MIN_N vertices, at
+    most QUOTIENT_MAX_CELLS distinct degrees and no negative weight, those
+    of A on the cell space W of the kept refinement of {a}, {b}, rest
+    (_lifted) where it has at most QUOTIENT_MAX_CELLS cells, else the
+    graph's checked decomposition. Built here, the refinement gives up at
+    the cap, and a kept one past it goes dense too, so the route depends
+    only on the graph and the pair. With no negative weight, W holds the
+    all-ones vector, which a nonnegative Perron vector meets, so the top
+    |eigenvalue| of the lift is the graph's and so is its grouping
+    tolerance (_spectrum). g keeps its last pair, so one reduction serves
+    every question on it."""
     a, b = g.check_vertex(a), g.check_vertex(b)
 
     def walk() -> EigenDecomposition:
         # more distinct degrees than the cap mean more cells (a random graph has about n)
-        if g.n >= QUOTIENT_MIN_N and np.unique(np.round(g.degrees(), 9)).size <= QUOTIENT_MAX_CELLS:
+        if (g.n >= QUOTIENT_MIN_N and np.unique(np.round(g.degrees(), 9)).size <= QUOTIENT_MAX_CELLS
+                and not np.any(_edge_list(g).w < 0.0)):
             ends = [a] if a == b else [a, b]  # the labelling of [[a], [b], rest]
             label = np.full(g.n, len(ends), dtype=np.intp)
             label[ends] = np.arange(len(ends))
@@ -373,22 +378,18 @@ def _lifted(g: Graph, part: EquitablePartition) -> EigenDecomposition:
 
 
 def _spectrum(g: Graph, a: int, b: int, tol: float = SUPPORT_TOL) -> Tuple[PairSpectrum, float]:
-    """The PairSpectrum at tol of the pair (a, b) of g over _pair's
-    eigenpairs, and the graph's grouping tolerance. _support clusters them
-    against the graph's eigenvalues: their own where they are all n (the
-    dense route), else _eigenvalues (Walsh-Hadamard on a cubelike graph, a
-    values-only solve on any other), so support, theta, group_tol and entry
-    tolerances are the graph's on either route. g keeps those values and the
-    SUPPORT_TOL spectrum of the last pair asked; as a failed build keeps
-    nothing, a new walk is kept only once its spectrum passed _support."""
+    """The PairSpectrum at tol of the pair (a, b) of g on the clusters of
+    _pair's eigenvalues, and their grouping tolerance: the graph's own on
+    the dense route; on the quotient route the lift's, so support indexes
+    the pair's clusters and AmbiguousDegeneracyError concerns only
+    eigenvalues of the cell space. The spectral projectors map e_a and e_b
+    into that space, so the support, weights and signs are the graph's,
+    and the grouping tolerance is too (see _pair). g keeps the SUPPORT_TOL
+    spectrum of the last pair asked; as a failed build keeps nothing, a new
+    walk is kept only once its spectrum passed _support."""
     a, b = g.check_vertex(a), g.check_vertex(b)
-
-    def support() -> Tuple[PairSpectrum, float]:
-        dec = _pair(g, a, b)
-        values = dec.values if dec.n == g.n else g._keep(("eigenvalues",), lambda: _eigenvalues(g))
-        return _support(dec, values, a, b, tol)
-
-    return g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None, support)
+    return g._keep(("pair spectrum", a, b) if tol == SUPPORT_TOL else None,
+                   lambda: _support(_pair(g, a, b), a, b, tol))
 
 
 def format_cells(partition: EquitablePartition) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .conditions import ConditionReport
 from .errors import InvalidArgumentError, InvalidSizeError, NonCommutingError, NumericFailureError
-from .graphs import Graph, _commute, _edge_list, _own, _row0_determines, regular_degree
+from .graphs import Graph, _commute, _edge_list, _own, regular_degree
 from .spectral import _clusters, _decomposition, _means, is_integral, spectrum
 
 __all__ = [
@@ -111,10 +111,14 @@ def generalized_lexicographic_spectrum(g: Graph, c: Graph, h: Graph) -> np.ndarr
 
 def is_circulant_adjacency(g: Graph) -> bool:
     """True when A[j,k] equals A[0][(k-j) mod n] exactly, with 0/1 entries and
-    a zero diagonal — a literal circulant pattern, not an isomorphism test:
-    the row-0 test (graphs._row0_determines) with index (v - u) mod n."""
-    return bool(g.adj[0, 0] == 0.0 and np.all(_edge_list(g).w == 1.0)  # a zero diagonal, 0/1 entries
-                and _row0_determines(g, lambda u, v: (v - u) % g.n))
+    a zero diagonal — a literal circulant pattern, not an isomorphism test.
+    In O(nnz) over the edge list: each listed entry must be 1 and so must
+    its row-0 entry at (v - u) mod n, which maps each row's nonzeros one to
+    one into row 0's, and the list must hold n nnz(row 0) entries, which
+    makes every map onto."""
+    row, edges = g.adj[0], _edge_list(g)
+    return bool(row[0] == 0.0 and np.all(edges.w == 1.0) and edges.w.size == g.n * np.count_nonzero(row)
+                and np.all(row[(edges.v - edges.u) % g.n] == 1.0))
 
 
 def _spectrum_near_multiples(

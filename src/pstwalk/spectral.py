@@ -20,7 +20,7 @@ from .errors import (
     NotConnectedError,
     NumericFailureError,
 )
-from .graphs import Graph, _check_vertex, _edge_list, _row0_determines, is_connected
+from .graphs import Graph, _check_vertex, is_connected
 
 __all__ = [
     "EigenDecomposition",
@@ -106,44 +106,6 @@ def _decomposition(g: Graph) -> EigenDecomposition:
     """The checked eigendecomposition of g, solved by eigendecompose on first
     use and kept on g (Graph._keep) for as long as g lives."""
     return g._keep(("eigenpairs",), lambda: eigendecompose(g))
-
-
-def _eigenvalues(g: Graph) -> np.ndarray:
-    """The eigenvalues of g, descending: the Walsh-Hadamard transform of row
-    0 where g is cubelike (see _walsh_hadamard), else a values-only solve
-    (eigvalsh). Either way they must be finite, and their sum and sum of
-    squares must match tr A and ||A||_F^2 (the squared weights of the edge
-    list)."""
-    w = _walsh_hadamard(g)
-    w = (np.linalg.eigvalsh(g.adj) if w is None else np.sort(w))[::-1].copy()
-    if not np.all(np.isfinite(w)):
-        raise NumericFailureError("eigenvalues overflowed to non-finite values")
-    weights = _edge_list(g).w
-    fro2 = float(weights @ weights)
-    tol = RECON_TOL * g.n * max(1.0, fro2)
-    if not (abs(float(np.sum(w)) - float(np.trace(g.adj))) <= tol
-            and abs(float(np.dot(w, w)) - fro2) <= tol):
-        raise NumericFailureError("eigenvalue trace identities out of tolerance")
-    w.setflags(write=False)
-    return w
-
-
-def _walsh_hadamard(g: Graph) -> Optional[np.ndarray]:
-    """The eigenvalues, unsorted, of a cubelike graph: one with n = 2^d and
-    A[i, j] == A[0, i ^ j] exactly for every i, j (a Cayley graph on
-    Z_2^d), whose eigenvalues are the Walsh-Hadamard transform of row 0
-    (Bernasconi, Godsil and Severini 2008); exact integers for integer
-    weights. None for any other graph. The check is the row-0 test with
-    index u ^ v (graphs._row0_determines). The transform is one butterfly
-    per bit, on reshapes, in O(n log n)."""
-    d = g.n.bit_length() - 1
-    if g.n != 1 << d or not _row0_determines(g, np.bitwise_xor):
-        return None
-    w = g.adj[0]
-    for k in range(d):  # the highest bit first
-        x = w.reshape(1 << k, 2, -1)
-        w = np.stack((x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]), axis=1)
-    return w.ravel()
 
 
 def evolve(decomp: EigenDecomposition, t: float, src: int) -> np.ndarray:
@@ -389,14 +351,18 @@ def spectral_projectors(decomp: EigenDecomposition, group_tol: Optional[float] =
 
 @dataclass(frozen=True)
 class PairSpectrum:
-    """Eigenvalue support of a vertex pair (a, b): the eigenvalue clusters r
-    (as in spectral_projectors) with E_r e_a or E_r e_b nonzero.
+    """Eigenvalue support of a vertex pair (a, b) over eigenpairs that carry
+    the walk from a and from b: the clusters r of their eigenvalues (as in
+    spectral_projectors) with E_r e_a or E_r e_b nonzero.
 
     support holds their cluster indices, theta their eigenvalues and weight
     their (E_r)_{ab}, so <b| exp(-itA) |a> = sum weight * exp(-i theta t)
     up to the cluster diameters. Where every E_r e_a = +-E_r e_b (strong
     cospectrality), signs gives 0 for + and 1 for -; otherwise signs is None
     and broken_at is the eigenvalue of the first cluster that breaks it.
+    Over the graph's eigendecomposition the clusters are the graph's; over
+    the lifted quotient of a pair question (partitions._pair) they are the
+    pair's own, so support indexes those.
     """
 
     support: Tuple[int, ...]
@@ -407,45 +373,28 @@ class PairSpectrum:
 
 
 def pair_spectrum(decomp: EigenDecomposition, a: int, b: int, tol: float = SUPPORT_TOL) -> PairSpectrum:
-    """The PairSpectrum of (a, b) in O(n^2) time and memory, built by
-    _support like every pair's: each E_r e_a is a sum of scaled eigenvector
-    columns, never a dense projector. A vector with all entries within tol
-    of zero counts as zero. A vertex out of range (see evolve), a tol that
-    is not positive or one that leaves no cluster supported raises
-    InvalidArgumentError."""
+    """The PairSpectrum of (a, b) over the clusters of decomp's eigenvalues,
+    in O(n^2) time and memory, built by _support like every pair's: each
+    E_r e_a is a sum of scaled eigenvector columns, never a dense projector.
+    A vector with all entries within tol of zero counts as zero. A vertex
+    out of range (see evolve), a tol that is not positive or one that
+    leaves no cluster supported raises InvalidArgumentError."""
     a, b = (_check_vertex(v, len(decomp.vectors)) for v in (a, b))
-    return _support(decomp, decomp.values, a, b, tol)[0]
+    return _support(decomp, a, b, tol)[0]
 
 
-def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tuple[PairSpectrum, float]:
-    """The PairSpectrum of rows a, b of the checked eigenpairs dec of a graph
-    with eigenvalues values (descending), and the graph's grouping tolerance.
-    Where values is dec.values (the dense route), each column joins its own
-    eigenvalue's cluster; otherwise each eigenvalue of dec must lie within
-    that tolerance of a graph eigenvalue, and its column joins the cluster
-    of the nearest one.
+def _support(dec: EigenDecomposition, a: int, b: int, tol: float) -> Tuple[PairSpectrum, float]:
+    """The PairSpectrum of rows a, b of the checked eigenpairs dec, on the
+    clusters of dec.values (_clusters: run j of columns is cluster j), and
+    their grouping tolerance.
     A tol that is not positive, where every sign test would fail on
     rounding, raises InvalidArgumentError, as does one that leaves no
     cluster supported (a unit vector has a cluster with ||E_r e_a|| >=
     1/sqrt(clusters))."""
     if not tol > 0:  # zero, negative or NaN
         raise InvalidArgumentError(f"tol must be positive, got {tol:g}")
-    bounds, group_tol = _clusters(values, None)
-    if values is dec.values:  # column j has eigenvalue j: run j of columns is cluster j
-        runs = bounds[:-1]
-        ids = np.arange(runs.size)
-    else:
-        # both descend, so the nearest eigenvalues run in order and each
-        # cluster found is one run of columns
-        asc = values[::-1]
-        hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
-        lo = np.maximum(hi - 1, 0)
-        nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
-        if not np.all(np.abs(values[nearest] - dec.values) <= group_tol):
-            raise NumericFailureError("quotient eigenvalue is not an eigenvalue of the graph")
-        cluster = np.searchsorted(bounds, nearest, side="right") - 1
-        runs = np.flatnonzero(np.diff(cluster, prepend=-1))
-        ids = cluster[runs]  # the cluster of each run
+    bounds, group_tol = _clusters(dec.values, None)
+    runs = bounds[:-1]
     v = dec.vectors
     ea, eb, weight = v * v[a, :], v * v[b, :], v[a, :] * v[b, :]
     if runs.size < dec.n:  # some cluster has several columns: sum each run
@@ -457,12 +406,11 @@ def _support(dec: EigenDecomposition, values, a: int, b: int, tol: float) -> Tup
         ea, eb, weight = ea[:, sup], eb[:, sup], weight[sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    support = ids[sup]
-    theta = tuple(_means(values, bounds, support).tolist())
+    theta = tuple(_means(dec.values, bounds, sup).tolist())
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
     broken_at = theta[broken[0]] if broken.size else None
-    return PairSpectrum(tuple(support.tolist()), theta, weight, signs, broken_at), group_tol
+    return PairSpectrum(tuple(sup.tolist()), theta, weight, signs, broken_at), group_tol
 
 
 def spectrum(g: Graph) -> np.ndarray:
@@ -479,7 +427,8 @@ def perron_vector(g: Graph) -> Tuple[float, np.ndarray]:
     """Top eigenvalue and its positive unit eigenvector.
 
     Requires a connected graph with nonnegative weights and a numerically
-    simple top eigenvalue.
+    simple top eigenvalue: one more than 1e-10 lam0 above the next, so
+    weights scaled by c > 0 answer alike.
     """
     if np.any(g.adj < 0):
         raise InvalidArgumentError("perron_vector needs nonnegative weights")
@@ -487,7 +436,7 @@ def perron_vector(g: Graph) -> Tuple[float, np.ndarray]:
         raise NotConnectedError("perron_vector needs a connected graph")
     decomp = _decomposition(g)
     lam0 = float(decomp.values[0])
-    if g.n > 1 and decomp.values[0] - decomp.values[1] <= 1e-10:
+    if g.n > 1 and decomp.values[0] - decomp.values[1] <= 1e-10 * lam0:
         raise DegenerateEigenvalueError("top eigenvalue is not numerically simple")
     x0 = decomp.vectors[:, 0].copy()
     k = int(np.argmax(np.abs(x0)))

@@ -75,7 +75,9 @@ class PstCertificate:
 
     time_exact packs the transfer time as (a, b, scale) meaning
     t* = (a/b) * pi * scale, with scale = 1.0 whenever the eigenvalue scale
-    itself is rational.
+    itself is rational. support and signs are the pair spectrum's (see
+    partitions._spectrum): cluster indices of the graph's eigenvalues on
+    the dense route, of the pair's own clusters on the quotient route.
     """
 
     verdict: str
@@ -120,12 +122,13 @@ def max_fidelity_scan(
     a sample on only where the certified bound sqrt(max^2 + M L^2 / 8),
     M = sum |w_r w_s| (theta_r - theta_s)^2, can reach the top
     (spectral._near_top): p k plus 16 k terms per such interval, not m k,
-    and no grid-sized array where few are summed. Grid points within the clustering
-    error of its top, and the refinement, are then evaluated over every
-    eigenpair of the pair's reduced problem: the lifted quotient of the
-    refinement of {a}, {b}, rest where that has few cells (see
-    partitions._pair), else the whole graph's. Of the grid points whose |F| lies within the
-    rounding of |F| (below) of their top, the earliest run of neighbours
+    and no grid-sized array where few are summed. The clusters are those of
+    the eigenpairs of the pair's reduced problem: the lifted quotient of
+    the refinement of {a}, {b}, rest where that has few cells and no weight
+    is negative (see partitions._pair), else the whole graph's. Grid points
+    within the clustering error of its top, and the refinement, are then
+    evaluated over every one of those eigenpairs. Of the grid points whose
+    |F| lies within the rounding of |F| (below) of their top, the earliest run of neighbours
     on the grid is taken, and its highest point is the best grid point: of
     equal maxima the earliest is taken, whichever way they round, and a
     maximum flat over a few grid points keeps its highest. With
@@ -270,7 +273,7 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     integer differences — infeasibility is a definitive no; (4) confirm the
     aligned time numerically and report it exactly.
     """
-    ps, _ = _spectrum(g, a, b)
+    ps, group_tol = _spectrum(g, a, b)
     if ps.signs is None:
         return PstCertificate(
             "no",
@@ -287,8 +290,10 @@ def pst_certificate(g: Graph, a: int, b: int) -> PstCertificate:
     # one supported cluster only where a == b: any scale, and tau = 1 below
     gap = min((vals[i] - vals[i + 1] for i in range(len(vals) - 1)), default=1.0)
     scale_r: Optional[float] = None
-    for candidate in (gap, _approx_gcd(diffs, 1e-9 * max(1.0, abs(vals[0])))):
-        if candidate <= 1e-12:
+    # floors relative to the grouping tolerance, so weights scaled by c
+    # reduce alike
+    for candidate in (gap, _approx_gcd(diffs, 0.1 * group_tol)):
+        if candidate <= 1e-4 * group_tol:
             continue
         reduced = [d / candidate for d in diffs]
         if all(abs(x - round(x)) <= 1e-7 for x in reduced):

@@ -2,6 +2,7 @@
 seed-pinned randomized graph corpus."""
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.linalg import expm
 import pstwalk as pw
 
 CORPUS_SEED = 20250814
+CENSUS_ORDERS = range(2, 7)  # the census: every simple graph on 2-6 vertices
 
 
 def expm_amplitude(g, a, b, t):
@@ -184,3 +186,34 @@ def ladder():
     """The benchmark's two ladders as (name, graph, a, b): the structured
     one, and the random one of seed 0."""
     return _ladder()
+
+
+def _classes(n):
+    """One adjacency matrix per isomorphism class of simple graphs on n
+    vertices: the least edge mask of each class, in ascending order."""
+    edges = list(combinations(range(n), 2))  # at most 15: two bytes of mask
+    index = {e: i for i, e in enumerate(edges)}
+    masks = np.arange(1 << len(edges), dtype=np.int64)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    least = masks.copy()
+    for p in permutations(range(n)):
+        image = np.zeros(16, dtype=np.int64)  # image[i]: where edge i goes under p, as a bit
+        image[:len(edges)] = [1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges]
+        # a mask's image is the OR of its two bytes' images, each a table lookup
+        low, high = byte_bits @ image[:8], byte_bits @ image[8:]
+        np.minimum(least, low[masks & 255] | high[masks >> 8], out=least)
+    out = []
+    for mask in np.unique(least).tolist():
+        adj = np.zeros((n, n))
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1:
+                adj[u, v] = adj[v, u] = 1.0
+        out.append(pw.Graph(adj))
+    return out
+
+
+@pytest.fixture(scope="session")
+def classes():
+    """{n: one graph per isomorphism class of simple graphs on n vertices}
+    for n in CENSUS_ORDERS, 207 classes in all."""
+    return {n: _classes(n) for n in CENSUS_ORDERS}

@@ -1,6 +1,7 @@
 """Census oracle: every simple graph on 2-6 vertices, every vertex pair.
 
-The 207 isomorphism classes are enumerated afresh on each run: a graph on n
+The 207 isomorphism classes are enumerated afresh on each run
+(conftest._classes, shared through the session fixture classes): a graph on n
 vertices is a bitmask over the n(n-1)/2 possible edges, and the class of a
 mask is its least image over the n! vertex permutations, found for all
 masks at once. Every pair a < b of every class is certified, 2,760 pairs
@@ -9,51 +10,22 @@ on a complete class of inputs shows here, whoever chose the corpus.
 """
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import pstwalk as pw
+from conftest import CENSUS_ORDERS as ORDERS
 
-ORDERS = range(2, 7)
 CLASSES = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}  # simple graphs up to isomorphism
 VERDICTS = {"no": 2484, "yes": 44, "unknown": 232}
 FIDELITY_TOL = 1e-12
 
 
-def _classes(n):
-    """One adjacency matrix per isomorphism class of simple graphs on n
-    vertices: the least edge mask of each class, in ascending order."""
-    edges = list(combinations(range(n), 2))  # at most 15: two bytes of mask
-    index = {e: i for i, e in enumerate(edges)}
-    masks = np.arange(1 << len(edges), dtype=np.int64)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    least = masks.copy()
-    for p in permutations(range(n)):
-        image = np.zeros(16, dtype=np.int64)  # image[i]: where edge i goes under p, as a bit
-        image[:len(edges)] = [1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges]
-        # a mask's image is the OR of its two bytes' images, each a table lookup
-        low, high = byte_bits @ image[:8], byte_bits @ image[8:]
-        np.minimum(least, low[masks & 255] | high[masks >> 8], out=least)
-    out = []
-    for mask in np.unique(least).tolist():
-        adj = np.zeros((n, n))
-        for i, (u, v) in enumerate(edges):
-            if mask >> i & 1:
-                adj[u, v] = adj[v, u] = 1.0
-        out.append(pw.Graph(adj))
-    return out
-
-
 def _certificates(g):
     """{(a, b): certificate} over every pair a < b of g."""
     return {(a, b): pw.pst_certificate(g, a, b) for a, b in combinations(range(g.n), 2)}
-
-
-@pytest.fixture(scope="module")
-def classes():
-    return {n: _classes(n) for n in ORDERS}
 
 
 @pytest.fixture(scope="module")

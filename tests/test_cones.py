@@ -36,6 +36,15 @@ def test_double_cone_structure():
     assert np.array_equal(labeled.adj, expected)
 
 
+def test_double_cone_over_a_finely_scaled_base():
+    # the base's Perron test is relative to its top eigenvalue, so a base
+    # scaled by 1e-11 cones as the unscaled one does, spokes unchanged
+    base = pw.path_graph([1.0] * 4)
+    g, tiny = pw.double_cone(base, 0, 1.0), pw.double_cone(pw.scale(base, 1e-11), 0, 1.0)
+    assert np.max(np.abs(tiny.adj[:2, 2:] - g.adj[:2, 2:])) <= 1e-12
+    assert np.array_equal(tiny.adj[2:, 2:], 1e-11 * base.adj)
+
+
 def test_double_cone_adjacent_apexes():
     g = pw.double_cone(pw.complete(3), 1, 1.0)
     assert g.adj[0, 1] == 1

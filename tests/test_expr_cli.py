@@ -543,11 +543,11 @@ def test_cli_fidelity_on_a_rotated_grid_is_the_closed_form(capsys):
 
 @pytest.mark.parametrize("expr, a, b, verdict, time_exact, support", [
     ("Q:8", 0, 255, "yes", (1, 2), 9),  # n = 256: the quotient route
-    ("Q:9", 0, 511, "yes", (1, 2), 10),  # the lift's residual and the cubelike test at n = 512
+    ("Q:9", 0, 511, "yes", (1, 2), 10),  # the lift's residual at n = 512
     # 1 shares a cell with 0's other neighbours in {0}, rest: a finer refinement
     ("Q:8", 0, 1, "no", None, 0),
-    ("scale(Q:7;2)", 0, 127, "yes", (1, 4), 8),  # cubelike: Walsh-Hadamard eigenvalues
-    ("cart(C:16,K:8)", 0, 64, "unknown", None, 18),  # not cubelike: eigvalsh
+    ("scale(Q:7;2)", 0, 127, "yes", (1, 4), 8),  # scaled: the lift's grouping tolerance scales too
+    ("cart(C:16,K:8)", 0, 64, "unknown", None, 18),  # 18 cells of 128 vertices
     ("P:256", 0, 255, "unknown", None, 256),  # the refinement passes 32 cells and gives up: the dense route
 ])
 def test_cli_certify_at_n_128_and_above(capsys, expr, a, b, verdict, time_exact, support):

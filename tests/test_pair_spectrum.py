@@ -175,24 +175,55 @@ def test_quotient_route_memory_is_bounded_by_the_adjacency():
     assert _pair(g, 0, n - 1).n == 18 and ("eigenpairs",) not in g._kept
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_edge_list_and_circulant_check_allocate_no_square_array(layout):
+    n = 512
+    c = pw.circulant(n, [1, 2, 3]).adj
+    moved = c.copy()  # one edge of the last row moved: as many entries, not circulant
+    moved[n - 1, n - 2] = moved[n - 2, n - 1] = 0.0
+    moved[n - 1, n - 6] = moved[n - 6, n - 1] = 1.0
+    for adj, circulant in ((c, True), (moved, False)):
+        given = np.asarray(adj, order=layout)
+        assert given.flags[f"{layout}_CONTIGUOUS"]
+        g = pw.Graph(given)
+        assert g.adj.flags.c_contiguous  # so a ravel of it is a view
+        # the extraction holds one n x n boolean mask and a few nnz-sized
+        # arrays; an n x n float array is 8 n^2 bytes, a second mask n^2
+        nnz = np.count_nonzero(adj)
+        assert _traced_peak(lambda: graphs._edge_list(g)) <= n * n + 32 * nnz
+        # on the kept edge list the check holds O(nnz + n)
+        assert pw.is_circulant_adjacency(g) == circulant
+        assert _traced_peak(lambda: pw.is_circulant_adjacency(g)) <= n * n
+
+
 # ---------------------------------------------------------------------------
 # pair questions on the quotient of the refinement of {a}, {b}, rest
 # ---------------------------------------------------------------------------
 
+def _agrees_with_dense_route(ps, group_tol, dense, dense_tol, atol):
+    """A quotient-route pair spectrum against the dense route's: support
+    indices differ (the pair's own clusters against the graph's), the
+    support size, signs, eigenvalues, weights and grouping tolerance agree."""
+    assert len(ps.support) == len(dense.support) and ps.signs == dense.signs
+    assert (ps.broken_at is None) == (dense.broken_at is None)
+    assert np.max(np.abs(np.subtract(ps.theta, dense.theta))) <= atol
+    assert np.max(np.abs(ps.weight - dense.weight)) <= atol
+    assert group_tol == pytest.approx(dense_tol, rel=1e-12)
+
+
 def test_quotient_route_matches_dense_route_on_the_corpus(corpus, monkeypatch):
+    # asked of copies: the session corpus keeps no pair built below the floor
     monkeypatch.setattr(partitions, "QUOTIENT_MIN_N", 1)
     times = np.linspace(0.0, 7.0, 9)
     reduced = 0
-    for g in corpus:
+    for g in (pw.Graph(h.adj) for h in corpus):
         dec = pw.eigendecompose(g)
+        dense_tol = pw.default_group_tol(dec)
         for a, b in _pairs(g) + [(g.n - 1, g.n - 1)]:
-            dense, (ps, _) = pw.pair_spectrum(dec, a, b), _spectrum(g, a, b)
+            dense, (ps, group_tol) = pw.pair_spectrum(dec, a, b), _spectrum(g, a, b)
             pair = _pair(g, a, b)
             reduced += pair.n < g.n
-            assert ps.support == dense.support and ps.signs == dense.signs
-            assert (ps.broken_at is None) == (dense.broken_at is None)
-            assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
-            assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
+            _agrees_with_dense_route(ps, group_tol, dense, dense_tol, 1e-9)
             assert np.allclose(pw.fidelity(pair, a, b, times), pw.fidelity(dec, a, b, times),
                                rtol=0.0, atol=1e-9)
     assert reduced > 100  # most corpus pairs have a refinement of fewer cells than n
@@ -223,11 +254,9 @@ def test_structured_pair_questions_solve_no_eigenvectors_of_the_graph():
 
 def _matches_dense_route(g, a, b):
     dec = pw.eigendecompose(g)
-    (ps, _), dense = _spectrum(g, a, b), pw.pair_spectrum(dec, a, b)
+    (ps, group_tol), dense = _spectrum(g, a, b), pw.pair_spectrum(dec, a, b)
     pair = _pair(g, a, b)
-    assert ps.support == dense.support and ps.signs == dense.signs
-    assert np.allclose(ps.theta, dense.theta, rtol=0.0, atol=1e-9)
-    assert np.allclose(ps.weight, dense.weight, rtol=0.0, atol=1e-9)
+    _agrees_with_dense_route(ps, group_tol, dense, pw.default_group_tol(dec), 1e-9)
     times = np.linspace(0.0, 7.0, 29)
     assert np.allclose(pw.fidelity(pair, a, b, times), pw.fidelity(dec, a, b, times), rtol=0.0, atol=1e-9)
     return pair, ps
@@ -268,31 +297,35 @@ def test_krylov_support_holds_cluster_indices_of_the_graph():
     # two disjoint copies of the glued cones of family member 3 (n = 244):
     # 6 cells in the coarsest equitable refinement of {a}, {b}, rest, so 6
     # lifted quotient pairs, and 46 distinct eigenvalues of the graph;
-    # support indexes the graph's clusters, not the quotient's values
+    # support indexes the pair's own clusters, and the graph's clusters
+    # that it stands for are the dense route's support
     n, k, gamma = pw.glued_cone_family(3)
     half = pw.circulant(n, range(1, k // 2 + 1))
     g = pw.glued_double_cone(half, half, pw.circulant(n, range(1, gamma // 2 + 1)))
     g = pw.Graph(np.kron(np.eye(2), g.adj))
-    ps, _ = _spectrum(g, 0, 2 * n + 1)
+    ps, group_tol = _spectrum(g, 0, 2 * n + 1)
     assert _pair(g, 0, 2 * n + 1).n == 6
-    dense = pw.pair_spectrum(pw.eigendecompose(g), 0, 2 * n + 1)
-    support = ps.support
-    assert support == dense.support and max(support) > 3
+    dec = pw.eigendecompose(g)
+    dense = pw.pair_spectrum(dec, 0, 2 * n + 1)
+    _agrees_with_dense_route(ps, group_tol, dense, pw.default_group_tol(dec), 1e-12)
+    assert ps.support == (0, 1, 2, 3) and max(dense.support) > 3
 
 
 def _detune_lift(monkeypatch):
-    real = partitions._lifted
+    """Quotient eigenvalues off by a factor inside _lifted, past the
+    quotient's own checks: the lift's residual against A must refuse them."""
+    real = partitions.eigendecompose
 
-    def detuned(g, part):
-        walk = real(g, part)
-        return pw.EigenDecomposition(walk.values * 1.001, walk.vectors)
+    def detuned(g):
+        dec = real(g)
+        return pw.EigenDecomposition(dec.values * 1.001, dec.vectors)
 
-    monkeypatch.setattr(partitions, "_lifted", detuned)
+    monkeypatch.setattr(partitions, "eigendecompose", detuned)
 
 
 def test_ritz_values_must_be_eigenvalues_of_the_graph(monkeypatch):
     _detune_lift(monkeypatch)
-    with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
+    with pytest.raises(NumericFailureError, match="lifted quotient residual"):
         pw.pst_certificate(pw.hypercube(7), 0, 127)
 
 
@@ -331,191 +364,22 @@ def test_krylov_route_gives_up_past_the_cut_off(monkeypatch):
     g = pw.path_graph([1.0] * (2 * QUOTIENT_MIN_N))
     assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
     assert calls == [(QUOTIENT_MAX_CELLS, None)]
-    assert set(g._kept) == {("eigenpairs",), ("pair", 0, g.n - 1)}
+    # the edge list that the route's sign test read stays kept
+    assert set(g._kept) == {("edges",), ("eigenpairs",), ("pair", 0, g.n - 1)}
 
 
-def _perturbed_values_fail_and_keep_nothing(monkeypatch, g, a, b, owner, name, signs):
-    real = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda m: real(m) + 1e-6)
-    for _ in range(2):
-        with pytest.raises(NumericFailureError, match="trace identities"):
-            pw.strong_cospectrality(g, a, b)
-        assert g._kept == {}
-    monkeypatch.undo()
-    assert pw.strong_cospectrality(g, a, b) == signs
-    assert ("eigenvalues",) in g._kept and ("eigenpairs",) not in g._kept
-
-
-def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
-    # C16 x K8 is on the quotient route and not cubelike: its values come from eigvalsh
-    g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
-    signs = (0, 1) * 4 + (0,) + (0, 1) * 4 + (0,)
-    _perturbed_values_fail_and_keep_nothing(monkeypatch, g, 0, 64, np.linalg, "eigvalsh", signs)
-
-
-def test_walsh_hadamard_transform_is_checked_and_failures_keep_nothing(monkeypatch):
-    g = pw.hypercube(7)
-    _perturbed_values_fail_and_keep_nothing(monkeypatch, g, 0, 127, spectral, "_walsh_hadamard", (0, 1) * 4)
-
-
-# ---------------------------------------------------------------------------
-# the graph eigenvalues on the quotient route: the Walsh-Hadamard transform of
-# row 0 on a cubelike graph, a values-only solve on any other
-# ---------------------------------------------------------------------------
-
-def _xor_cayley(f):
-    """The adjacency f[i ^ j] on Z_2^d, n = len(f) = 2^d."""
-    i = np.arange(len(f))
-    return pw.Graph(np.asarray(f)[np.bitwise_xor.outer(i, i)])
-
-
-CUBELIKE = {
-    **{f"Q{d}": (lambda d=d: pw.hypercube(d)) for d in range(1, 10)},
-    "random-weights": lambda: _xor_cayley(np.random.default_rng(3).uniform(-1.0, 3.0, 64)),
-    "shifted": lambda: pw.Graph(pw.hypercube(6).adj + 2.5 * np.eye(64)),
-    "scaled": lambda: pw.scale(pw.hypercube(7), math.sqrt(2.0)),
-}
-
-
-@pytest.mark.parametrize("name", CUBELIKE)
-def test_walsh_hadamard_transform_gives_the_eigenvalues(name):
-    g = CUBELIKE[name]()
-    assert spectral._walsh_hadamard(g) is not None
-    w, ref = spectral._eigenvalues(g), np.linalg.eigvalsh(g.adj)[::-1]
-    assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("d", range(1, 10))
-def test_hypercube_eigenvalues_are_exact_integers(d):
-    # Q_d has eigenvalue d - 2k with multiplicity C(d, k)
-    want = np.repeat(d - 2.0 * np.arange(d + 1), [math.comb(d, k) for k in range(d + 1)])
-    assert np.array_equal(spectral._eigenvalues(pw.hypercube(d)), want)
-
-
-def test_walsh_hadamard_transform_takes_only_cubelike_graphs():
-    assert spectral._walsh_hadamard(pw.complete(6)) is None  # n not a power of two
-    assert spectral._walsh_hadamard(pw.cycle(8)) is None  # a Cayley graph on Z_8 only
-    q = pw.hypercube(5).adj
-    for i, j, x in ((0, 1, 0.5), (3, 9, 1.0), (30, 31, 2.0), (0, 31, 1.0), (17, 17, 1.0)):
-        adj = q.copy()
-        adj[i, j] = adj[j, i] = x  # one symmetric entry changed
-        assert spectral._walsh_hadamard(pw.Graph(adj)) is None, (i, j)
-    # what the check reads of a relabelled cubelike graph differs
-    perm = np.random.default_rng(0).permutation(32)
-    assert spectral._walsh_hadamard(pw.Graph(q[np.ix_(perm, perm)])) is None
-
-
-def _cubelike_by_levels(adj):
-    """The reference rule: n = 2^d and, level by level on the top rows, rows
-    [h, 2h) are rows [0, h) with columns XOR h, so each 2h x 2h block of
-    the top 2h rows is [[B, C], [C, B]]."""
-    n = adj.shape[0]
-    d = n.bit_length() - 1
-    if n != 1 << d:
-        return False
-    for h in (1 << k for k in range(d)):
-        top, low = (adj[s : s + h].reshape(h, -1, 2, h) for s in (0, h))
-        if not (np.array_equal(top[:, :, 0], low[:, :, 1]) and np.array_equal(top[:, :, 1], low[:, :, 0])):
-            return False
-    return True
-
-
-def _butterfly_by_moveaxis(row):
-    """The reference transform: one moveaxis butterfly per bit of the index."""
-    d = row.size.bit_length() - 1
-    w = row.reshape((2,) * d)
-    for k in range(d):
-        x0, x1 = np.moveaxis(w, k, 0)
-        w = np.stack((x0 + x1, x0 - x1), axis=k)
-    return w.ravel()
-
-
-def _changed(adj, *entries):
-    adj = adj.copy()
-    for i, j, x in entries:
-        adj[i, j] = adj[j, i] = x
-    return adj
-
-
-def _cubelike_cases():
-    rng = np.random.default_rng(5)
-    q5 = pw.hypercube(5).adj
-    f = rng.uniform(-2.0, 2.0, 32) * (rng.uniform(size=32) < 0.5)  # negative weights, zeros
-    weighted = _xor_cayley(f).adj
-    signed_zero = _xor_cayley(np.where(f == 0.0, -0.0, f)).adj  # every zero of row 0 is -0.0
-    directions = _xor_cayley(np.bincount(1 << np.arange(5), [1.5, -2.0, 0.5, 3.0, -1.0], 32)).adj
-    cases = {"Q5": q5, "weighted": weighted, "signed-zero": signed_zero,
-             "Q5-zeros-negated": np.where(q5 == 0.0, -0.0, q5),
-             "Q5-one-zero-negated": _changed(q5, (3, 12, -0.0)),
-             "Q5-row0-zero-negated": _changed(q5, (0, 3, -0.0)),
-             "Q5-scaled": pw.scale(pw.hypercube(5), -math.sqrt(2.0)).adj, "directions": directions,
-             "K6": pw.complete(6).adj, "C6": pw.cycle(6).adj, "C8": pw.cycle(8).adj,
-             "K1": pw.complete(1).adj, "loop-K1": np.array([[2.0]]), "K2": pw.complete(2).adj}
-    for k in range(5):  # one off-pattern symmetric pair at every level of the reference rule
-        # row h = 2^k is first compared at level k, and so is a pair (h, j), j >= h
-        h = 1 << k
-        on, off = h ^ (1 << (k + 1) % 5), 31  # an edge of Q5 and a non-edge, both >= h
-        for name, adj in (("Q5", q5), ("directions", directions)):
-            cases[f"{name}-level{k}-weight"] = _changed(adj, (h, on, 2.5))
-            cases[f"{name}-level{k}-added"] = _changed(adj, (h, off, 1.0))
-            cases[f"{name}-level{k}-removed"] = _changed(adj, (h, on, 0.0))
-            cases[f"{name}-level{k}-moved"] = _changed(adj, (h, on, 0.0), (h, off, adj[h, on]))
-    for name, adj in (("Q5", q5), ("weighted", weighted), ("shifted", q5 + 1.5 * np.eye(32))):
-        for i in (0, 1, 17):  # one loop changed
-            cases[f"{name}-loop{i}"] = _changed(adj, (i, i, adj[i, i] + 0.75))
-    for d in (4, 5, 6):  # relabelled and weighted Q_d
-        perm = np.random.default_rng(d).permutation(1 << d)
-        for name, adj in (("Q", pw.hypercube(d).adj), ("wQ", _xor_cayley(rng.uniform(-1.0, 3.0, 1 << d)).adj)):
-            cases[f"{name}{d}-relabelled"] = adj[np.ix_(perm, perm)]
-    return cases
-
-
-CUBELIKE_CASES = _cubelike_cases()
-
-
-@pytest.mark.parametrize("name", CUBELIKE_CASES)
-def test_cubelike_check_matches_the_level_rule(name):
-    adj = CUBELIKE_CASES[name]
-    g = pw.Graph(adj)
-    want = _cubelike_by_levels(adj)
-    got = spectral._walsh_hadamard(g)
-    assert (got is not None) == want
-    if want:
-        assert got.tobytes() == _butterfly_by_moveaxis(adj[0]).tobytes()
-
-
-def test_cubelike_cases_cover_both_answers():
-    answers = {name: _cubelike_by_levels(adj) for name, adj in CUBELIKE_CASES.items()}
-    assert sum(answers.values()) >= 10 and len(answers) - sum(answers.values()) >= 40
-    assert answers["Q5-zeros-negated"] and answers["signed-zero"] and answers["Q5-one-zero-negated"]
-    assert not any(answers[f"{name}-level{k}-{how}"] for name in ("Q5", "directions") for k in range(5)
-                   for how in ("weight", "added", "removed", "moved"))
-
-
-@pytest.mark.parametrize("d", range(1, 10))
-def test_butterfly_is_bitwise_the_moveaxis_form(d):
-    rng = np.random.default_rng(d)
-    for f in (rng.standard_normal(1 << d), rng.uniform(-1.0, 1.0, 1 << d) * 1e-3 + 1e3):
-        assert spectral._walsh_hadamard(_xor_cayley(f)).tobytes() == _butterfly_by_moveaxis(f).tobytes()
-
-
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_cubelike_check_allocates_no_square_array(layout):
-    n = 512
-    q = pw.hypercube(9).adj
-    bad = _changed(q, (n - 1, n - 2, 2.0))  # at the last level of the reference rule
-    for adj, cubelike in ((q, True), (bad, False)):
-        given = np.asarray(adj, order=layout)
-        assert given.flags[f"{layout}_CONTIGUOUS"]
-        g = pw.Graph(given)
-        assert g.adj.flags.c_contiguous  # so a ravel of it is a view
-        # the extraction holds one n x n boolean mask and a few nnz-sized
-        # arrays; an n x n float array is 8 n^2 bytes, a second mask n^2
-        nnz = np.count_nonzero(adj)
-        assert _traced_peak(lambda: graphs._edge_list(g)) <= n * n + 32 * nnz
-        # on the kept edge list the check and the transform hold O(nnz + n)
-        assert (spectral._walsh_hadamard(g) is not None) == cubelike
-        assert _traced_peak(lambda: spectral._walsh_hadamard(g)) <= n * n
+@pytest.mark.parametrize("build, signs", [(lambda: pw.scale(pw.hypercube(7), -1.0), (1, 0) * 4),
+                                          (lambda: pw.Graph(pw.hypercube(7).adj - 2.0 * np.eye(128)), (0, 1) * 4)],
+                         ids=["negated", "negative-loops"])
+def test_negative_weights_take_the_dense_route(build, signs, monkeypatch):
+    # n = 128 and one distinct degree, but a negative weight: the lift's top
+    # |eigenvalue| need not be the graph's, so no refinement is asked for
+    calls = _recording_refinement(monkeypatch)
+    g = build()
+    assert g.n >= QUOTIENT_MIN_N and np.unique(g.degrees()).size == 1
+    assert _pair(g, 0, g.n - 1) is spectral._decomposition(g)
+    assert calls == []
+    assert pw.strong_cospectrality(g, 0, g.n - 1) == signs
 
 
 def _glued_cones(index):
@@ -540,51 +404,67 @@ def test_krylov_route_matches_the_dense_answers(name, monkeypatch):
     dec = pw.eigendecompose(g)
     times = np.linspace(0.0, 10.0, 41)
     for a_, b_ in pairs:
-        pair, (ps, _) = _pair(g, a_, b_), _spectrum(g, a_, b_)
+        pair, (ps, group_tol) = _pair(g, a_, b_), _spectrum(g, a_, b_)
         dense = pw.pair_spectrum(dec, a_, b_)
         assert pair.n < g.n and ("eigenpairs",) not in g._kept
-        assert ps.support == dense.support and ps.signs == dense.signs
-        assert np.max(np.abs(np.subtract(ps.theta, dense.theta))) <= 1e-12
-        assert np.max(np.abs(ps.weight - dense.weight)) <= 1e-12
+        _agrees_with_dense_route(ps, group_tol, dense, pw.default_group_tol(dec), 1e-12)
         for c in (a_, b_, g.n // 3):
             assert np.max(np.abs(pw.fidelity(pair, a_, c, times) - pw.fidelity(dec, a_, c, times))) <= 1e-12
 
 
+def _refusing_solves_of_order(monkeypatch, n):
+    """np.linalg.eigh and eigvalsh refuse a matrix of order n or more."""
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def refusing(m, *args, real=real, name=name, **kwargs):
+            if len(m) >= n:
+                raise AssertionError(f"{name} of order {len(m)} called")
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, refusing)
+
+
+def _answers_on_the_pair(g, a, b):
+    cert = pw.pst_certificate(g, a, b)
+    return (cert, pw.max_fidelity_scan(g, a, b, 2.0 * math.pi, 2001),
+            pw.strong_cospectrality(g, a, b), pw.fidelity_series(g, a, b, 3.0, 31).amplitudes.tobytes())
+
+
 def test_cubelike_graph_answers_without_a_values_only_solve(monkeypatch):
-    def answers(g):
-        cert = pw.pst_certificate(g, 0, 255)
-        return (cert, pw.max_fidelity_scan(g, 0, 255, 2.0 * math.pi, 2001),
-                pw.fidelity_series(g, 0, 255, 3.0, 31).amplitudes.tobytes(),
-                pw.collapse_fidelity_check(g, 0, 255, np.linspace(0.0, 2.0 * math.pi, 300)))
-
-    want = answers(pw.hypercube(8))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    grid = np.linspace(0.0, 2.0 * math.pi, 300)
+    want = _answers_on_the_pair(pw.hypercube(8), 0, 255) + (
+        pw.collapse_fidelity_check(pw.hypercube(8), 0, 255, grid),)
+    _refusing_solves_of_order(monkeypatch, 256)
     g = pw.hypercube(8)
-    assert answers(g) == want
+    assert _answers_on_the_pair(g, 0, 255) + (pw.collapse_fidelity_check(g, 0, 255, grid),) == want
     assert want[0].verdict == "yes" and want[0].time_exact[:2] == (1, 2)
-    assert ("eigenvalues",) in g._kept and ("eigenpairs",) not in g._kept
+    assert {k[0] for k in g._kept} == {"edges", "refinement", "pair", "pair spectrum", "distance partition"}
 
 
-def test_non_cubelike_krylov_graph_takes_the_values_only_solve(monkeypatch):
-    calls, real = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or real(m))
-    cert = pw.pst_certificate(pw.cartesian_product(pw.cycle(16), pw.complete(8)), 0, 64)
-    assert calls == [(128, 128)]
-    assert cert.verdict == "unknown" and len(cert.support) == 18
+@pytest.mark.parametrize("build, a, b, verdict, size", [
+    (lambda: pw.cartesian_product(pw.cycle(16), pw.complete(8)), 0, 64, "unknown", 18),
+    (lambda: pw.double_cone(pw.circulant(1024, [1, 2, 3]), 0, 1.0), 0, 1, "unknown", 3),
+], ids=["cart(C16,K8)", "doublecone(C1024)"])
+def test_non_cubelike_quotient_route_graphs_solve_nothing_of_their_order(build, a, b, verdict, size, monkeypatch):
+    # the pair clusters its own eigenvalues: no question solves anything of
+    # the graph's order, values only or with vectors (the double cone's
+    # builder solves its base for the Perron vector, before the questions)
+    g = build()
+    _refusing_solves_of_order(monkeypatch, g.n - 2)
+    cert = _answers_on_the_pair(g, a, b)[0]
+    assert cert.verdict == verdict and len(cert.support) == size
+    assert ("eigenpairs",) not in g._kept
 
 
 @pytest.mark.parametrize("d", [7, 8])
 def test_relabelled_cubelike_graph_gives_the_same_answers(d):
-    # the relabelled copy is not cubelike as labelled and takes eigvalsh
+    # both take the quotient route, on refinements that the relabelling maps
+    # one onto the other, so their pair clusters are indexed alike
     g = pw.hypercube(d)
     perm = np.random.default_rng(d).permutation(g.n)  # vertex v of g is vertex perm[v] of h
     inv = np.argsort(perm)
     h = pw.Graph(g.adj[np.ix_(inv, inv)])
-    assert spectral._walsh_hadamard(h) is None
     for a, b in ((0, g.n - 1), (0, 1), (0, 3), (5, 6)):
         ha, hb = int(perm[a]), int(perm[b])
         cert, h_cert = pw.pst_certificate(g, a, b), pw.pst_certificate(h, ha, hb)
@@ -627,7 +507,7 @@ def _answers(g, a, b, tol):
 
 
 def _kept_pair(g):
-    return {k for k in g._kept if k[0] not in ("eigenpairs", "eigenvalues", "edges", "refinement")}
+    return {k for k in g._kept if k[0] not in ("eigenpairs", "edges", "refinement")}
 
 
 @pytest.mark.parametrize("build, a, b, c", [
@@ -662,10 +542,10 @@ def test_failed_pair_build_leaves_the_kept_pair(monkeypatch):
     g = pw.hypercube(7)
     pw.strong_cospectrality(g, 0, 1)
     kept = g._kept
-    assert {k[0] for k in kept} == {"edges", "eigenvalues", "refinement", "pair", "pair spectrum"}
+    assert {k[0] for k in kept} == {"edges", "refinement", "pair", "pair spectrum"}
     assert _kept_pair(g) == {("pair", 0, 1), ("pair spectrum", 0, 1)}
     _detune_lift(monkeypatch)
-    with pytest.raises(NumericFailureError, match="not an eigenvalue of the graph"):
+    with pytest.raises(NumericFailureError, match="lifted quotient residual"):
         pw.pst_certificate(g, 0, 127)
     assert g._kept is kept
     monkeypatch.undo()
@@ -832,19 +712,15 @@ def test_one_vertex_pair_spectrum(g):
 # _support against the formulation that summed every run of columns
 # ---------------------------------------------------------------------------
 
-def _support_reference(dec, values, a, b, tol):
+def _support_reference(dec, a, b, tol):
     """The pair spectrum as np.add.reduceat over every run of columns, one
     column or several, with every cluster's mean taken first."""
+    values = dec.values
     bounds, group_tol = spectral._clusters(values, None)
     means = values[bounds[:-1]]
     for j in np.flatnonzero(np.diff(bounds) > 1):
         means[j] = np.mean(values[bounds[j] : bounds[j + 1]])
-    asc = values[::-1]
-    hi = np.minimum(np.searchsorted(asc, dec.values), len(asc) - 1)
-    lo = np.maximum(hi - 1, 0)
-    nearest = len(asc) - 1 - np.where(dec.values - asc[lo] < asc[hi] - dec.values, lo, hi)
-    cluster = np.searchsorted(bounds, nearest, side="right") - 1
-    runs = np.flatnonzero(np.diff(cluster, prepend=-1))
+    runs = bounds[:-1]
     v = dec.vectors
     ea = np.add.reduceat(v * v[a, :], runs, axis=1)
     eb = np.add.reduceat(v * v[b, :], runs, axis=1)
@@ -852,7 +728,7 @@ def _support_reference(dec, values, a, b, tol):
     ea, eb = ea[:, sup], eb[:, sup]
     plus = np.max(np.abs(ea - eb), axis=0, initial=0.0) <= tol
     minus = np.max(np.abs(ea + eb), axis=0, initial=0.0) <= tol
-    support = cluster[runs][sup]
+    support = sup
     theta = tuple(means[support].tolist())
     broken = np.nonzero(~plus & ~minus)[0]
     signs = None if broken.size else tuple(0 if p else 1 for p in plus)
@@ -861,9 +737,9 @@ def _support_reference(dec, values, a, b, tol):
     return tuple(support.tolist()), theta, weight, signs, broken_at, group_tol
 
 
-def _assert_bitwise_reference(dec, values, a, b, tol=TOL):
-    ps, group_tol = spectral._support(dec, values, a, b, tol)
-    support, theta, weight, signs, broken_at, ref_tol = _support_reference(dec, values, a, b, tol)
+def _assert_bitwise_reference(dec, a, b, tol=TOL):
+    ps, group_tol = spectral._support(dec, a, b, tol)
+    support, theta, weight, signs, broken_at, ref_tol = _support_reference(dec, a, b, tol)
     assert ps.support == support and ps.signs == signs and group_tol == ref_tol
     assert np.array(ps.theta).tobytes() == np.array(theta).tobytes()
     assert ps.weight.tobytes() == weight.tobytes()
@@ -875,16 +751,13 @@ def test_support_matches_the_reduceat_reference_on_every_corpus_pair(corpus):
         dec = pw.eigendecompose(g)
         for a in range(g.n):
             for b in range(a, g.n):
-                _assert_bitwise_reference(dec, dec.values, a, b)
+                _assert_bitwise_reference(dec, a, b)
 
 
 def test_support_matches_the_reduceat_reference_on_the_ladders(ladder):
     # each instance's pair on the route its questions take (lifted quotient
     # pairs on the structured graphs of n >= 128), and the dense route of a wider tol
     for name, g, a, b in ladder:
-        dec = _pair(g, a, b)
-        values = dec.values if dec.n == g.n else spectral._eigenvalues(g)
-        _assert_bitwise_reference(dec, values, a, b)
+        _assert_bitwise_reference(_pair(g, a, b), a, b)
         if g.n <= 128:
-            full = pw.eigendecompose(g)
-            _assert_bitwise_reference(full, full.values, a, b, tol=0.05)
+            _assert_bitwise_reference(pw.eigendecompose(g), a, b, tol=0.05)

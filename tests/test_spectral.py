@@ -275,6 +275,15 @@ def test_perron_vector_positive_on_path():
     assert np.all(x > 0)
 
 
+def test_perron_vector_gap_test_scales_with_the_weights():
+    # the top gap of P5 scaled by 1e-11 is about 7e-12: simple relative to
+    # lam0, as at every other scale
+    lam, x = pw.perron_vector(pw.path_graph([1.0] * 4))
+    lam_s, x_s = pw.perron_vector(pw.scale(pw.path_graph([1.0] * 4), 1e-11))
+    assert lam_s == pytest.approx(1e-11 * lam, rel=1e-12)
+    assert np.max(np.abs(x_s - x)) <= 1e-12 and np.all(x_s > 0)
+
+
 def test_perron_vector_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         pw.perron_vector(pw.empty_graph(3))

@@ -435,6 +435,16 @@ def test_certificate_takes_the_gcd_scale_where_the_smallest_gap_fails():
     assert "integer differences [-3, -5] at scale 1;" in c.reason
 
 
+@pytest.mark.parametrize("e", range(16))
+def test_certificate_floors_scale_with_the_weights(e):
+    # the gap and gcd floors are fractions of the grouping tolerance, so Q3
+    # scaled by 10^-e reduces alike at every scale, with t* scaled by 10^e
+    c = 10.0 ** -e
+    cert = pw.pst_certificate(pw.scale(pw.hypercube(3), c), 0, 7)
+    assert cert.verdict == "yes", cert.reason
+    assert cert.signs == (0, 1, 0, 1) and cert.time_num == pytest.approx(0.5 * math.pi / c, rel=1e-9)
+
+
 def test_certificate_unweighted_double_cone_unknown():
     # apex pair of the join of two isolated vertices with a triangle:
     # supported eigenvalues 0 and 1 +- sqrt7 share no common scale
