@@ -474,6 +474,91 @@ def test_relabelled_cubelike_graph_gives_the_same_answers(d):
         assert np.max(np.abs(np.subtract(theta, h_theta))) <= 1e-9, (a, b)
 
 
+def test_eigenvalue_solve_is_checked_and_failures_keep_nothing(monkeypatch):
+    # C16 x K8 is on the quotient route: eigenvalues of its quotient off by
+    # 1e-6 pass the quotient's own solve, and the lift's residual against A
+    # refuses them on every try, keeping nothing
+    g = pw.cartesian_product(pw.cycle(16), pw.complete(8))
+    signs = (0, 1) * 4 + (0,) + (0, 1) * 4 + (0,)
+    real = partitions.eigendecompose
+
+    def shifted(q):
+        dec = real(q)
+        return pw.EigenDecomposition(dec.values + 1e-6, dec.vectors)
+
+    monkeypatch.setattr(partitions, "eigendecompose", shifted)
+    for _ in range(2):
+        with pytest.raises(NumericFailureError, match="lifted quotient residual"):
+            pw.strong_cospectrality(g, 0, 64)
+        assert g._kept == {}
+    monkeypatch.undo()
+    assert pw.strong_cospectrality(g, 0, 64) == signs
+    assert ("pair", 0, 64) in g._kept and ("eigenpairs",) not in g._kept
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalues a pair clusters on a cubelike graph f[i ^ j]: the
+# Walsh-Hadamard transform of row 0, on either route
+# ---------------------------------------------------------------------------
+
+def _xor_cayley(f):
+    """The adjacency f[i ^ j] on Z_2^d, n = len(f) = 2^d."""
+    i = np.arange(len(f))
+    return pw.Graph(np.asarray(f)[np.bitwise_xor.outer(i, i)])
+
+
+def _walsh_hadamard_by_moveaxis(row):
+    """The Walsh-Hadamard transform of row, one moveaxis butterfly per bit
+    of the index: entry s is sum_x row[x] (-1)^popcount(s & x), the
+    eigenvalue of the character (-1)^popcount(s & x) of f[i ^ j]."""
+    d = row.size.bit_length() - 1
+    w = row.reshape((2,) * d)
+    for k in range(d):
+        x0, x1 = np.moveaxis(w, k, 0)
+        w = np.stack((x0 + x1, x0 - x1), axis=k)
+    return w.ravel()
+
+
+CUBELIKE = {
+    **{f"Q{d}": (lambda d=d: pw.hypercube(d)) for d in range(1, 10)},
+    "random-weights": lambda: _xor_cayley(np.random.default_rng(3).uniform(-1.0, 3.0, 64)),
+    "shifted": lambda: pw.Graph(pw.hypercube(6).adj + 2.5 * np.eye(64)),
+    "scaled": lambda: pw.scale(pw.hypercube(7), math.sqrt(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", CUBELIKE)
+def test_walsh_hadamard_transform_gives_the_eigenvalues(name):
+    # the dense route below n = 128, the quotient route on Q7 to Q9 and the
+    # scaled Q7: every eigenvalue a pair clusters is one of the transform's
+    g = CUBELIKE[name]()
+    w = np.sort(_walsh_hadamard_by_moveaxis(g.adj[0]))[::-1]
+    scale = max(1.0, np.max(np.abs(w)))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(g.adj)[::-1])) <= 1e-12 * scale
+    for a, b in ((0, g.n - 1), (0, 1)):
+        theta = np.asarray(_spectrum(g, a, b)[0].theta)
+        assert np.max(np.min(np.abs(np.subtract.outer(theta, w)), axis=1)) <= 1e-12 * scale, (a, b)
+    assert (("eigenpairs",) in g._kept) == (g.n < QUOTIENT_MIN_N)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_hypercube_eigenvalues_are_exact_integers(d):
+    # Q_d has eigenvalue d - 2k with multiplicity C(d, k), and its antipodal
+    # pair sees each with weight (-1)^k C(d, k) / 2^d; the certificate
+    # reduces their differences to the exact integers -1, ..., -d at scale 2
+    g = pw.hypercube(d)
+    ps, _ = _spectrum(g, 0, g.n - 1)
+    k = np.arange(d + 1)
+    want = d - 2.0 * k
+    assert np.array_equal(np.rint(ps.theta), want)
+    assert np.max(np.abs(np.subtract(ps.theta, want))) <= 1e-12 * d
+    binom = np.array([math.comb(d, j) for j in k], dtype=float)
+    assert np.max(np.abs(ps.weight - (-1.0) ** k * binom / g.n)) <= 1e-12
+    cert = pw.pst_certificate(g, 0, g.n - 1)
+    assert cert.verdict == "yes" and cert.time_exact == (1, 2, 1.0) and cert.signs == tuple((k % 2).tolist())
+    assert f"integer differences {[-j for j in range(1, d + 1)]} at scale 2;" in cert.reason
+
+
 # ---------------------------------------------------------------------------
 # the pair a graph keeps: one reduction serves every question on the pair
 # ---------------------------------------------------------------------------
